@@ -24,7 +24,6 @@ __all__ = [
     "clip",
     "matmul",
     "take_rows",
-    "stop_gradient",
 ]
 
 
@@ -279,8 +278,3 @@ def concat_rows(parts) -> Tensor:
     out._backward_fn = backward_fn
     return out
 
-
-def stop_gradient(t) -> Tensor:
-    """Detach: same forward value, zero adjoint upstream."""
-    t = as_tensor(t)
-    return Tensor(t.value)

@@ -153,8 +153,10 @@ def _cmd_experiment(args):
     write_aggregate_csv(os.path.join(out, "aggregate.csv"), aggregates)
     failed = [r for r in run_rows if r["status"] != "ok"]
     for row in failed:
+        reason = row["_traceback"].strip().splitlines()[-1]
         sys.stderr.write(
-            f"run failed: method={row['method']} gamma={row['gamma']} rep={row['rep']}\n"
+            f"run failed: method={row['method']} gamma={row['gamma']} rep={row['rep']}: "
+            f"{reason}\n"
         )
     print(f"{len(run_rows) - len(failed)}/{len(run_rows)} runs ok -> {out}")
     return 2 if failed else 0

@@ -45,11 +45,16 @@ class LossBreakdown:
         }
 
 
-def cross_entropy_risk(probs, labels) -> Tensor:
-    """Mean negative log-likelihood of binary labels under ``probs``."""
+def cross_entropy_risk(probs, labels, row_weights=None) -> Tensor:
+    """Mean negative log-likelihood of binary labels under ``probs``.
+
+    ``row_weights`` (one per row) scale each row's term before the mean.
+    """
     p = as_tensor(probs)
     y = np.asarray(labels, dtype=np.float64)
     per_row = -(Tensor(y) * ad.log(p) + Tensor(1.0 - y) * ad.log(1.0 - p))
+    if row_weights is not None:
+        per_row = Tensor(row_weights) * per_row
     return per_row.mean()
 
 
@@ -170,6 +175,27 @@ def solve_coupling(points_a, points_b) -> CouplingPlan:
     return CouplingPlan(plan, row, col)
 
 
+def transport_cost(points_a, points_b, plan) -> Tensor:
+    """Cost ``sum_ij P_ij |a_i - b_j|^2`` of a fixed plan, as one tape node.
+
+    The value is computed from direct differences, so it is exactly zero
+    for coincident clouds.  The vector-Jacobian product is the closed form
+    ``2g (diag(P 1) a - P b)`` for ``a`` and ``2g (diag(P^T 1) b - P^T a)``
+    for ``b``.
+    """
+    a = as_tensor(points_a)
+    b = as_tensor(points_b)
+    plan = np.asarray(plan, dtype=np.float64)
+    out = Tensor((plan * _pairwise_sq_dists(a.value, b.value)).sum(), (a, b))
+
+    def backward_fn(g):
+        a._accumulate(2.0 * g * (plan.sum(axis=1)[:, None] * a.value - plan @ b.value))
+        b._accumulate(2.0 * g * (plan.sum(axis=0)[:, None] * b.value - plan.T @ a.value))
+
+    out._backward_fn = backward_fn
+    return out
+
+
 def wasserstein2(points_a, points_b) -> Tensor:
     """Exact W2 between uniform empirical measures on two point clouds.
 
@@ -178,26 +204,10 @@ def wasserstein2(points_a, points_b) -> Tensor:
     """
     a = as_tensor(points_a)
     b = as_tensor(points_b)
-    av, bv = a.value, b.value
-    if av.ndim == 1:
+    if a.value.ndim == 1:
         raise ValueError("points must be 2-D [count, dim]")
-    coupling = solve_coupling(av, bv)
-    exact_cost = float((coupling.plan * _pairwise_sq_dists(av, bv)).sum())
-    a2 = (a * a).sum(axis=1, keepdims=True)
-    b2 = (b * b).sum(axis=1, keepdims=True)
-    cross = ad.matmul(a, _transpose(b))
-    d2 = a2 + _transpose(b2) - 2.0 * cross
-    cost = (d2 * Tensor(coupling.plan)).sum()
-    # report the exactly computed cost while differentiating through the
-    # expanded form: (cost - stop(cost)) is identically zero in value
-    anchored = Tensor(np.asarray(exact_cost)) + (cost - ad.stop_gradient(cost))
-    return ad.sqrt(ad.clip(anchored, 0.0, None))
-
-
-def _transpose(t: Tensor) -> Tensor:
-    out = Tensor(t.value.T, (t,))
-    out._backward_fn = lambda g: t._accumulate(g.T)
-    return out
+    coupling = solve_coupling(a.value, b.value)
+    return ad.sqrt(transport_cost(a, b, coupling.plan))
 
 
 def risk_bound_gap(source_risk, weighted_entropy, epsilon, test_risk) -> float:

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import conditional_entropy
-
 
 @dataclass(frozen=True)
 class GroupConfusion:
@@ -188,7 +186,3 @@ def fw_ratio_histogram(weight_net, encoder, source, target, bins=20) -> RatioHis
         source_inv_mean=float((1.0 / fw_source).mean()),
     )
 
-
-def mean_prediction_entropy(probs) -> float:
-    """Average binary prediction entropy; convenience for diagnostics."""
-    return float(conditional_entropy(np.asarray(probs)).value.mean())

@@ -69,10 +69,6 @@ class PredictorModel:
     def parameters(self):
         return [self.w1, self.b1, self.w2, self.b2, self.w3, self.b3, self.w4, self.b4]
 
-    @property
-    def encoder_parameters(self):
-        return [self.w1, self.b1, self.w2, self.b2]
-
     def forward(self, batch, dropout_rng=None):
         """Return ``(representations [b, rep_dim], probabilities [b])``.
 

@@ -11,6 +11,9 @@ All trainers run ``pretrain_epochs + adapt_epochs`` epochs over the
 source data, using ``batch_size`` during the first stage and the larger
 ``adapt_train_batch_size`` during the second (the larger batches keep the
 Monte-Carlo estimate of the reciprocal-mean constraint low-variance).
+``ours`` and ``unweighted_entropy`` minimize the source risk alone during
+the first stage; the importance-weighting baselines apply the matching
+term from epoch 0.
 """
 
 from __future__ import annotations
@@ -179,11 +182,12 @@ class _Engine:
     def epoch_perm(self):
         return self.streams["batches"].permutation(self.source.n)
 
-    def erm_loss(self, batch_idx):
+    def erm_loss(self, batch_idx, row_weights=None):
         _, probs = self.model.forward(
             self.features[batch_idx], dropout_rng=self.streams["dropout"]
         )
-        return cross_entropy_risk(probs, self.labels[batch_idx])
+        weights = None if row_weights is None else row_weights[batch_idx]
+        return cross_entropy_risk(probs, self.labels[batch_idx], weights)
 
     def theta_update(self, loss):
         loss.backward()
@@ -209,6 +213,16 @@ class _Engine:
             erm = total / self.source.n
             self.finish_epoch(LossBreakdown(erm=erm, total=erm), epoch)
 
+    def result(self, method, **extra) -> TrainedModel:
+        return TrainedModel(
+            method=method,
+            predictor=self.model,
+            config=self.cfg,
+            history=self.history,
+            param_digests=self.digests,
+            **extra,
+        )
+
 
 def _subsample_target(target: UnlabeledDataset, cfg, rng) -> UnlabeledDataset:
     if cfg.m_cap > target.m:
@@ -221,65 +235,60 @@ def train_erm(source: LabeledDataset, cfg: TrainConfig) -> TrainedModel:
     """Cross-entropy minimization only; the reference trajectory."""
     eng = _Engine(source, cfg)
     eng.run_erm_epochs(cfg.total_epochs)
-    return TrainedModel(
-        method="erm",
-        predictor=eng.model,
-        config=cfg,
-        history=eng.history,
-        param_digests=eng.digests,
-    )
+    return eng.result("erm")
 
 
-def train_ours(
-    source: LabeledDataset, target: UnlabeledDataset, cfg: TrainConfig
-) -> TrainedModel:
-    """Two-stage min-max training of the composite objective.
-
-    Stage 1 minimizes the source risk alone.  Stage 2 alternates per
-    batch: the weight network ascends the entropy term minus the
-    squared-error constraint penalties, then the predictor descends the
-    source risk plus the (gradient-stopped) weighted entropy plus the
-    group-level Wasserstein matching term.
-    """
+def _require_both_groups(target: UnlabeledDataset):
     if not (target.has_group(0) and target.has_group(1)):
         raise ValueError("target must contain both groups for representation matching")
-    eng = _Engine(source, cfg)
-    target_sub = _subsample_target(target, cfg, eng.streams["subsample"])
-    idx0 = np.flatnonzero(target_sub.groups == 0)
-    idx1 = np.flatnonzero(target_sub.groups == 1)
 
-    eng.run_erm_epochs(cfg.pretrain_epochs)
 
-    weight_net = WeightNetwork(
-        cfg.rep_dim, eng.streams["weight_net"], hidden_dim=cfg.weight_hidden_dim
-    )
-    w_opt = AdamOptimizer(
-        weight_net.parameters,
-        eng.total_steps,
-        base_lr=cfg.learning_rate * cfg.weight_lr_multiplier,
-        weight_decay=cfg.weight_decay,
-    )
-    target_x = target_sub.features
+def _adapt(eng: _Engine, target_sample, first_epoch, entropy=None, row_weights=None):
+    """Epochs ``first_epoch..total_epochs`` of risk + entropy + matching.
+
+    ``entropy`` picks the target-entropy term: ``"learned"`` trains a
+    weight network by ascent and damps each target point by
+    ``exp(-F_w)``, ``"uniform"`` weights every point 1, ``None`` drops the
+    term.  ``row_weights`` (one per source row) weight the source risk.
+    Each step runs one target forward pass; the ascent reads its values
+    as constants, so its backward pass never reaches the classifier graph.
+    Returns ``(weight_net or None, skipped matching steps)``.
+    """
+    cfg = eng.cfg
+    target_x = target_sample.features
+    idx0 = np.flatnonzero(target_sample.groups == 0)
+    idx1 = np.flatnonzero(target_sample.groups == 1)
+    weight_net = None
+    if entropy == "learned":
+        weight_net = WeightNetwork(
+            cfg.rep_dim, eng.streams["weight_net"], hidden_dim=cfg.weight_hidden_dim
+        )
+        w_opt = AdamOptimizer(
+            weight_net.parameters,
+            eng.total_steps,
+            base_lr=cfg.learning_rate * cfg.weight_lr_multiplier,
+            weight_decay=cfg.weight_decay,
+        )
+    use_entropy = entropy is not None and cfg.lambda1 > 0
+    can_match = len(idx0) > 0 and len(idx1) > 0
     skipped_w2 = 0
     sizes = _epoch_batch_sizes(cfg)
 
-    for e in range(cfg.adapt_epochs):
-        epoch = cfg.pretrain_epochs + e
-        bs = sizes[epoch]
-        sums = np.zeros(5)  # erm, we, w2, c1 penalty, c2 penalty
+    for epoch in range(first_epoch, cfg.total_epochs):
+        sums = np.zeros(5)  # erm, entropy, w2, c1 penalty, c2 penalty
         n_steps = 0
-        perm = eng.epoch_perm()
-        for batch_idx in _batches(perm, bs):
+        for batch_idx in _batches(eng.epoch_perm(), sizes[epoch]):
+            if use_entropy or (cfg.lambda2 > 0 and can_match):
+                rep_t, probs_t = eng.model.forward(target_x)
+            if use_entropy:
+                entropies = conditional_entropy(probs_t)
             # -- weight-network ascent (classifier frozen, inference mode) --
-            if cfg.lambda1 > 0:
-                rep_t = eng.model.representations(target_x)
-                probs_t = eng.model.predict_proba(target_x)
-                entropies = conditional_entropy(probs_t).value
+            if use_entropy and weight_net is not None:
                 rep_s = eng.model.representations(eng.features[batch_idx])
                 zero_grads(weight_net.parameters)
-                fw_t = weight_net.forward(rep_t)
+                fw_t = weight_net.forward(rep_t.value)
                 fw_s = weight_net.forward(rep_s)
-                we = weighted_entropy_term(fw_t, entropies)
+                we = weighted_entropy_term(fw_t, entropies.value)
                 penalty = constraint_penalty(fw_t, fw_s, cfg.c1, cfg.c2)
                 w_loss = penalty - cfg.lambda1 * we
                 w_loss.backward()
@@ -291,22 +300,19 @@ def train_ours(
 
             # -- classifier descent ------------------------------------
             zero_grads(eng.model.parameters)
-            loss = eng.erm_loss(batch_idx)
+            loss = eng.erm_loss(batch_idx, row_weights)
             sums[0] += float(loss)
-            if cfg.lambda1 > 0 or cfg.lambda2 > 0:
-                rep_t_theta, probs_t_theta = eng.model.forward(target_x)
-            if cfg.lambda1 > 0:
-                fw_now = weight_net.ratios(rep_t_theta.value)
-                we_term = weighted_entropy_term(
-                    Tensor(fw_now), conditional_entropy(probs_t_theta)
-                )
-                sums[1] += float(we_term)
-                loss = loss + cfg.lambda1 * we_term
+            if use_entropy:
+                if weight_net is None:
+                    ent_term = entropies.mean()
+                else:
+                    fw_now = weight_net.ratios(rep_t.value)
+                    ent_term = weighted_entropy_term(Tensor(fw_now), entropies)
+                sums[1] += float(ent_term)
+                loss = loss + cfg.lambda1 * ent_term
             if cfg.lambda2 > 0:
-                if len(idx0) and len(idx1):
-                    w2 = wasserstein2(
-                        ad.take_rows(rep_t_theta, idx0), ad.take_rows(rep_t_theta, idx1)
-                    )
+                if can_match:
+                    w2 = wasserstein2(ad.take_rows(rep_t, idx0), ad.take_rows(rep_t, idx1))
                     sums[2] += float(w2)
                     loss = loss + cfg.lambda2 * w2
                 else:
@@ -325,16 +331,26 @@ def train_ours(
             ),
             epoch,
         )
+    return weight_net, skipped_w2
 
-    return TrainedModel(
-        method="ours",
-        predictor=eng.model,
-        config=cfg,
-        history=eng.history,
-        param_digests=eng.digests,
-        weight_net=weight_net,
-        skipped_wasserstein_steps=skipped_w2,
-    )
+
+def train_ours(
+    source: LabeledDataset, target: UnlabeledDataset, cfg: TrainConfig
+) -> TrainedModel:
+    """Two-stage min-max training of the composite objective.
+
+    Stage 1 minimizes the source risk alone.  Stage 2 alternates per
+    batch: the weight network ascends the entropy term minus the
+    squared-error constraint penalties, then the predictor descends the
+    source risk plus the (gradient-stopped) weighted entropy plus the
+    group-level Wasserstein matching term.
+    """
+    _require_both_groups(target)
+    eng = _Engine(source, cfg)
+    target_sub = _subsample_target(target, cfg, eng.streams["subsample"])
+    eng.run_erm_epochs(cfg.pretrain_epochs)
+    weight_net, skipped = _adapt(eng, target_sub, cfg.pretrain_epochs, entropy="learned")
+    return eng.result("ours", weight_net=weight_net, skipped_wasserstein_steps=skipped)
 
 
 def train_unweighted_entropy(
@@ -345,59 +361,12 @@ def train_unweighted_entropy(
     No weight network and no constraints; otherwise the two-stage
     schedule is identical.
     """
-    if not (target.has_group(0) and target.has_group(1)):
-        raise ValueError("target must contain both groups for representation matching")
+    _require_both_groups(target)
     eng = _Engine(source, cfg)
     target_sub = _subsample_target(target, cfg, eng.streams["subsample"])
-    idx0 = np.flatnonzero(target_sub.groups == 0)
-    idx1 = np.flatnonzero(target_sub.groups == 1)
-
     eng.run_erm_epochs(cfg.pretrain_epochs)
-    target_x = target_sub.features
-    skipped_w2 = 0
-    sizes = _epoch_batch_sizes(cfg)
-    for e in range(cfg.adapt_epochs):
-        epoch = cfg.pretrain_epochs + e
-        sums = np.zeros(3)
-        n_steps = 0
-        perm = eng.epoch_perm()
-        for batch_idx in _batches(perm, sizes[epoch]):
-            zero_grads(eng.model.parameters)
-            loss = eng.erm_loss(batch_idx)
-            sums[0] += float(loss)
-            if cfg.lambda1 > 0 or cfg.lambda2 > 0:
-                rep_t, probs_t = eng.model.forward(target_x)
-            if cfg.lambda1 > 0:
-                ent = conditional_entropy(probs_t).mean()
-                sums[1] += float(ent)
-                loss = loss + cfg.lambda1 * ent
-            if cfg.lambda2 > 0:
-                if len(idx0) and len(idx1):
-                    w2 = wasserstein2(ad.take_rows(rep_t, idx0), ad.take_rows(rep_t, idx1))
-                    sums[2] += float(w2)
-                    loss = loss + cfg.lambda2 * w2
-                else:
-                    skipped_w2 += 1
-            eng.theta_update(loss)
-            n_steps += 1
-        avg = sums / n_steps
-        eng.finish_epoch(
-            LossBreakdown(
-                erm=avg[0],
-                weighted_entropy=avg[1],
-                wasserstein=avg[2],
-                total=avg[0] + cfg.lambda1 * avg[1] + cfg.lambda2 * avg[2],
-            ),
-            epoch,
-        )
-    return TrainedModel(
-        method="unweighted_entropy",
-        predictor=eng.model,
-        config=cfg,
-        history=eng.history,
-        param_digests=eng.digests,
-        skipped_wasserstein_steps=skipped_w2,
-    )
+    _, skipped = _adapt(eng, target_sub, cfg.pretrain_epochs, entropy="uniform")
+    return eng.result("unweighted_entropy", skipped_wasserstein_steps=skipped)
 
 
 def _fit_ratio_net(source, target_x, cfg, init_seed, batch_seed):
@@ -435,17 +404,14 @@ def train_importance_weighted(
     Phase 1 fits the ratio network by the KLIEP or LSIF loss over the
     available target points and source batches.  Phase 2 trains the
     classifier on the s-weighted cross entropy plus the Wasserstein
-    matching term.  ``ratio_override`` (length-n array) skips phase 1,
-    which is how exact-ratio studies and the unit-weight degenerate case
-    are run.
+    matching term, from the first epoch on.  ``ratio_override``
+    (length-n array) skips phase 1, which is how exact-ratio studies and
+    the unit-weight degenerate case are run.
     """
     if cfg.method not in ("kliep_iw", "lsif_iw"):
         raise ValueError(f"method must be kliep_iw or lsif_iw, got {cfg.method!r}")
     eng = _Engine(source, cfg)
     target_sub = _subsample_target(target, cfg, eng.streams["subsample"])
-    idx0 = np.flatnonzero(target_sub.groups == 0)
-    idx1 = np.flatnonzero(target_sub.groups == 1)
-    target_x = target_sub.features
 
     ratio_net = None
     if ratio_override is not None:
@@ -454,7 +420,7 @@ def train_importance_weighted(
             raise ValueError("ratio_override must have one weight per source row")
     else:
         ratio_net = _fit_ratio_net(
-            source, target_x, cfg, eng.streams["weight_net"], eng.streams["ratio"]
+            source, target_sub.features, cfg, eng.streams["weight_net"], eng.streams["ratio"]
         )
         weights = ratio_net.ratios(source.features)
         # the squared-penalty fit overshoots the constrained optimum by a
@@ -462,45 +428,8 @@ def train_importance_weighted(
         weights = weights / weights.mean()
     weights = np.maximum(weights, RATIO_FLOOR)
 
-    sizes = _epoch_batch_sizes(cfg)
-    skipped_w2 = 0
-    for epoch in range(cfg.total_epochs):
-        sums = np.zeros(2)
-        n_steps = 0
-        perm = eng.epoch_perm()
-        for batch_idx in _batches(perm, sizes[epoch]):
-            zero_grads(eng.model.parameters)
-            _, probs = eng.model.forward(
-                eng.features[batch_idx], dropout_rng=eng.streams["dropout"]
-            )
-            y = eng.labels[batch_idx]
-            per_row = -(Tensor(y) * ad.log(probs) + Tensor(1.0 - y) * ad.log(1.0 - probs))
-            loss = (Tensor(weights[batch_idx]) * per_row).mean()
-            sums[0] += float(loss)
-            if cfg.lambda2 > 0:
-                if len(idx0) and len(idx1):
-                    rep_t, _ = eng.model.forward(target_x)
-                    w2 = wasserstein2(ad.take_rows(rep_t, idx0), ad.take_rows(rep_t, idx1))
-                    sums[1] += float(w2)
-                    loss = loss + cfg.lambda2 * w2
-                else:
-                    skipped_w2 += 1
-            eng.theta_update(loss)
-            n_steps += 1
-        avg = sums / n_steps
-        eng.finish_epoch(
-            LossBreakdown(erm=avg[0], wasserstein=avg[1], total=avg[0] + cfg.lambda2 * avg[1]),
-            epoch,
-        )
-    return TrainedModel(
-        method=cfg.method,
-        predictor=eng.model,
-        config=cfg,
-        history=eng.history,
-        param_digests=eng.digests,
-        weight_net=ratio_net,
-        skipped_wasserstein_steps=skipped_w2,
-    )
+    _, skipped = _adapt(eng, target_sub, 0, row_weights=weights)
+    return eng.result(cfg.method, weight_net=ratio_net, skipped_wasserstein_steps=skipped)
 
 
 def _column_stats(features, kinds):
@@ -531,14 +460,7 @@ def train_zsa(
     eng.run_erm_epochs(cfg.total_epochs)
     target_sub = _subsample_target(target, cfg, eng.streams["subsample"])
     adapted = _column_stats(target_sub.features, source.feature_kinds)
-    return TrainedModel(
-        method="zsa",
-        predictor=eng.model,
-        config=cfg,
-        history=eng.history,
-        param_digests=eng.digests,
-        input_stats=adapted,
-    )
+    return eng.result("zsa", input_stats=adapted)
 
 
 _TRAINERS = {

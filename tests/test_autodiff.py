@@ -87,28 +87,6 @@ def test_sqrt_at_zero_uses_zero_subgradient():
     np.testing.assert_array_equal(t.grad, 0.0)
 
 
-class TestStopGradient:
-    def test_definition(self):
-        a, b = Tensor(3.0), Tensor(4.0)
-        loss = ad.stop_gradient(a) * b
-        assert float(loss) == 12.0
-        loss.backward()
-        assert a.grad is None
-        np.testing.assert_allclose(b.grad, 3.0)
-
-    def test_idempotent(self):
-        x = Tensor(np.array([1.0, 2.0]))
-        once = ad.stop_gradient(x)
-        twice = ad.stop_gradient(once)
-        np.testing.assert_array_equal(once.value, twice.value)
-        (twice * twice).sum().backward()
-        assert x.grad is None
-
-    def test_forward_value_unchanged(self):
-        x = Tensor(np.array([[1.5, -2.0]]))
-        np.testing.assert_array_equal(ad.stop_gradient(ad.exp(x)).value, np.exp(x.value))
-
-
 def test_backward_requires_scalar():
     t = Tensor(np.ones(3))
     with pytest.raises(ValueError, match="scalar"):

@@ -130,6 +130,7 @@ def test_experiment_partial_failure_exit_code(tmp_path, capsys):
     out = tmp_path / "exp_out"
     code = main(["experiment", "--config", str(cfg), "--out", str(out), "--reps", "1"])
     assert code == 2
+    assert "m_cap" in capsys.readouterr().err
 
 
 def test_usage_errors_reported_cleanly(source_and_target_csv, tmp_path, capsys):

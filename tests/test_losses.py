@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+from fairshift.autodiff import Tensor
 from fairshift.losses import (
     CouplingPlan,
+    _pairwise_sq_dists,
     conditional_entropy,
     constraint_penalty,
     cross_entropy_risk,
@@ -14,6 +16,7 @@ from fairshift.losses import (
     lsif_loss,
     risk_bound_gap,
     solve_coupling,
+    transport_cost,
     wasserstein2,
     weighted_entropy_term,
 )
@@ -32,6 +35,10 @@ class TestCrossEntropyRisk:
     def test_hand_computed(self):
         value = float(cross_entropy_risk(np.array([0.9, 0.2]), np.array([1, 1])))
         assert value == pytest.approx((-math.log(0.9) - math.log(0.2)) / 2)
+
+    def test_row_weights_scale_each_term(self):
+        value = float(cross_entropy_risk(np.array([0.9, 0.2]), np.array([1, 1]), [2.0, 0.5]))
+        assert value == pytest.approx((-2.0 * math.log(0.9) - 0.5 * math.log(0.2)) / 2)
 
 
 class TestConditionalEntropy:
@@ -240,6 +247,53 @@ class TestWasserstein2:
         bad = np.full((2, 2), 0.3)
         with pytest.raises(ValueError, match="row sums"):
             CouplingPlan(bad, np.full(2, 0.5), np.full(2, 0.5))
+
+
+def _w2_grads(a, b):
+    ta, tb = Tensor(a), Tensor(b)
+    wasserstein2(ta, tb).backward()
+    return ta.grad, tb.grad
+
+
+def _central_diff(f, x, h=1e-6):
+    grad = np.zeros_like(x)
+    for i in np.ndindex(x.shape):
+        orig = x[i]
+        x[i] = orig + h
+        hi = f()
+        x[i] = orig - h
+        lo = f()
+        x[i] = orig
+        grad[i] = (hi - lo) / (2 * h)
+    return grad
+
+
+class TestTransportCost:
+    @pytest.mark.parametrize("na,nb", [(5, 5), (6, 4)])
+    def test_value_is_exact_plan_cost(self, na, nb):
+        rng = np.random.default_rng(6)
+        a, b = rng.normal(size=(na, 3)), rng.normal(size=(nb, 3))
+        plan = solve_coupling(a, b).plan
+        expected = (plan * _pairwise_sq_dists(a, b)).sum()
+        assert transport_cost(a, b, plan).value == expected
+
+    # equal sizes take the assignment path, unequal sizes the LP path
+    @pytest.mark.parametrize("na,nb", [(6, 6), (7, 4)])
+    def test_w2_gradient_matches_finite_differences(self, na, nb):
+        rng = np.random.default_rng(7)
+        a, b = rng.normal(size=(na, 2)), rng.normal(size=(nb, 2)) + 0.5
+        grad_a, grad_b = _w2_grads(a, b)
+        num_a = _central_diff(lambda: float(wasserstein2(a, b)), a)
+        num_b = _central_diff(lambda: float(wasserstein2(a, b)), b)
+        np.testing.assert_allclose(grad_a, num_a, rtol=1e-5, atol=1e-8)
+        np.testing.assert_allclose(grad_b, num_b, rtol=1e-5, atol=1e-8)
+
+    def test_coincident_clouds_give_zero_gradient(self):
+        a = np.random.default_rng(8).normal(size=(5, 3))
+        grad_a, grad_b = _w2_grads(a, a.copy())
+        for grad in (grad_a, grad_b):
+            assert np.all(np.isfinite(grad))
+            np.testing.assert_array_equal(grad, 0.0)
 
 
 class TestRiskBoundGap:

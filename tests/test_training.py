@@ -78,6 +78,20 @@ class TestDegenerateEquivalences:
         )
         assert ours.param_digests == unweighted.param_digests
 
+    def test_unit_ratio_importance_weighting_matches_adaptive_trainers(self, small_task):
+        # without pre-training and with the entropy term off, all three
+        # trainers run risk + matching from epoch 0 on identical batches
+        source, target = small_task
+        cfg = replace(QUICK, pretrain_epochs=0, lambda1=0.0, lambda2=0.3)
+        iw = train_importance_weighted(
+            source, target, replace(cfg, method="kliep_iw"), ratio_override=np.ones(source.n)
+        )
+        ours = train_ours(source, target, cfg)
+        unweighted = train_unweighted_entropy(
+            source, target, replace(cfg, method="unweighted_entropy")
+        )
+        assert iw.param_digests == ours.param_digests == unweighted.param_digests
+
 
 class TestDeterminism:
     def test_same_seed_same_trajectory(self, small_task):
