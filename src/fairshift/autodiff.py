@@ -15,7 +15,6 @@ import numpy as np
 __all__ = [
     "Tensor",
     "as_tensor",
-    "concat_rows",
     "exp",
     "log",
     "relu",
@@ -51,9 +50,6 @@ class Tensor:
     @property
     def shape(self):
         return self.value.shape
-
-    def item(self):
-        return float(self.value)
 
     def __float__(self):
         return float(self.value)
@@ -261,20 +257,3 @@ def take_rows(t, index) -> Tensor:
 
     out._backward_fn = backward_fn
     return out
-
-
-def concat_rows(parts) -> Tensor:
-    """Stack tensors along axis 0."""
-    parts = [as_tensor(p) for p in parts]
-    out = Tensor(np.concatenate([p.value for p in parts], axis=0), tuple(parts))
-    sizes = [p.value.shape[0] for p in parts]
-
-    def backward_fn(g):
-        start = 0
-        for p, size in zip(parts, sizes):
-            p._accumulate(g[start : start + size])
-            start += size
-
-    out._backward_fn = backward_fn
-    return out
-

@@ -20,6 +20,7 @@ from .config import (
     parse_kv_file,
     shift_config_from_dict,
     train_config_from_dict,
+    variance_study_kwargs_from_dict,
 )
 from .data import load_csv, load_unlabeled_csv
 from .experiment import (
@@ -143,9 +144,9 @@ def _cmd_experiment(args):
         dataset=args.data,
         repetitions=args.reps,
         base_seed=args.seed,
-        gammas=(args.gamma,) if args.gamma is not None else None,
-        ms=(args.m,) if args.m is not None else None,
-        methods=(args.method,) if args.method else None,
+        gammas=args.gamma,
+        ms=args.m,
+        methods=args.method or None,
     )
     run_rows, aggregates = run_experiment(spec, workers=args.workers)
     out = _ensure_out(args.out)
@@ -163,24 +164,13 @@ def _cmd_experiment(args):
 
 
 def _cmd_variance_study(args):
-    values = _load_config(args.config)
-    kwargs = {}
-    if "gammas" in values:
-        gammas = values["gammas"]
-        kwargs["gammas"] = gammas if isinstance(gammas, tuple) else (gammas,)
-    if "ms" in values:
-        ms = values["ms"]
-        kwargs["ms"] = ms if isinstance(ms, tuple) else (ms,)
-    if "n" in values:
-        kwargs["n"] = values["n"]
-    if args.reps is not None:
-        kwargs["repetitions"] = args.reps
-    if args.seed is not None:
-        kwargs["base_seed"] = args.seed
-    if args.gamma is not None:
-        kwargs["gammas"] = (args.gamma,)
-    if args.m is not None:
-        kwargs["ms"] = (args.m,)
+    kwargs = variance_study_kwargs_from_dict(
+        _load_config(args.config),
+        repetitions=args.reps,
+        base_seed=args.seed,
+        gammas=args.gamma,
+        ms=args.m,
+    )
     rows = run_variance_study(**kwargs)
     out = _ensure_out(args.out)
     write_variance_csv(os.path.join(out, "variance.csv"), rows)

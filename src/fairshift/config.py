@@ -56,24 +56,38 @@ def parse_kv_file(path: str) -> dict:
         return parse_kv_text(fh.read())
 
 
-def _build(cls, values: dict, allow_extra=()):
-    known = {f.name for f in fields(cls)}
-    rejected = set(values) - known - set(allow_extra)
+def _check_keys(kind: str, values: dict, known):
+    rejected = set(values) - set(known)
     if rejected:
-        raise ValueError(f"unknown {cls.__name__} keys: {sorted(rejected)}")
-    return cls(**{k: v for k, v in values.items() if k in known})
+        raise ValueError(f"unknown {kind} keys: {sorted(rejected)}")
+
+
+def _build(cls, values: dict):
+    _check_keys(cls.__name__, values, {f.name for f in fields(cls)})
+    return cls(**values)
+
+
+def _merge(values: dict, overrides: dict) -> dict:
+    """File values updated by the overrides that are not None."""
+    merged = dict(values)
+    merged.update({k: v for k, v in overrides.items() if v is not None})
+    return merged
+
+
+def _promote_grid(values: dict) -> dict:
+    """Scalar grid entries become single-element tuples."""
+    for key in ("methods", "gammas", "lambda1s", "lambda2s", "ms"):
+        if key in values and not isinstance(values[key], tuple):
+            values[key] = (values[key],)
+    return values
 
 
 def train_config_from_dict(values: dict, **overrides) -> TrainConfig:
-    merged = dict(values)
-    merged.update({k: v for k, v in overrides.items() if v is not None})
-    return _build(TrainConfig, merged)
+    return _build(TrainConfig, _merge(values, overrides))
 
 
 def shift_config_from_dict(values: dict, **overrides) -> ShiftConfig:
-    merged = dict(values)
-    merged.update({k: v for k, v in overrides.items() if v is not None})
-    return _build(ShiftConfig, merged)
+    return _build(ShiftConfig, _merge(values, overrides))
 
 
 _TRAIN_PREFIX = "train."
@@ -85,19 +99,25 @@ def experiment_spec_from_dict(values: dict, **overrides) -> ExperimentSpec:
 
     Scalar grid entries are promoted to single-element tuples.
     """
-    merged = dict(values)
-    merged.update({k: v for k, v in overrides.items() if v is not None})
     train_values, shift_values, spec_values = {}, {}, {}
-    for key, value in merged.items():
+    for key, value in _merge(values, overrides).items():
         if key.startswith(_TRAIN_PREFIX):
             train_values[key[len(_TRAIN_PREFIX) :]] = value
         elif key.startswith(_SHIFT_PREFIX):
             shift_values[key[len(_SHIFT_PREFIX) :]] = value
         else:
             spec_values[key] = value
-    for grid_key in ("methods", "gammas", "lambda1s", "lambda2s", "ms"):
-        if grid_key in spec_values and not isinstance(spec_values[grid_key], tuple):
-            spec_values[grid_key] = (spec_values[grid_key],)
+    spec_values = _promote_grid(spec_values)
     spec_values["train"] = _build(TrainConfig, train_values)
     spec_values["shift"] = _build(ShiftConfig, shift_values)
     return _build(ExperimentSpec, spec_values)
+
+
+def variance_study_kwargs_from_dict(values: dict, **overrides) -> dict:
+    """Keyword arguments for ``run_variance_study``.
+
+    Config files may set ``gammas``, ``ms`` and ``n`` only; the overrides
+    (command-line values) may set any of its parameters.
+    """
+    _check_keys("variance-study", values, ("gammas", "ms", "n"))
+    return _promote_grid(_merge(values, overrides))

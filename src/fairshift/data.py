@@ -228,16 +228,22 @@ def write_csv(path, data, feature_names=None):
 # -- z-score normalization ------------------------------------------------
 
 
-def fit_zscore(data: LabeledDataset) -> NormalizationStats:
-    """Population mean/std per continuous column; constant columns get std 1."""
-    if data.n < 2:
+def fit_zscore(data, feature_kinds=None) -> NormalizationStats:
+    """Population mean/std per continuous column; constant columns get std 1.
+
+    ``feature_kinds`` defaults to ``data.feature_kinds``; pass the source's
+    kinds to fit statistics on unlabeled rows.
+    """
+    features = data.features
+    kinds = data.feature_kinds if feature_kinds is None else feature_kinds
+    if features.shape[0] < 2:
         raise ValueError("need at least 2 rows to fit normalization stats")
-    means = np.zeros(data.d)
-    stds = np.ones(data.d)
-    for j, kind in enumerate(data.feature_kinds):
+    means = np.zeros(features.shape[1])
+    stds = np.ones(features.shape[1])
+    for j, kind in enumerate(kinds):
         if kind != CONTINUOUS:
             continue
-        col = data.features[:, j]
+        col = features[:, j]
         means[j] = col.mean()
         std = col.std()
         stds[j] = std if std > 0 else 1.0

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import csv
 import traceback
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -155,30 +157,28 @@ class _DataProvider:
 
     def make(self, gamma, seed):
         spec = self.spec
-        if spec.dataset == SYNTHETIC_ASYMMETRIC:
-            shift_vector = gamma * _ASYM_SHIFT_DIRECTION
-            source, test = make_synthetic_asymmetric_labeled(
-                seed, spec.n_per_group, shift_vector
-            )
+        if self.pool is not None:
+            result = split(self.pool, replace(spec.shift, gamma=gamma, seed=seed))
+            source = self.pool.subset(result.train_idx)
+            test = self.pool.subset(result.test_idx)
+        else:
+            if spec.dataset == SYNTHETIC_ASYMMETRIC:
+                source, test = make_synthetic_asymmetric_labeled(
+                    seed, spec.n_per_group, gamma * _ASYM_SHIFT_DIRECTION
+                )
+            else:
+                task = GaussianShiftTask(gamma=gamma)
+                kids = np.random.SeedSequence(seed).spawn(2)
+                source = task.sample_source(2 * spec.n_per_group, kids[0])
+                test = task.sample_target(2 * spec.n_per_group, kids[1])
             source, test = _normalize_pool(source, test)
-            return source, test.without_labels(), test
-        if spec.dataset == SYNTHETIC_GAUSSIAN:
-            task = GaussianShiftTask(gamma=gamma)
-            kids = np.random.SeedSequence(seed).spawn(2)
-            source = task.sample_source(2 * spec.n_per_group, kids[0])
-            test = task.sample_target(2 * spec.n_per_group, kids[1])
-            source, test = _normalize_pool(source, test)
-            return source, test.without_labels(), test
-        cfg = replace(spec.shift, gamma=gamma, seed=seed)
-        result = split(self.pool, cfg)
-        source = self.pool.subset(result.train_idx)
-        test = self.pool.subset(result.test_idx)
         return source, test.without_labels(), test
 
 
-def _execute_run(provider, spec, point, rep):
-    """One seeded training run; returns its CSV row and metrics (or None)."""
-    method, gamma, lam1, lam2, m = point
+def _execute_run(provider, task):
+    """One seeded run of a ``(point, rep)`` task; returns its CSV row and metrics (or None)."""
+    (method, gamma, lam1, lam2, m), rep = task
+    spec = provider.spec
     seed = spec.base_seed + rep
     cfg = replace(
         spec.train, method=method, lambda1=lam1, lambda2=lam2, m_cap=m, seed=seed
@@ -208,31 +208,26 @@ def _execute_run(provider, spec, point, rep):
     return row, metrics
 
 
-def _execute_run_task(args):
-    spec, point, rep = args
-    return _execute_run(_DataProvider(spec), spec, point, rep)
-
-
 def run_experiment(spec: ExperimentSpec, workers: int = 1):
     """Execute the sweep; returns ``(run_rows, aggregate_rows)``.
 
-    Runs are independent, so ``workers > 1`` fans them out over a bounded
-    process pool; results are gathered in grid order either way, and a
-    run that raises is recorded with status ``failed`` without stopping
-    the sweep.
+    The dataset is loaded (and a CSV pool z-scored) once, in the calling
+    process, so a bad dataset raises before any run starts.  Runs are
+    independent, so ``workers > 1`` fans them out over a bounded process
+    pool that receives the loaded data; results are gathered in grid
+    order either way, and a run that raises is recorded with status
+    ``failed`` without stopping the sweep.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     points = list(spec.grid())
     tasks = [(point, rep) for point in points for rep in range(spec.repetitions)]
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(
-                pool.map(_execute_run_task, [(spec, point, rep) for point, rep in tasks])
-            )
+    run = partial(_execute_run, _DataProvider(spec))
+    if workers == 1:
+        outcomes = list(map(run, tasks))
     else:
-        provider = _DataProvider(spec)
-        outcomes = [_execute_run(provider, spec, point, rep) for point, rep in tasks]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(run, tasks))
 
     run_rows = [row for row, _ in outcomes]
     aggregates = []
@@ -272,32 +267,31 @@ def _fmt(value):
     return str(value)
 
 
-def write_run_csv(path, run_rows):
+def _write_table(path, columns, rows):
+    """CSV with a header; floats keep their full repr so reruns match byte for byte."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(RUN_COLUMNS)
-        for row in run_rows:
-            writer.writerow([_fmt(row[c]) for c in RUN_COLUMNS])
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([_fmt(v) for v in row])
+
+
+def write_run_csv(path, run_rows):
+    _write_table(path, RUN_COLUMNS, ([row[c] for c in RUN_COLUMNS] for row in run_rows))
 
 
 def write_aggregate_csv(path, aggregates):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(AGGREGATE_COLUMNS)
-        for agg in aggregates:
-            row = [
-                agg.method,
-                agg.gamma,
-                agg.lambda1,
-                agg.lambda2,
-                agg.m,
-                agg.repetitions,
-                agg.ok_runs,
-                agg.status,
-            ]
-            row += [agg.means[f] for f in _METRIC_FIELDS]
-            row += [agg.stds[f] for f in _METRIC_FIELDS]
-            writer.writerow([_fmt(v) for v in row])
+    _write_table(
+        path,
+        AGGREGATE_COLUMNS,
+        (
+            [agg.method, agg.gamma, agg.lambda1, agg.lambda2, agg.m]
+            + [agg.repetitions, agg.ok_runs, agg.status]
+            + [agg.means[f] for f in _METRIC_FIELDS]
+            + [agg.stds[f] for f in _METRIC_FIELDS]
+            for agg in aggregates
+        ),
+    )
 
 
 def read_aggregate_csv(path):
@@ -363,18 +357,25 @@ VARIANCE_COLUMNS = [
 ]
 
 
-def _per_row_cross_entropy(probs, label_probs):
-    """Exact conditional cross entropy given the true P(Y=1|x)."""
+def _true_risk_per_row(model, task: GaussianShiftTask, data):
+    """Exact conditional cross entropy of each row given the true P(Y=1|x)."""
+    probs = model.predict_proba(data.features)
+    label_probs = task.label_probability(data.features)
     return -(label_probs * np.log(probs) + (1.0 - label_probs) * np.log(1.0 - probs))
+
+
+def _damped_target_entropy(model, task: GaussianShiftTask, target) -> float:
+    """Mean target entropy, each row damped by ``exp(-source/target ratio)``."""
+    entropy = conditional_entropy(model.predict_proba(target.features)).value
+    damp = np.exp(-task.source_over_target(target.features))
+    return float((damp * entropy).mean())
 
 
 def importance_weighted_risk_estimate(model, task: GaussianShiftTask, n, seed) -> float:
     """Target-risk estimate from a source draw, reweighted by exact ratios."""
     source = task.sample_source(n, seed)
-    probs = model.predict_proba(source.features)
-    ce = _per_row_cross_entropy(probs, task.label_probability(source.features))
     z = task.target_over_source(source.features)
-    return float((z * ce).mean())
+    return float((z * _true_risk_per_row(model, task, source)).mean())
 
 
 def weighted_entropy_objective_estimate(
@@ -384,14 +385,8 @@ def weighted_entropy_objective_estimate(
     kids = np.random.SeedSequence(seed).spawn(2)
     source = task.sample_source(n, kids[0])
     target = task.sample_target(m, kids[1])
-    probs_s = model.predict_proba(source.features)
-    risk = float(
-        _per_row_cross_entropy(probs_s, task.label_probability(source.features)).mean()
-    )
-    probs_t = model.predict_proba(target.features)
-    entropy = conditional_entropy(probs_t).value
-    damp = np.exp(-task.source_over_target(target.features))
-    return risk + entropy_coef * float((damp * entropy).mean())
+    risk = float(_true_risk_per_row(model, task, source).mean())
+    return risk + entropy_coef * _damped_target_entropy(model, task, target)
 
 
 def bound_gap_estimate(
@@ -401,17 +396,9 @@ def bound_gap_estimate(
     kids = np.random.SeedSequence(seed).spawn(2)
     source = task.sample_source(n_mc, kids[0])
     target = task.sample_target(n_mc, kids[1])
-    probs_s = model.predict_proba(source.features)
-    source_risk = float(
-        _per_row_cross_entropy(probs_s, task.label_probability(source.features)).mean()
-    )
-    probs_t = model.predict_proba(target.features)
-    test_risk = float(
-        _per_row_cross_entropy(probs_t, task.label_probability(target.features)).mean()
-    )
-    entropy = conditional_entropy(probs_t).value
-    damp = np.exp(-task.source_over_target(target.features))
-    weighted_entropy = float((damp * entropy).mean())
+    source_risk = float(_true_risk_per_row(model, task, source).mean())
+    test_risk = float(_true_risk_per_row(model, task, target).mean())
+    weighted_entropy = _damped_target_entropy(model, task, target)
     return risk_bound_gap(source_risk, weighted_entropy, epsilon, test_risk)
 
 
@@ -472,8 +459,4 @@ def run_variance_study(
 
 
 def write_variance_csv(path, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(VARIANCE_COLUMNS)
-        for row in rows:
-            writer.writerow([_fmt(row[c]) for c in VARIANCE_COLUMNS])
+    _write_table(path, VARIANCE_COLUMNS, ([row[c] for c in VARIANCE_COLUMNS] for row in rows))

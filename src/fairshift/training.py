@@ -25,10 +25,10 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .data import (
-    CONTINUOUS,
     LabeledDataset,
     NormalizationStats,
     UnlabeledDataset,
+    fit_zscore,
 )
 from .losses import (
     LossBreakdown,
@@ -410,6 +410,7 @@ def train_importance_weighted(
     """
     if cfg.method not in ("kliep_iw", "lsif_iw"):
         raise ValueError(f"method must be kliep_iw or lsif_iw, got {cfg.method!r}")
+    _require_both_groups(target)
     eng = _Engine(source, cfg)
     target_sub = _subsample_target(target, cfg, eng.streams["subsample"])
 
@@ -432,19 +433,6 @@ def train_importance_weighted(
     return eng.result(cfg.method, weight_net=ratio_net, skipped_wasserstein_steps=skipped)
 
 
-def _column_stats(features, kinds):
-    means = np.zeros(features.shape[1])
-    stds = np.ones(features.shape[1])
-    for j, kind in enumerate(kinds):
-        if kind != CONTINUOUS:
-            continue
-        col = features[:, j]
-        means[j] = col.mean()
-        std = col.std()
-        stds[j] = std if std > 0 else 1.0
-    return NormalizationStats(means, stds)
-
-
 def train_zsa(
     source: LabeledDataset, target: UnlabeledDataset, cfg: TrainConfig
 ) -> TrainedModel:
@@ -454,12 +442,12 @@ def train_zsa(
     statistics; at adaptation time the standardization layer switches to
     statistics recomputed from the available unlabeled target points.
     """
-    train_stats = _column_stats(source.features, source.feature_kinds)
+    train_stats = fit_zscore(source)
     standardized = (source.features - train_stats.means) / train_stats.stds
     eng = _Engine(source, cfg, features=standardized)
     eng.run_erm_epochs(cfg.total_epochs)
     target_sub = _subsample_target(target, cfg, eng.streams["subsample"])
-    adapted = _column_stats(target_sub.features, source.feature_kinds)
+    adapted = fit_zscore(target_sub, source.feature_kinds)
     return eng.result("zsa", input_stats=adapted)
 
 

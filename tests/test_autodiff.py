@@ -115,12 +115,3 @@ def test_grad_accumulates_across_shared_subexpressions():
     y = x * x + x * 3.0
     y.backward()
     np.testing.assert_allclose(x.grad, 2 * 2.0 + 3.0)
-
-
-def test_concat_rows_splits_gradient():
-    a = Tensor(np.ones((2, 2)))
-    b = Tensor(np.ones((3, 2)))
-    out = ad.concat_rows([a, b])
-    (out * Tensor(np.arange(10.0).reshape(5, 2))).sum().backward()
-    np.testing.assert_array_equal(a.grad, [[0, 1], [2, 3]])
-    np.testing.assert_array_equal(b.grad, [[4, 5], [6, 7], [8, 9]])

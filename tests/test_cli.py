@@ -133,6 +133,15 @@ def test_experiment_partial_failure_exit_code(tmp_path, capsys):
     assert "m_cap" in capsys.readouterr().err
 
 
+def test_experiment_rejects_workers_below_one(tmp_path, capsys):
+    out = tmp_path / "exp_out"
+    code = main(
+        ["experiment", "--data", "synthetic:asymmetric", "--out", str(out), "--workers", "0"]
+    )
+    assert code == 1
+    assert "workers" in capsys.readouterr().err
+
+
 def test_usage_errors_reported_cleanly(source_and_target_csv, tmp_path, capsys):
     source_path, _, _ = source_and_target_csv
     # ours requires target data: clean message and exit 1, no traceback
@@ -154,3 +163,11 @@ def test_variance_study_command(tmp_path):
     lines = (out / "variance.csv").read_text().splitlines()
     assert lines[0].startswith("gamma,m,n,repetitions")
     assert len(lines) == 3
+
+
+def test_variance_study_rejects_unknown_key(tmp_path, capsys):
+    cfg = tmp_path / "var.cfg"
+    cfg.write_text("gamas = 2.0\n")
+    code = main(["variance-study", "--config", str(cfg), "--out", str(tmp_path / "var_out")])
+    assert code == 1
+    assert "gamas" in capsys.readouterr().err

@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+import fairshift.experiment as experiment_module
 from fairshift.experiment import (
     AggregateRow,
     ExperimentSpec,
@@ -34,6 +35,20 @@ def _tiny_spec(**overrides):
     )
     base.update(overrides)
     return ExperimentSpec(**base)
+
+
+def _write_pool_csv(tmp_path, n=220):
+    """A labeled CSV pool of ``n`` rows with three continuous features."""
+    rng = np.random.default_rng(0)
+    path = tmp_path / "pool.csv"
+    with open(path, "w") as fh:
+        fh.write("f0,f1,f2,group,label\n")
+        for _ in range(n):
+            x = rng.normal(size=3)
+            fh.write(
+                ",".join(map(repr, map(float, x))) + f",{rng.integers(0, 2)},{int(x[0] > 0)}\n"
+            )
+    return str(path)
 
 
 class TestRunExperiment:
@@ -89,20 +104,30 @@ class TestRunExperiment:
             run_experiment(_tiny_spec(dataset="synthetic:nope"))
 
     def test_csv_dataset_goes_through_splitter(self, tmp_path):
-        rng = np.random.default_rng(0)
-        n = 220
-        path = tmp_path / "pool.csv"
-        with open(path, "w") as fh:
-            fh.write("f0,f1,f2,group,label\n")
-            for _ in range(n):
-                x = rng.normal(size=3)
-                fh.write(
-                    ",".join(map(repr, map(float, x)))
-                    + f",{rng.integers(0, 2)},{int(x[0] > 0)}\n"
-                )
-        spec = _tiny_spec(dataset=str(path), gammas=(5.0,), ms=(20,))
+        spec = _tiny_spec(dataset=_write_pool_csv(tmp_path), gammas=(5.0,), ms=(20,))
         runs, _ = run_experiment(spec)
         assert all(r["status"] == "ok" for r in runs)
+
+    def test_pooled_sweep_loads_csv_once(self, tmp_path, monkeypatch):
+        # a file, not a counter: loads inside worker processes must show too
+        log = tmp_path / "loads.log"
+        real_load = experiment_module.load_csv
+
+        def logged_load(path):
+            with open(log, "a") as fh:
+                fh.write(f"{path}\n")
+            return real_load(path)
+
+        monkeypatch.setattr(experiment_module, "load_csv", logged_load)
+        spec = _tiny_spec(dataset=_write_pool_csv(tmp_path), gammas=(5.0,), ms=(20,))
+        runs, _ = run_experiment(spec, workers=2)
+        assert [r["status"] for r in runs] == ["ok", "ok"]
+        assert len(log.read_text().splitlines()) == 1
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            run_experiment(_tiny_spec(), workers=workers)
 
 
 class TestCsvRoundTrips:

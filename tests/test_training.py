@@ -151,12 +151,25 @@ class TestOurs:
             )
             assert entry.c1_penalty >= 0 and entry.c2_penalty >= 0
 
-    def test_single_group_target_rejected(self, small_task):
+    @pytest.mark.parametrize(
+        "trainer",
+        [
+            lambda source, target: train_ours(source, target, QUICK),
+            lambda source, target: train_importance_weighted(
+                source,
+                target,
+                replace(QUICK, method="kliep_iw"),
+                ratio_override=np.ones(source.n),
+            ),
+        ],
+        ids=["ours", "kliep_iw"],
+    )
+    def test_single_group_target_rejected(self, small_task, trainer):
         source, _ = small_task
         rng = np.random.default_rng(0)
         lone = UnlabeledDataset(rng.normal(size=(30, 2)), np.zeros(30))
         with pytest.raises(ValueError, match="both groups"):
-            train_ours(source, lone, QUICK)
+            trainer(source, lone)
 
     def test_m_cap_capped_by_target_size(self, small_task):
         source, target = small_task
