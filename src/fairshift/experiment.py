@@ -13,7 +13,6 @@ import csv
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -175,9 +174,23 @@ class _DataProvider:
         return source, test.without_labels(), test
 
 
-def _execute_run(provider, task):
-    """One seeded run of a ``(point, rep)`` task; returns its CSV row and metrics (or None)."""
+# a pool worker's copy of the sweep's data, received once when the worker starts
+_worker_provider = None
+
+
+def _init_worker(provider):
+    global _worker_provider
+    _worker_provider = provider
+
+
+def _execute_run(task, provider=None):
+    """One seeded run of a ``(point, rep)`` task; returns its CSV row and metrics (or None).
+
+    ``provider`` defaults to the one the pool worker received at start-up.
+    """
     (method, gamma, lam1, lam2, m), rep = task
+    if provider is None:
+        provider = _worker_provider
     spec = provider.spec
     seed = spec.base_seed + rep
     cfg = replace(
@@ -214,20 +227,22 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1):
     The dataset is loaded (and a CSV pool z-scored) once, in the calling
     process, so a bad dataset raises before any run starts.  Runs are
     independent, so ``workers > 1`` fans them out over a bounded process
-    pool that receives the loaded data; results are gathered in grid
-    order either way, and a run that raises is recorded with status
-    ``failed`` without stopping the sweep.
+    pool whose workers each receive the loaded data once, at start-up;
+    results are gathered in grid order either way, and a run that raises
+    is recorded with status ``failed`` without stopping the sweep.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     points = list(spec.grid())
     tasks = [(point, rep) for point in points for rep in range(spec.repetitions)]
-    run = partial(_execute_run, _DataProvider(spec))
+    provider = _DataProvider(spec)
     if workers == 1:
-        outcomes = list(map(run, tasks))
+        outcomes = [_execute_run(task, provider) for task in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run, tasks))
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_worker, initargs=(provider,)
+        ) as pool:
+            outcomes = list(pool.map(_execute_run, tasks))
 
     run_rows = [row for row, _ in outcomes]
     aggregates = []

@@ -32,6 +32,7 @@ from .data import (
 )
 from .losses import (
     LossBreakdown,
+    PlanCache,
     conditional_entropy,
     constraint_penalty,
     cross_entropy_risk,
@@ -252,6 +253,8 @@ def _adapt(eng: _Engine, target_sample, first_epoch, entropy=None, row_weights=N
     term.  ``row_weights`` (one per source row) weight the source risk.
     Each step runs one target forward pass; the ascent reads its values
     as constants, so its backward pass never reaches the classifier graph.
+    The matching steps share one plan cache, so the coupling is re-solved
+    only when the last plan stops being optimal.
     Returns ``(weight_net or None, skipped matching steps)``.
     """
     cfg = eng.cfg
@@ -271,12 +274,15 @@ def _adapt(eng: _Engine, target_sample, first_epoch, entropy=None, row_weights=N
         )
     use_entropy = entropy is not None and cfg.lambda1 > 0
     can_match = len(idx0) > 0 and len(idx1) > 0
+    plans = PlanCache()
     skipped_w2 = 0
     sizes = _epoch_batch_sizes(cfg)
 
     for epoch in range(first_epoch, cfg.total_epochs):
         sums = np.zeros(5)  # erm, entropy, w2, c1 penalty, c2 penalty
         n_steps = 0
+        plans.solves = plans.reuses = 0
+        skipped_before = skipped_w2
         for batch_idx in _batches(eng.epoch_perm(), sizes[epoch]):
             if use_entropy or (cfg.lambda2 > 0 and can_match):
                 rep_t, probs_t = eng.model.forward(target_x)
@@ -312,7 +318,9 @@ def _adapt(eng: _Engine, target_sample, first_epoch, entropy=None, row_weights=N
                 loss = loss + cfg.lambda1 * ent_term
             if cfg.lambda2 > 0:
                 if can_match:
-                    w2 = wasserstein2(ad.take_rows(rep_t, idx0), ad.take_rows(rep_t, idx1))
+                    w2 = wasserstein2(
+                        ad.take_rows(rep_t, idx0), ad.take_rows(rep_t, idx1), plans
+                    )
                     sums[2] += float(w2)
                     loss = loss + cfg.lambda2 * w2
                 else:
@@ -328,6 +336,9 @@ def _adapt(eng: _Engine, target_sample, first_epoch, entropy=None, row_weights=N
                 c1_penalty=avg[3],
                 c2_penalty=avg[4],
                 total=avg[0] + cfg.lambda1 * avg[1] + cfg.lambda2 * avg[2],
+                coupling_solves=plans.solves,
+                coupling_reuses=plans.reuses,
+                wasserstein_skipped=skipped_w2 - skipped_before,
             ),
             epoch,
         )

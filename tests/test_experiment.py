@@ -124,6 +124,33 @@ class TestRunExperiment:
         assert [r["status"] for r in runs] == ["ok", "ok"]
         assert len(log.read_text().splitlines()) == 1
 
+    def test_pool_receives_the_data_once_per_worker(self, tmp_path, monkeypatch):
+        # a file, not a counter: the pickling happens wherever the pool needs it
+        log = tmp_path / "pickles.log"
+
+        def logged_getstate(provider):
+            with open(log, "a") as fh:
+                fh.write("pickled\n")
+            return provider.__dict__
+
+        monkeypatch.setattr(experiment_module._DataProvider, "__getstate__", logged_getstate)
+        spec = _tiny_spec(
+            dataset=_write_pool_csv(tmp_path), methods=("erm", "zsa"), gammas=(5.0,), ms=(20,)
+        )
+        runs, _ = run_experiment(spec, workers=2)
+        assert [r["status"] for r in runs] == ["ok"] * 4
+        pickles = len(log.read_text().splitlines()) if log.exists() else 0
+        assert pickles <= 2
+
+    def test_runs_csv_bytes_do_not_depend_on_workers(self, tmp_path):
+        spec = _tiny_spec(dataset=_write_pool_csv(tmp_path), methods=("erm", "ours"), ms=(20,))
+        blobs = []
+        for workers in (1, 2):
+            path = tmp_path / f"runs_{workers}.csv"
+            write_run_csv(path, run_experiment(spec, workers=workers)[0])
+            blobs.append(path.read_bytes())
+        assert blobs[0] == blobs[1]
+
     @pytest.mark.parametrize("workers", [0, -2])
     def test_workers_below_one_rejected(self, workers):
         with pytest.raises(ValueError, match="workers"):

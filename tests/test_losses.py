@@ -8,12 +8,14 @@ from scipy.optimize import linear_sum_assignment
 from fairshift.autodiff import Tensor
 from fairshift.losses import (
     CouplingPlan,
+    PlanCache,
     _pairwise_sq_dists,
     conditional_entropy,
     constraint_penalty,
     cross_entropy_risk,
     kliep_loss,
     lsif_loss,
+    plan_is_optimal,
     risk_bound_gap,
     solve_coupling,
     transport_cost,
@@ -294,6 +296,76 @@ class TestTransportCost:
         for grad in (grad_a, grad_b):
             assert np.all(np.isfinite(grad))
             np.testing.assert_array_equal(grad, 0.0)
+
+
+def _support_components(plan):
+    # a forest with na + nb nodes and e edges has na + nb - e components
+    return sum(plan.shape) - int((plan > 0).sum())
+
+
+class TestPlanCertificate:
+    def test_degenerate_lp_plan_accepted(self):
+        # two clusters, half of each cloud in each: the plan splits in two
+        a = np.array([[0.0], [0.1], [5.0], [5.2]])
+        b = np.array([[0.05], [5.1]])
+        plan = solve_coupling(a, b).plan
+        assert _support_components(plan) == 2
+        assert plan_is_optimal(plan, _pairwise_sq_dists(a, b))
+
+    def test_components_need_their_own_offsets(self):
+        # potentials rooted at each component's first row leave the reduced
+        # cost at (2, 0) at -2; shifting one component by 2..10 certifies it
+        plan = np.array([[1, 0], [1, 0], [0, 1], [0, 1]]) / 4.0
+        cost = np.array([[5.0, 20.0], [5.0, 20.0], [3.0, 10.0], [3.0, 10.0]])
+        assert plan_is_optimal(plan, cost)
+        # at cost 1 on column 1 for rows 0 and 1 the crossed plan is cheaper
+        cost[:2, 1] = 1.0
+        assert not plan_is_optimal(plan, cost)
+
+    def test_permutation_plan_accepted_then_rejected_after_swap(self):
+        rng = np.random.default_rng(9)
+        a, b = rng.normal(size=(6, 2)), rng.normal(size=(6, 2))
+        plan = solve_coupling(a, b).plan
+        assert _support_components(plan) == 6
+        assert plan_is_optimal(plan, _pairwise_sq_dists(a, b))
+        a[[0, 1]] = a[[1, 0]]
+        assert not plan_is_optimal(plan, _pairwise_sq_dists(a, b))
+
+    def test_perturbation_that_moves_the_optimum_rejected(self):
+        rng = np.random.default_rng(10)
+        a, b = rng.normal(size=(7, 2)), rng.normal(size=(4, 2))
+        plan = solve_coupling(a, b).plan
+        moved = a + rng.normal(size=a.shape)
+        assert not np.array_equal(solve_coupling(moved, b).plan, plan)
+        assert not plan_is_optimal(plan, _pairwise_sq_dists(moved, b))
+
+    @pytest.mark.parametrize("na,nb", [(7, 4), (26, 24), (9, 6)])
+    def test_lp_plan_snapped_to_its_lattice(self, na, nb):
+        rng = np.random.default_rng(11)
+        plan = solve_coupling(rng.normal(size=(na, 3)), rng.normal(size=(nb, 3))).plan
+        lattice = math.lcm(na, nb)
+        np.testing.assert_array_equal(plan, np.rint(plan * lattice) / lattice)
+        np.testing.assert_allclose(plan.sum(axis=1), 1 / na, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(plan.sum(axis=0), 1 / nb, rtol=0, atol=1e-15)
+
+    def test_cache_reuses_a_certified_plan(self):
+        rng = np.random.default_rng(12)
+        a, b = rng.normal(size=(7, 2)), rng.normal(size=(4, 2)) + 3.0
+        cache = PlanCache()
+        first = float(wasserstein2(a, b, cache))
+        nudged = a + 1e-6 * rng.normal(size=a.shape)
+        second = wasserstein2(nudged, b, cache)
+        assert (cache.solves, cache.reuses) == (1, 1)
+        assert float(second) == float(wasserstein2(nudged, b))
+        assert first > 0
+
+    def test_equal_clouds_are_always_solved(self):
+        rng = np.random.default_rng(13)
+        a, b = rng.normal(size=(5, 2)), rng.normal(size=(5, 2))
+        cache = PlanCache()
+        for _ in range(3):
+            wasserstein2(a, b, cache)
+        assert (cache.solves, cache.reuses) == (3, 0)
 
 
 class TestRiskBoundGap:

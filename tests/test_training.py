@@ -12,7 +12,12 @@ from fairshift.data import (
     make_synthetic_asymmetric_labeled,
 )
 from fairshift.experiment import _normalize_pool
-from fairshift.losses import constraint_penalty, weighted_entropy_term
+from fairshift.losses import (
+    _pairwise_sq_dists,
+    constraint_penalty,
+    solve_coupling,
+    weighted_entropy_term,
+)
 from fairshift.metrics import evaluate_model
 from fairshift.nets import parameter_digest, zero_grads
 from fairshift.training import (
@@ -189,6 +194,49 @@ class TestOurs:
         model = train_ours(source, target, cfg)
         steps_per_epoch = -(-source.n // cfg.adapt_train_batch_size)
         assert model.skipped_wasserstein_steps == cfg.adapt_epochs * steps_per_epoch
+        for entry in model.history[cfg.pretrain_epochs :]:
+            assert (entry.coupling_solves, entry.coupling_reuses) == (0, 0)
+            assert entry.wasserstein_skipped == steps_per_epoch
+
+    @staticmethod
+    def _unequal_target(target, sizes=(26, 24)):
+        idx = [np.flatnonzero(target.groups == g)[:n] for g, n in enumerate(sizes)]
+        return target.subset(np.sort(np.concatenate(idx)))
+
+    def test_reused_plans_cost_what_a_fresh_solve_costs(self, small_task, monkeypatch):
+        source, target = small_task
+        import fairshift.training as training_module
+
+        real_w2 = training_module.wasserstein2
+        checked = []
+
+        def checked_w2(a, b, cache):
+            reuses = cache.reuses
+            out = real_w2(a, b, cache)
+            if cache.reuses > reuses:
+                cost = _pairwise_sq_dists(a.value, b.value)
+                fresh = (solve_coupling(a.value, b.value).plan * cost).sum()
+                reused = (cache.plan * cost).sum()
+                checked.append(abs(reused - fresh) <= 1e-12 * fresh)
+            return out
+
+        monkeypatch.setattr(training_module, "wasserstein2", checked_w2)
+        cfg = replace(QUICK, m_cap=50, adapt_train_batch_size=32)
+        train_ours(source, self._unequal_target(target), cfg)
+        assert len(checked) > 0 and all(checked)
+
+    def test_epoch_log_accounts_for_every_matching_step(self, small_task):
+        source, target = small_task
+        cfg = replace(QUICK, m_cap=50, adapt_train_batch_size=64)
+        model = train_ours(source, self._unequal_target(target), cfg)
+        steps_per_epoch = -(-source.n // cfg.adapt_train_batch_size)
+        for entry in model.history[: cfg.pretrain_epochs]:
+            assert entry.coupling_solves == entry.coupling_reuses == 0
+        for entry in model.history[cfg.pretrain_epochs :]:
+            logged = entry.to_dict()
+            matched = logged["coupling_solves"] + logged["coupling_reuses"]
+            assert matched + logged["wasserstein_skipped"] == steps_per_epoch
+        assert sum(e.coupling_solves for e in model.history) >= 1
 
     def test_weight_and_classifier_parameters_disjoint(self, small_task):
         source, target = small_task
