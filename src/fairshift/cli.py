@@ -9,6 +9,7 @@ completed with at least one failed run.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -22,13 +23,14 @@ from .config import (
     train_config_from_dict,
     variance_study_kwargs_from_dict,
 )
-from .data import load_csv, load_unlabeled_csv
+from .data import NormalizationStats, load_csv, load_unlabeled_csv
 from .experiment import (
     pareto_frontier,
     read_aggregate_csv,
     run_experiment,
     run_variance_study,
     write_aggregate_csv,
+    write_failures_jsonl,
     write_run_csv,
     write_variance_csv,
 )
@@ -75,7 +77,7 @@ def _cmd_train(args):
     )
     model = train(source, target, cfg)
     out = _ensure_out(args.out)
-    extra = {"method": model.method, "seed": cfg.seed}
+    extra = {"method": model.method, "seed": cfg.seed, "config": dataclasses.asdict(cfg)}
     if model.input_stats is not None:
         extra["input_stats"] = {
             "means": model.input_stats.means.tolist(),
@@ -97,9 +99,9 @@ def _cmd_train(args):
 
 def _load_trained(path):
     predictor, weight_net, extra = load_checkpoint(path)
-    from .data import NormalizationStats
-    from .training import TrainConfig
-
+    method = extra.get("method", "erm")
+    # checkpoints written before the config was stored record the method only
+    config = train_config_from_dict(extra.get("config", {"method": method}))
     stats = None
     if "input_stats" in extra:
         stats = NormalizationStats(
@@ -107,9 +109,9 @@ def _load_trained(path):
             np.array(extra["input_stats"]["stds"]),
         )
     return TrainedModel(
-        method=extra.get("method", "erm"),
+        method=method,
         predictor=predictor,
-        config=TrainConfig(method=extra.get("method", "erm")),
+        config=config,
         weight_net=weight_net,
         input_stats=stats,
     )
@@ -152,6 +154,9 @@ def _cmd_experiment(args):
     out = _ensure_out(args.out)
     write_run_csv(os.path.join(out, "runs.csv"), run_rows)
     write_aggregate_csv(os.path.join(out, "aggregate.csv"), aggregates)
+    # written on every sweep, so a stale file never outlives a clean rerun
+    failures_path = os.path.join(out, "failures.jsonl")
+    write_failures_jsonl(failures_path, run_rows)
     failed = [r for r in run_rows if r["status"] != "ok"]
     for row in failed:
         reason = row["_traceback"].strip().splitlines()[-1]
@@ -159,6 +164,8 @@ def _cmd_experiment(args):
             f"run failed: method={row['method']} gamma={row['gamma']} rep={row['rep']}: "
             f"{reason}\n"
         )
+    if failed:
+        sys.stderr.write(f"tracebacks of failed runs: {failures_path}\n")
     print(f"{len(run_rows) - len(failed)}/{len(run_rows)} runs ok -> {out}")
     return 2 if failed else 0
 

@@ -10,6 +10,8 @@ reproduces every byte.
 from __future__ import annotations
 
 import csv
+import ctypes
+import json
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -177,10 +179,28 @@ class _DataProvider:
 # a pool worker's copy of the sweep's data, received once when the worker starts
 _worker_provider = None
 
+# OpenBLAS's thread-count setter under the names numpy's builds export
+_BLAS_SET_THREADS = (
+    "scipy_openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
+
 
 def _init_worker(provider):
     global _worker_provider
     _worker_provider = provider
+    # a forked worker inherits OpenBLAS's pool of one thread per core; with
+    # every worker busy, those threads oversubscribe the cores and spin on
+    # the small matrices of a training step
+    blas = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    for name in _BLAS_SET_THREADS:
+        if hasattr(blas, name):
+            set_threads = getattr(blas, name)
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            set_threads(1)
+            break
 
 
 def _execute_run(task, provider=None):
@@ -209,10 +229,11 @@ def _execute_run(task, provider=None):
         source, target, eval_set = provider.make(gamma, seed)
         model = train(source, target, cfg)
         metrics = evaluate_model(model, eval_set)
-    except Exception:
+    except Exception as exc:
         row["status"] = "failed"
         for name in _METRIC_FIELDS:
             row[name] = ""
+        row["_exception"] = type(exc).__name__
         row["_traceback"] = traceback.format_exc()
         return row, None
     row["status"] = "ok"
@@ -227,9 +248,10 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1):
     The dataset is loaded (and a CSV pool z-scored) once, in the calling
     process, so a bad dataset raises before any run starts.  Runs are
     independent, so ``workers > 1`` fans them out over a bounded process
-    pool whose workers each receive the loaded data once, at start-up;
-    results are gathered in grid order either way, and a run that raises
-    is recorded with status ``failed`` without stopping the sweep.
+    pool whose workers each receive the loaded data once, at start-up, and
+    run BLAS on one thread; results are gathered in grid order either way,
+    and a run that raises is recorded with status ``failed`` without
+    stopping the sweep.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -293,6 +315,19 @@ def _write_table(path, columns, rows):
 
 def write_run_csv(path, run_rows):
     _write_table(path, RUN_COLUMNS, ([row[c] for c in RUN_COLUMNS] for row in run_rows))
+
+
+def write_failures_jsonl(path, run_rows):
+    """One JSON object per failed run: grid point, rep, seed, exception type, traceback."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in run_rows:
+            if row["status"] == "failed":
+                record = {
+                    c: row[c] for c in ("method", "gamma", "lambda1", "lambda2", "m", "rep", "seed")
+                }
+                record["exception"] = row["_exception"]
+                record["traceback"] = row["_traceback"]
+                fh.write(json.dumps(record) + "\n")
 
 
 def write_aggregate_csv(path, aggregates):

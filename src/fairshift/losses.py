@@ -184,7 +184,14 @@ def solve_coupling(points_a, points_b, cost=None) -> CouplingPlan:
         shape=(na + nb, na * nb),
     )
     b_eq = np.concatenate([row, col])
-    result = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, method="highs")
+    # HiGHS's default dual tolerance (1e-7) accepts suboptimal plans on near-tied costs
+    result = linprog(
+        cost.ravel(),
+        A_eq=a_eq,
+        b_eq=b_eq,
+        method="highs",
+        options={"dual_feasibility_tolerance": 1e-10},
+    )
     if not result.success:
         raise RuntimeError(f"transport LP failed: {result.message}")
     lattice = math.lcm(na, nb)

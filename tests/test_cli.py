@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from fairshift.cli import main
+from fairshift.cli import _load_trained, main
 from fairshift.data import make_synthetic_asymmetric_labeled, write_csv
+from fairshift.training import TrainConfig
 
 
 @pytest.fixture()
@@ -54,7 +55,7 @@ def test_split_writes_indices_and_summary(pool_csv, tmp_path, capsys):
 def test_train_and_evaluate_round_trip(source_and_target_csv, tmp_path, capsys):
     source_path, target_path, eval_path = source_and_target_csv
     cfg = tmp_path / "train.cfg"
-    cfg.write_text("pretrain_epochs = 2\nadapt_epochs = 2\nm_cap = 30\n")
+    cfg.write_text("pretrain_epochs = 2\nadapt_epochs = 2\nm_cap = 30\nlambda2 = 0.3\n")
     out = tmp_path / "run"
     code = main(
         [
@@ -87,6 +88,17 @@ def test_train_and_evaluate_round_trip(source_and_target_csv, tmp_path, capsys):
     fields = printed[-1].split(",")
     assert fields[0] == "ours"
     assert 0.0 <= float(fields[3]) <= 100.0
+
+    trained = TrainConfig(
+        pretrain_epochs=2, adapt_epochs=2, m_cap=30, lambda2=0.3, method="ours", seed=1
+    )
+    checkpoint = out / "checkpoint.json"
+    assert _load_trained(checkpoint).config == trained
+    # a checkpoint written before the config was stored rebuilds the method only
+    payload = json.loads(checkpoint.read_text())
+    del payload["extra"]["config"]
+    checkpoint.write_text(json.dumps(payload))
+    assert _load_trained(checkpoint).config == TrainConfig(method="ours")
 
 
 def test_experiment_and_pareto_commands(tmp_path, capsys):
@@ -128,9 +140,25 @@ def test_experiment_partial_failure_exit_code(tmp_path, capsys):
         "train.adapt_epochs = 1\n"
     )
     out = tmp_path / "exp_out"
-    code = main(["experiment", "--config", str(cfg), "--out", str(out), "--reps", "1"])
+    code = main(["experiment", "--config", str(cfg), "--out", str(out), "--reps", "2"])
     assert code == 2
-    assert "m_cap" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "m_cap" in err
+    failures_path = out / "failures.jsonl"
+    assert str(failures_path) in err
+    failures = [json.loads(line) for line in failures_path.read_text().splitlines()]
+    assert [(f["method"], f["rep"], f["seed"]) for f in failures] == [("ours", 0, 0), ("ours", 1, 1)]
+    assert {f["m"] for f in failures} == {10000}
+    assert {f["exception"] for f in failures} == {"ValueError"}
+    assert all(f["traceback"].startswith("Traceback") for f in failures)
+    assert all("m_cap" in f["traceback"].splitlines()[-1] for f in failures)
+
+    # a clean rerun into the same directory empties the file
+    cfg.write_text(cfg.read_text().replace("ms = 10000", "ms = 30"))
+    code = main(["experiment", "--config", str(cfg), "--out", str(out), "--reps", "1"])
+    assert code == 0
+    assert failures_path.read_text() == ""
+    assert "failures.jsonl" not in capsys.readouterr().err
 
 
 def test_experiment_rejects_workers_below_one(tmp_path, capsys):

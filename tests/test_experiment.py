@@ -1,4 +1,5 @@
 import csv
+import ctypes
 
 import numpy as np
 import pytest
@@ -49,6 +50,20 @@ def _write_pool_csv(tmp_path, n=220):
                 ",".join(map(repr, map(float, x))) + f",{rng.integers(0, 2)},{int(x[0] > 0)}\n"
             )
     return str(path)
+
+
+def _openblas(kind):
+    """OpenBLAS's ``*_{kind}_num_threads*`` entry point behind numpy, or None."""
+    blas = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    for prefix in ("scipy_", ""):
+        for suffix in ("64_", ""):
+            name = f"{prefix}openblas_{kind}_num_threads{suffix}"
+            if hasattr(blas, name):
+                entry = getattr(blas, name)
+                entry.argtypes = [ctypes.c_int] if kind == "set" else []
+                entry.restype = None if kind == "set" else ctypes.c_int
+                return entry
+    return None
 
 
 class TestRunExperiment:
@@ -141,6 +156,29 @@ class TestRunExperiment:
         assert [r["status"] for r in runs] == ["ok"] * 4
         pickles = len(log.read_text().splitlines()) if log.exists() else 0
         assert pickles <= 2
+
+    @pytest.mark.skipif(_openblas("get") is None, reason="numpy's BLAS is not OpenBLAS")
+    def test_pool_workers_run_one_blas_thread(self, tmp_path, monkeypatch):
+        # a file, not a counter: the counts are read inside the workers
+        log = tmp_path / "threads.log"
+        real_train = experiment_module.train
+
+        def logged_train(*args, **kwargs):
+            with open(log, "a") as fh:
+                fh.write(f"{_openblas('get')()}\n")
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(experiment_module, "train", logged_train)
+        before = _openblas("get")()
+        # two threads in the caller, so forked workers would inherit more than one
+        _openblas("set")(2)
+        try:
+            runs, _ = run_experiment(_tiny_spec(repetitions=4), workers=2)
+            assert _openblas("get")() == 2
+        finally:
+            _openblas("set")(before)
+        assert [r["status"] for r in runs] == ["ok"] * 4
+        assert log.read_text().splitlines() == ["1"] * 4
 
     def test_runs_csv_bytes_do_not_depend_on_workers(self, tmp_path):
         spec = _tiny_spec(dataset=_write_pool_csv(tmp_path), methods=("erm", "ours"), ms=(20,))

@@ -339,6 +339,17 @@ class TestPlanCertificate:
         assert not np.array_equal(solve_coupling(moved, b).plan, plan)
         assert not plan_is_optimal(plan, _pairwise_sq_dists(moved, b))
 
+    def test_near_tied_costs_solved_to_the_optimum(self):
+        # found by hypothesis: at HiGHS's default dual tolerance (1e-7) the LP
+        # sends b's far point to a[0], which is 2e-8 dearer than a[1]
+        a = np.array([[0.0, 0.0], [0.0, 1e-8]])
+        b = np.array([[0.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
+        cost = _pairwise_sq_dists(a, b)
+        plan = solve_coupling(a, b, cost).plan
+        assert plan_is_optimal(plan, cost)
+        optimum = (1 - 1e-8) ** 2 / 3 + 1e-16 / 6
+        assert (plan * cost).sum() == pytest.approx(optimum, rel=1e-12)
+
     @pytest.mark.parametrize("na,nb", [(7, 4), (26, 24), (9, 6)])
     def test_lp_plan_snapped_to_its_lattice(self, na, nb):
         rng = np.random.default_rng(11)
