@@ -163,6 +163,10 @@ def _read_rows(path):
                 raise ValueError(
                     f"non-numeric cell {cell!r} at row {i + 1}, column {header[j]!r}"
                 ) from None
+    bad = np.argwhere(~np.isfinite(matrix))
+    if len(bad):
+        i, j = bad[0]
+        raise ValueError(f"non-finite cell {rows[i][j]!r} at row {i + 1}, column {header[j]!r}")
     return header, matrix
 
 

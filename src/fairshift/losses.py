@@ -5,17 +5,15 @@ autodiff tensor, so the same formula serves both evaluation
 (``float(loss)``) and gradient-based training.  All logarithms are
 natural.  The Wasserstein-2 distance is computed from an exact optimal
 coupling: a linear assignment when the point clouds have equal size, a
-transport linear program otherwise, whose vertex plan is snapped to its
-lattice of multiples of ``1 / lcm(na, nb)`` so that a plan depends on its
-support alone.  Gradients flow through the pairwise costs with the
-optimal plan held fixed.
+network simplex on integer flows otherwise, whose plan entries are exact
+multiples of ``1 / lcm(na, nb)``.  Gradients flow through the pairwise
+costs with the optimal plan held fixed.
 
-Across the steps of a training run the optimal support rarely changes,
-so :class:`PlanCache` keeps the last plan and :func:`wasserstein2` reuses
-it whenever :func:`plan_is_optimal` proves it optimal for the new costs
-(the optimality test of the transportation simplex).  Reuse keeps W2
-exact: a reused plan is certified optimal for the new costs, and as LP
-plans are snapped it is bit for bit what a fresh solve returns whenever
+Across the steps of a training run the optimal basis rarely changes, so
+:class:`PlanCache` keeps the last simplex basis and :func:`wasserstein2`
+starts the next solve from it.  Most steps then take no pivot: the
+simplex's own optimality test proves the old basis optimal for the new
+costs, and the plan is bit for bit what a cold solve returns whenever
 the optimum is unique.
 """
 
@@ -25,16 +23,12 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, linprog
-from scipy.sparse import coo_matrix
+from scipy.optimize import linear_sum_assignment
 
 from . import autodiff as ad
 from .autodiff import Tensor, as_tensor
 
-MARGINAL_TOL = 1e-9
-# largest distance of an LP plan entry (in lattice units) from the lattice
-LATTICE_TOL = 1e-6
-# reduced costs down to -this x max(1, max cost) certify a plan optimal
+# reduced costs down to -this x max(1, max cost) prove a simplex basis optimal
 PLAN_OPTIMALITY_TOL = 1e-12
 
 
@@ -125,19 +119,15 @@ def lsif_loss(s_test, s_train) -> Tensor:
 
 @dataclass(frozen=True)
 class CouplingPlan:
-    """Optimal transport plan between two uniform empirical measures."""
+    """Optimal transport plan between two uniform empirical measures.
+
+    Between unequal clouds ``basis`` is the simplex's final tree, a warm
+    start for the next solve at the same sizes, reached after ``pivots``.
+    """
 
     plan: np.ndarray
-    row_marginal: np.ndarray
-    col_marginal: np.ndarray
-
-    def __post_init__(self):
-        if (self.plan < -MARGINAL_TOL).any():
-            raise ValueError("coupling entries must be nonnegative")
-        if not np.allclose(self.plan.sum(axis=1), self.row_marginal, atol=MARGINAL_TOL):
-            raise ValueError("row sums do not match the row marginal")
-        if not np.allclose(self.plan.sum(axis=0), self.col_marginal, atol=MARGINAL_TOL):
-            raise ValueError("column sums do not match the column marginal")
+    basis: tuple | None = None
+    pivots: int = 0
 
 
 def _pairwise_sq_dists(a, b):
@@ -147,15 +137,93 @@ def _pairwise_sq_dists(a, b):
     return (diff * diff).sum(axis=2)
 
 
-def solve_coupling(points_a, points_b, cost=None) -> CouplingPlan:
+def _transport_simplex(cost, basis=None):
+    """Network simplex on the transport problem, in integer flow units.
+
+    Row ``i`` ships ``L / na`` units and column ``j`` receives ``L / nb``,
+    ``L = lcm(na, nb)``, so the plan is ``flow / L`` exactly.  Flows are
+    kept under Orden's perturbation, on a ``k = 2 na + 1`` times finer
+    scale: each row ships one unit more and the last column ``na`` more.
+    Then no partial sum of supplies equals one of demands, no basis is
+    degenerate, every pivot lowers the cost and the simplex cannot cycle.
+    A tree's perturbed flow ``k x + d`` has ``-na < d <= na``, so
+    ``(flow + na) // k`` recovers the flow ``x``.
+
+    Starts from ``basis``, ``((na, nb), rows, cols, flows)`` of the tree's
+    ``na + nb - 1`` cells, or from the north-west corner if it has other
+    sizes or is None.  The most negative reduced cost enters until none
+    is below ``-PLAN_OPTIMALITY_TOL * max(1, max cost)``.
+    """
+    na, nb = cost.shape
+    lattice = math.lcm(na, nb)
+    k = 2 * na + 1
+    if basis is None or basis[0] != cost.shape:
+        supply = [k * (lattice // na) + 1] * na
+        demand = [k * (lattice // nb)] * (nb - 1) + [k * (lattice // nb) + na]
+        cells, i, j = [], 0, 0
+        while i < na:
+            q = min(supply[i], demand[j])
+            cells.append((i, j, q))
+            supply[i] -= q
+            demand[j] -= q
+            i, j = (i + 1, j) if supply[i] == 0 else (i, j + 1)
+        basis = (cost.shape, *zip(*cells))
+    rows, cols, flow = (list(part) for part in basis[1:])
+    tol = PLAN_OPTIMALITY_TOL * max(1.0, float(cost.max()))
+    n = na + nb  # node i < na is row i, node na + j is column j
+    pivots = 0
+    while True:
+        # potentials u_i + v_j = cost_ij on the tree, rooted at row 0
+        adjacent = [[] for _ in range(n)]
+        for e in range(n - 1):
+            adjacent[rows[e]].append(e)
+            adjacent[na + cols[e]].append(e)
+        basic = cost[rows, cols].tolist()
+        pot, up, parent, depth = [0.0] * n, [-1] * n, [0] * n, [0] * n
+        order = [0]
+        for node in order:
+            for e in adjacent[node]:
+                if e != up[node]:
+                    child = na + cols[e] if node < na else rows[e]
+                    pot[child] = basic[e] - pot[node]
+                    up[child], parent[child], depth[child] = e, node, depth[node] + 1
+                    order.append(child)
+        reduced = cost - np.array(pot[:na])[:, None] - np.array(pot[na:])
+        enter = int(reduced.argmin())
+        if reduced.flat[enter] >= -tol:
+            break
+        # the entering cell closes a cycle with the tree paths from row i and
+        # column j up to their meeting node; flow falls on the path cells
+        # climbed from a row on i's side and from a column on j's side
+        i, j = divmod(enter, nb)
+        a, b, path = i, na + j, []
+        while a != b:
+            if depth[a] > depth[b]:
+                path.append((up[a], -1 if a < na else 1))
+                a = parent[a]
+            else:
+                path.append((up[b], -1 if b >= na else 1))
+                b = parent[b]
+        leave = min((e for e, sign in path if sign < 0), key=flow.__getitem__)
+        theta = flow[leave]
+        for e, sign in path:
+            flow[e] += sign * theta
+        rows[leave], cols[leave], flow[leave] = i, j, theta
+        pivots += 1
+    plan = np.zeros_like(cost)
+    plan[rows, cols] = np.array([(f + na) // k for f in flow]) / lattice
+    return CouplingPlan(plan, (cost.shape, tuple(rows), tuple(cols), tuple(flow)), pivots)
+
+
+def solve_coupling(points_a, points_b, cost=None, basis=None) -> CouplingPlan:
     """Exact optimal coupling for squared-Euclidean cost, uniform weights.
 
     Equal sizes use the assignment fast path (an optimal plan is a
-    permutation by Birkhoff's theorem); unequal sizes solve the transport
-    linear program with the HiGHS solver.  The LP's vertex plan has
-    entries that are multiples of ``1 / lcm(na, nb)`` (the marginals are
-    integral on that lattice), and it is snapped there exactly.
-    ``cost`` is the pairwise squared-distance matrix, if already known.
+    permutation by Birkhoff's theorem); unequal sizes run the network
+    simplex in integer units, so plan entries are exact multiples of
+    ``1 / lcm(na, nb)``.  ``cost`` is the pairwise squared-distance
+    matrix, if already known.  An earlier plan's ``basis`` at the same
+    sizes starts the simplex; while it stays optimal, no pivot is taken.
     """
     a = np.asarray(points_a, dtype=np.float64)
     b = np.asarray(points_b, dtype=np.float64)
@@ -168,115 +236,25 @@ def solve_coupling(points_a, points_b, cost=None) -> CouplingPlan:
     na, nb = len(a), len(b)
     if cost is None:
         cost = _pairwise_sq_dists(a, b)
-    row = np.full(na, 1.0 / na)
-    col = np.full(nb, 1.0 / nb)
     if na == nb:
         rows, cols = linear_sum_assignment(cost)
         plan = np.zeros_like(cost)
         plan[rows, cols] = 1.0 / na
-        return CouplingPlan(plan, row, col)
-    # transport LP: min <cost, x>, row sums = 1/na, col sums = 1/nb, x >= 0
-    var = np.arange(na * nb)
-    constraint_rows = np.concatenate([var // nb, na + (var % nb)])
-    constraint_cols = np.concatenate([var, var])
-    a_eq = coo_matrix(
-        (np.ones(2 * na * nb), (constraint_rows, constraint_cols)),
-        shape=(na + nb, na * nb),
-    )
-    b_eq = np.concatenate([row, col])
-    # HiGHS's default dual tolerance (1e-7) accepts suboptimal plans on near-tied costs
-    result = linprog(
-        cost.ravel(),
-        A_eq=a_eq,
-        b_eq=b_eq,
-        method="highs",
-        options={"dual_feasibility_tolerance": 1e-10},
-    )
-    if not result.success:
-        raise RuntimeError(f"transport LP failed: {result.message}")
-    lattice = math.lcm(na, nb)
-    units = result.x.reshape(na, nb) * lattice
-    snapped = np.rint(units)
-    if np.abs(units - snapped).max() > LATTICE_TOL:
-        raise RuntimeError("transport LP returned a plan off the vertex lattice")
-    return CouplingPlan(snapped / lattice, row, col)
+        return CouplingPlan(plan)
+    return _transport_simplex(cost, basis)
 
 
-def plan_is_optimal(plan, cost) -> bool:
-    """Dual certificate: is ``plan`` an optimal coupling for ``cost``?
-
-    Solves ``u_i + v_j = cost_ij`` on the plan's support, one connected
-    component of the support forest at a time, and accepts when per-
-    component offsets exist that leave every reduced cost
-    ``cost_ij - u_i - v_j`` at or above ``-tol``.  Those offsets are
-    difference constraints between components, feasible exactly when
-    the k x k constraint graph has no negative cycle (Floyd-Warshall).
-    By complementary slackness the test is necessary and sufficient.
-    Degenerate plans (a support with several components) are the common
-    case: permutation plans and LP plans whose marginals share a factor.
-    """
-    cost = np.asarray(cost, dtype=np.float64)
-    na, nb = cost.shape
-    tol = PLAN_OPTIMALITY_TOL * max(1.0, float(cost.max()))
-    rows, cols = np.nonzero(plan > 0)
-    row_nbrs = [[] for _ in range(na)]
-    col_nbrs = [[] for _ in range(nb)]
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        row_nbrs[i].append(j)
-        col_nbrs[j].append(i)
-    c = cost.tolist()
-    u, v = [None] * na, [None] * nb
-    row_comp, col_comp = [0] * na, [0] * nb
-    k = 0
-    for root in range(na):
-        if u[root] is not None:
-            continue
-        u[root] = 0.0
-        row_comp[root] = k
-        stack = [root]
-        while stack:
-            i = stack.pop()
-            for j in row_nbrs[i]:
-                if v[j] is None:
-                    v[j] = c[i][j] - u[i]
-                    col_comp[j] = k
-                    for i2 in col_nbrs[j]:
-                        if u[i2] is None:
-                            u[i2] = c[i2][j] - v[j]
-                            row_comp[i2] = k
-                            stack.append(i2)
-        k += 1
-    if None in v:
-        return False  # a column without mass is no coupling
-    reduced = cost - np.array(u)[:, None] - np.array(v)[None, :]
-    if np.abs(reduced[rows, cols]).max() > tol:
-        return False  # the support holds a cycle the potentials cannot fit
-    if reduced.min() >= -tol:
-        return True  # zero offsets already work
-    # gap[p, q]: least reduced cost from a row of component p to a column of q
-    gap = np.full((k, k), np.inf)
-    np.minimum.at(gap, (np.array(row_comp)[:, None], np.array(col_comp)[None, :]), reduced)
-    # offsets t with t_p - t_q <= gap[p, q] + tol; t_p - t_p <= gap[p, p] + tol
-    if (np.diag(gap) < -tol).any():
-        return False
-    dist = gap + tol
-    np.fill_diagonal(dist, 0.0)
-    for m in range(k):
-        dist = np.minimum(dist, dist[:, m : m + 1] + dist[m : m + 1, :])
-    return not (np.diag(dist) < 0).any()
-
-
+@dataclass
 class PlanCache:
-    """The last optimal plan of a sequence of matching steps.
+    """The last simplex basis of a sequence of :func:`wasserstein2` calls.
 
-    Pass one cache to successive :func:`wasserstein2` calls on clouds of
-    the same sizes; ``solves`` and ``reuses`` count how each plan came.
+    A step whose cached basis is still optimal counts as a reuse; a cold
+    start or a step that pivots counts as a solve.
     """
 
-    def __init__(self):
-        self.plan = None
-        self.solves = 0
-        self.reuses = 0
+    basis: tuple | None = None
+    solves: int = 0
+    reuses: int = 0
 
 
 def transport_cost(points_a, points_b, plan, cost=None) -> Tensor:
@@ -307,27 +285,23 @@ def wasserstein2(points_a, points_b, cache: PlanCache | None = None) -> Tensor:
 
     Differentiable in the points: the optimal plan is constant almost
     everywhere, so the gradient flows through the pairwise costs only.
-    With a ``cache``, the last plan between unequal clouds is reused
-    while :func:`plan_is_optimal` certifies it for the new costs, and
-    :func:`solve_coupling` runs only when the certificate fails.
+    With a ``cache``, the simplex between unequal clouds starts from the
+    last optimal basis, which most steps of a training run keep.
     """
     a = as_tensor(points_a)
     b = as_tensor(points_b)
     if a.value.ndim == 1:
         raise ValueError("points must be 2-D [count, dim]")
     cost = _pairwise_sq_dists(a.value, b.value)
-    cached = None if cache is None else cache.plan
-    if cached is not None and cached.shape == cost.shape and plan_is_optimal(cached, cost):
-        plan = cached
-        cache.reuses += 1
-    else:
-        plan = solve_coupling(a.value, b.value, cost).plan
-        if cache is not None:
-            # equal clouds are not cached: their assignment solve is
-            # cheaper than the certificate
-            cache.plan = plan if cost.shape[0] != cost.shape[1] else None
+    warm = None if cache is None else cache.basis
+    coupling = solve_coupling(a.value, b.value, cost, warm)
+    if cache is not None:
+        if coupling.pivots == 0 and warm is not None and coupling.basis == warm:
+            cache.reuses += 1
+        else:
             cache.solves += 1
-    return ad.sqrt(transport_cost(a, b, plan, cost))
+        cache.basis = coupling.basis
+    return ad.sqrt(transport_cost(a, b, coupling.plan, cost))
 
 
 def risk_bound_gap(source_risk, weighted_entropy, epsilon, test_risk) -> float:

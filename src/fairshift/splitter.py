@@ -89,7 +89,10 @@ def _tilt(projection, gamma, percentile):
     if not np.all(np.isfinite(p)):
         raise ValueError("projection must be finite")
     b = float(np.percentile(p, percentile))
-    exponent = gamma * (p - b)
+    with np.errstate(over="ignore"):
+        exponent = gamma * (p - b)
+    if not np.all(np.isfinite(exponent)):
+        raise ValueError(f"gamma {gamma} overflows the tilt exponent gamma * (p - b)")
     shifted = exponent - exponent.max()
     weights = np.exp(shifted)
     total = weights.sum()
@@ -108,6 +111,10 @@ def _partition_counts(n, cfg):
 
 
 def _draw(rng, indices, densities, n_test, n_val):
+    if np.count_nonzero(densities) < n_test:
+        raise ValueError(
+            f"gamma is so large that fewer than {n_test} rows keep a nonzero test density"
+        )
     test = rng.choice(indices, size=n_test, replace=False, p=densities)
     rest = np.setdiff1d(indices, test, assume_unique=False)
     rest = rng.permutation(rest)

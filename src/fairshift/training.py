@@ -253,8 +253,8 @@ def _adapt(eng: _Engine, target_sample, first_epoch, entropy=None, row_weights=N
     term.  ``row_weights`` (one per source row) weight the source risk.
     Each step runs one target forward pass; the ascent reads its values
     as constants, so its backward pass never reaches the classifier graph.
-    The matching steps share one plan cache, so the coupling is re-solved
-    only when the last plan stops being optimal.
+    The matching steps share one plan cache, so each coupling solve
+    starts from the last optimal simplex basis.
     Returns ``(weight_net or None, skipped matching steps)``.
     """
     cfg = eng.cfg

@@ -180,6 +180,18 @@ def test_usage_errors_reported_cleanly(source_and_target_csv, tmp_path, capsys):
     assert "requires target" in capsys.readouterr().err
 
 
+def test_train_rejects_non_finite_cell(source_and_target_csv, tmp_path, capsys):
+    source_path, _, _ = source_and_target_csv
+    lines = source_path.read_text().splitlines()
+    lines[2] = "inf," + lines[2].split(",", 1)[1]
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    code = main(["train", "--data", str(bad), "--method", "erm", "--out", str(tmp_path / "x")])
+    assert code == 1
+    column = lines[0].split(",")[0]
+    assert f"non-finite cell 'inf' at row 2, column '{column}'" in capsys.readouterr().err
+
+
 def test_variance_study_command(tmp_path):
     cfg = tmp_path / "var.cfg"
     cfg.write_text("gammas = 2.0\nms = 10, 20\nn = 100\n")

@@ -65,6 +65,16 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="oops"):
             load_csv(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_names_location(self, tmp_path, cell):
+        message = f"non-finite cell '{cell}' at row 2, column 'f1'"
+        path = _write(tmp_path, f"f0,f1,group,label\n1,2,0,1\n3,{cell},1,0\n")
+        with pytest.raises(ValueError, match=message):
+            load_csv(path)
+        path = _write(tmp_path, f"f0,f1,group\n1,2,0\n3,{cell},1\n", "target.csv")
+        with pytest.raises(ValueError, match=message):
+            load_unlabeled_csv(path)
+
     def test_empty_file(self, tmp_path):
         path = _write(tmp_path, "")
         with pytest.raises(ValueError, match="empty"):

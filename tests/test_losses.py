@@ -7,15 +7,14 @@ from scipy.optimize import linear_sum_assignment
 
 from fairshift.autodiff import Tensor
 from fairshift.losses import (
-    CouplingPlan,
     PlanCache,
     _pairwise_sq_dists,
+    _transport_simplex,
     conditional_entropy,
     constraint_penalty,
     cross_entropy_risk,
     kliep_loss,
     lsif_loss,
-    plan_is_optimal,
     risk_bound_gap,
     solve_coupling,
     transport_cost,
@@ -166,14 +165,17 @@ def _brute_force_equal(a, b):
     return math.sqrt(best)
 
 
+def _expanded_cost(cost):
+    # replicate each point to lcm(na, nb) slots and solve the assignment
+    na, nb = cost.shape
+    lcm = math.lcm(na, nb)
+    big = np.repeat(np.repeat(cost, lcm // na, axis=0), lcm // nb, axis=1)
+    rows, cols = linear_sum_assignment(big)
+    return big[rows, cols].sum() / lcm
+
+
 def _expanded_assignment(a, b):
-    # replicate each point to lcm(|a|, |b|) slots and solve the assignment
-    lcm = math.lcm(len(a), len(b))
-    big_a = np.repeat(a, lcm // len(a), axis=0)
-    big_b = np.repeat(b, lcm // len(b), axis=0)
-    cost = ((big_a[:, None, :] - big_b[None, :, :]) ** 2).sum(axis=2)
-    rows, cols = linear_sum_assignment(cost)
-    return math.sqrt(cost[rows, cols].sum() / lcm)
+    return math.sqrt(_expanded_cost(_pairwise_sq_dists(a, b)))
 
 
 class TestWasserstein2:
@@ -235,7 +237,7 @@ class TestWasserstein2:
             a = rng.normal(size=(na, 3))
             b = rng.normal(size=(nb, 3))
             assert float(wasserstein2(a, b)) == pytest.approx(
-                _expanded_assignment(a, b), abs=1e-7
+                _expanded_assignment(a, b), rel=1e-12
             )
 
     def test_coupling_marginals(self):
@@ -244,11 +246,6 @@ class TestWasserstein2:
         np.testing.assert_allclose(plan.plan.sum(axis=1), 1 / 4, atol=1e-9)
         np.testing.assert_allclose(plan.plan.sum(axis=0), 1 / 7, atol=1e-9)
         assert np.all(plan.plan >= 0)
-
-    def test_coupling_validation(self):
-        bad = np.full((2, 2), 0.3)
-        with pytest.raises(ValueError, match="row sums"):
-            CouplingPlan(bad, np.full(2, 0.5), np.full(2, 0.5))
 
 
 def _w2_grads(a, b):
@@ -303,61 +300,86 @@ def _support_components(plan):
     return sum(plan.shape) - int((plan > 0).sum())
 
 
+def _grid_cloud(rng, n):
+    # integer grid points: many equal pairwise costs, so many optimal plans
+    return rng.integers(-1, 2, size=(n, 2)).astype(np.float64)
+
+
 class TestPlanCertificate:
+    """The simplex's optimality test: a basis stays while no reduced cost is negative."""
+
     def test_degenerate_lp_plan_accepted(self):
-        # two clusters, half of each cloud in each: the plan splits in two
+        # two clusters, half of each cloud in each: the plan splits in two,
+        # so its basis carries a zero flow; restarting there takes no pivot
         a = np.array([[0.0], [0.1], [5.0], [5.2]])
         b = np.array([[0.05], [5.1]])
-        plan = solve_coupling(a, b).plan
-        assert _support_components(plan) == 2
-        assert plan_is_optimal(plan, _pairwise_sq_dists(a, b))
-
-    def test_components_need_their_own_offsets(self):
-        # potentials rooted at each component's first row leave the reduced
-        # cost at (2, 0) at -2; shifting one component by 2..10 certifies it
-        plan = np.array([[1, 0], [1, 0], [0, 1], [0, 1]]) / 4.0
-        cost = np.array([[5.0, 20.0], [5.0, 20.0], [3.0, 10.0], [3.0, 10.0]])
-        assert plan_is_optimal(plan, cost)
-        # at cost 1 on column 1 for rows 0 and 1 the crossed plan is cheaper
-        cost[:2, 1] = 1.0
-        assert not plan_is_optimal(plan, cost)
+        cost = _pairwise_sq_dists(a, b)
+        coupling = solve_coupling(a, b, cost)
+        assert _support_components(coupling.plan) == 2
+        assert (coupling.plan * cost).sum() == pytest.approx(_expanded_cost(cost), rel=1e-12)
+        assert solve_coupling(a, b, cost, coupling.basis).pivots == 0
 
     def test_permutation_plan_accepted_then_rejected_after_swap(self):
+        # every basis of an n x n problem carries n - 1 zero flows, so most
+        # pivots there move no mass: the simplex still ends at the assignment
         rng = np.random.default_rng(9)
         a, b = rng.normal(size=(6, 2)), rng.normal(size=(6, 2))
+        cost = _pairwise_sq_dists(a, b)
         plan = solve_coupling(a, b).plan
-        assert _support_components(plan) == 6
-        assert plan_is_optimal(plan, _pairwise_sq_dists(a, b))
+        simplex = _transport_simplex(cost)
+        assert simplex.pivots > 0
+        np.testing.assert_array_equal(simplex.plan, plan)
         a[[0, 1]] = a[[1, 0]]
-        assert not plan_is_optimal(plan, _pairwise_sq_dists(a, b))
+        swapped = _pairwise_sq_dists(a, b)
+        assert _transport_simplex(swapped, simplex.basis).pivots > 0
+        assert (plan * swapped).sum() > _expanded_cost(swapped)
 
     def test_perturbation_that_moves_the_optimum_rejected(self):
         rng = np.random.default_rng(10)
         a, b = rng.normal(size=(7, 2)), rng.normal(size=(4, 2))
-        plan = solve_coupling(a, b).plan
+        first = solve_coupling(a, b)
         moved = a + rng.normal(size=a.shape)
-        assert not np.array_equal(solve_coupling(moved, b).plan, plan)
-        assert not plan_is_optimal(plan, _pairwise_sq_dists(moved, b))
+        warm = solve_coupling(moved, b, basis=first.basis)
+        assert warm.pivots > 0
+        assert not np.array_equal(warm.plan, first.plan)
+        np.testing.assert_array_equal(warm.plan, solve_coupling(moved, b).plan)
 
     def test_near_tied_costs_solved_to_the_optimum(self):
-        # found by hypothesis: at HiGHS's default dual tolerance (1e-7) the LP
-        # sends b's far point to a[0], which is 2e-8 dearer than a[1]
+        # found by hypothesis: at HiGHS's default dual tolerance (1e-7) an LP
+        # sent b's far point to a[0], which is 2e-8 dearer than a[1]
         a = np.array([[0.0, 0.0], [0.0, 1e-8]])
         b = np.array([[0.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
         cost = _pairwise_sq_dists(a, b)
-        plan = solve_coupling(a, b, cost).plan
-        assert plan_is_optimal(plan, cost)
+        coupling = solve_coupling(a, b, cost)
+        assert solve_coupling(a, b, cost, coupling.basis).pivots == 0
         optimum = (1 - 1e-8) ** 2 / 3 + 1e-16 / 6
-        assert (plan * cost).sum() == pytest.approx(optimum, rel=1e-12)
+        assert (coupling.plan * cost).sum() == pytest.approx(optimum, rel=1e-12)
 
     @pytest.mark.parametrize("na,nb", [(7, 4), (26, 24), (9, 6)])
     def test_lp_plan_snapped_to_its_lattice(self, na, nb):
+        # integer flows: entries are multiples of 1/lcm, marginals exact
         rng = np.random.default_rng(11)
         plan = solve_coupling(rng.normal(size=(na, 3)), rng.normal(size=(nb, 3))).plan
         lattice = math.lcm(na, nb)
         np.testing.assert_array_equal(plan, np.rint(plan * lattice) / lattice)
         np.testing.assert_allclose(plan.sum(axis=1), 1 / na, rtol=0, atol=1e-15)
         np.testing.assert_allclose(plan.sum(axis=0), 1 / nb, rtol=0, atol=1e-15)
+        flow = np.rint(plan * lattice).astype(np.int64)
+        np.testing.assert_array_equal(flow.sum(axis=1), lattice // na)
+        np.testing.assert_array_equal(flow.sum(axis=0), lattice // nb)
+
+    @pytest.mark.parametrize("na,nb", [(6, 4), (9, 6), (26, 24)])
+    def test_tied_grid_clouds_solved_cold_and_warm(self, na, nb):
+        rng = np.random.default_rng(14)
+        for _ in range(5):
+            a, b = _grid_cloud(rng, na), _grid_cloud(rng, nb)
+            cost = _pairwise_sq_dists(a, b)
+            other = solve_coupling(_grid_cloud(rng, na), b)
+            for basis in (None, other.basis):
+                plan = solve_coupling(a, b, cost, basis).plan
+                assert (plan * cost).sum() == pytest.approx(
+                    _expanded_cost(cost), rel=1e-12, abs=1e-12
+                )
 
     def test_cache_reuses_a_certified_plan(self):
         rng = np.random.default_rng(12)
@@ -369,6 +391,9 @@ class TestPlanCertificate:
         assert (cache.solves, cache.reuses) == (1, 1)
         assert float(second) == float(wasserstein2(nudged, b))
         assert first > 0
+        # a move that changes the optimal basis needs pivots: a solve
+        wasserstein2(nudged[::-1], b, cache)
+        assert (cache.solves, cache.reuses) == (2, 1)
 
     def test_equal_clouds_are_always_solved(self):
         rng = np.random.default_rng(13)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -114,6 +115,16 @@ class TestSplit:
         b = split(pool, ShiftConfig(gamma=7.0, seed=3))
         np.testing.assert_array_equal(a.test_idx, b.test_idx)
         np.testing.assert_array_equal(a.train_idx, b.train_idx)
+
+    # 1e308 overflows gamma * (p - b); at 1e300 the tilt keeps too few rows to draw
+    @pytest.mark.parametrize("gamma", [1e300, 1e308])
+    @pytest.mark.parametrize("group", [None, 1])
+    def test_extreme_gamma_raises_one_clear_error(self, gamma, group):
+        cfg = ShiftConfig(gamma=gamma, asymmetric_group=group)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="gamma"):
+                split(self._pool(), cfg)
 
     def test_high_gamma_concentrates_above_anchor(self):
         pool = self._pool()
