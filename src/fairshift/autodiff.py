@@ -1,29 +1,43 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
 A ``Tensor`` wraps a float64 ndarray and remembers how it was produced.
-Calling :meth:`Tensor.backward` on a scalar walks the graph in reverse
-topological order and accumulates gradients into every upstream tensor,
-including model parameters that persist across training steps.  Graphs
-are built per step and discarded; no global state is involved, so
-independent models can train concurrently in separate threads.
+Calling :meth:`Tensor.backward` on a scalar runs the nodes it reaches in
+reverse creation order and accumulates gradients into every upstream
+tensor, including model parameters that persist across training steps.
+Graphs are built per step and discarded; the only global state is the
+creation counter, so independent models can train concurrently in
+separate threads.
+
+The layers of a network are fused nodes: :func:`dense` is one node for a
+product, bias, ReLU and dropout mask, and :func:`clamped_sigmoid` and
+:func:`clamped_exp` squash and clamp in one node, each with a closed-form
+vector-Jacobian product that repeats the unfused graph's operations in
+the same order, so fusing changes no bit of a gradient.  No backward
+closure holds its own output ``Tensor``: it captures the value array
+instead, so a dropped graph is freed at once, without the cyclic GC.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
 __all__ = [
     "Tensor",
     "as_tensor",
+    "clamped_exp",
+    "clamped_sigmoid",
+    "dense",
     "exp",
     "log",
-    "relu",
-    "sigmoid",
     "sqrt",
-    "clip",
-    "matmul",
     "take_rows",
 ]
+
+
+# creation stamps: a node's stamp is larger than each of its parents'
+_creation = itertools.count()
 
 
 def _unbroadcast(grad, shape):
@@ -39,13 +53,14 @@ def _unbroadcast(grad, shape):
 class Tensor:
     """Array node in the autodiff graph."""
 
-    __slots__ = ("value", "grad", "_parents", "_backward_fn")
+    __slots__ = ("value", "grad", "_parents", "_backward_fn", "_seq")
 
     def __init__(self, value, parents=(), backward_fn=None):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
         self._parents = parents
         self._backward_fn = backward_fn
+        self._seq = next(_creation)
 
     @property
     def shape(self):
@@ -65,25 +80,19 @@ class Tensor:
             raise ValueError(
                 f"backward requires a scalar loss, got shape {self.value.shape}"
             )
-        order = []
-        visited = set()
-        stack = [(self, False)]
+        # a node is created after its parents, so reverse creation order
+        # is a topological order of the nodes the root reaches
+        reached = {id(self): self}
+        stack = [self]
         while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                if id(parent) not in visited:
-                    stack.append((parent, False))
+            for parent in stack.pop()._parents:
+                if id(parent) not in reached:
+                    reached[id(parent)] = parent
+                    stack.append(parent)
         if self.grad is None:
             self.grad = np.zeros_like(self.value)
         self.grad = self.grad + np.ones_like(self.value)
-        for node in reversed(order):
+        for node in sorted(reached.values(), key=lambda node: node._seq, reverse=True):
             if node._backward_fn is not None and node.grad is not None:
                 node._backward_fn(node.grad)
 
@@ -173,8 +182,9 @@ def as_tensor(x) -> Tensor:
 
 def exp(t) -> Tensor:
     t = as_tensor(t)
-    out = Tensor(np.exp(t.value), (t,))
-    out._backward_fn = lambda g: t._accumulate(g * out.value)
+    value = np.exp(t.value)
+    out = Tensor(value, (t,))
+    out._backward_fn = lambda g: t._accumulate(g * value)
     return out
 
 
@@ -187,60 +197,67 @@ def log(t) -> Tensor:
 
 def sqrt(t) -> Tensor:
     t = as_tensor(t)
-    out = Tensor(np.sqrt(t.value), (t,))
+    value = np.sqrt(t.value)
+    out = Tensor(value, (t,))
 
     def backward_fn(g):
         # subgradient 0 at the origin; W2 between identical clouds hits this
-        safe = np.where(out.value > 0.0, out.value, 1.0)
-        t._accumulate(np.where(out.value > 0.0, 0.5 * g / safe, 0.0))
+        safe = np.where(value > 0.0, value, 1.0)
+        t._accumulate(np.where(value > 0.0, 0.5 * g / safe, 0.0))
 
     out._backward_fn = backward_fn
     return out
 
 
-def relu(t) -> Tensor:
-    t = as_tensor(t)
-    out = Tensor(np.maximum(t.value, 0.0), (t,))
-    out._backward_fn = lambda g: t._accumulate(g * (t.value > 0.0))
-    return out
+def dense(x, w, b, relu=False, mask=None) -> Tensor:
+    """One layer ``(x * mask) @ w + b``, then ReLU if ``relu``, as one node.
 
-
-def sigmoid(t) -> Tensor:
-    t = as_tensor(t)
-    # exp(-|x|) formulation avoids overflow for large negative inputs
-    val = np.where(
-        t.value >= 0,
-        1.0 / (1.0 + np.exp(-np.abs(t.value))),
-        np.exp(-np.abs(t.value)) / (1.0 + np.exp(-np.abs(t.value))),
-    )
-    out = Tensor(val, (t,))
-    out._backward_fn = lambda g: t._accumulate(g * out.value * (1.0 - out.value))
-    return out
-
-
-def clip(t, lo=None, hi=None) -> Tensor:
-    """Clamp values to [lo, hi]; gradient passes only strictly inside."""
-    t = as_tensor(t)
-    out = Tensor(np.clip(t.value, lo, hi), (t,))
-    inside = np.ones_like(t.value, dtype=bool)
-    if lo is not None:
-        inside &= t.value > lo
-    if hi is not None:
-        inside &= t.value < hi
-
-    out._backward_fn = lambda g: t._accumulate(g * inside)
-    return out
-
-
-def matmul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.value @ b.value, (a, b))
+    ``mask`` is a constant array (a dropout mask) scaling the input.  An
+    ``x`` that is a plain array is a constant batch: it gets no gradient,
+    and the backward pass skips ``g @ w.T`` for it.
+    """
+    xv = x.value if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+    if mask is not None:
+        xv = xv * mask
+    wv = w.value
+    value = xv @ wv + b.value
+    if relu:
+        value = np.maximum(value, 0.0)
+    wants_input_grad = isinstance(x, Tensor)
+    out = Tensor(value, (x, w, b) if wants_input_grad else (w, b))
 
     def backward_fn(g):
-        a._accumulate(g @ b.value.T)
-        b._accumulate(a.value.T @ g)
+        if relu:
+            g = g * (value > 0.0)
+        b._accumulate(g.sum(axis=0))
+        if wants_input_grad:
+            gx = g @ wv.T
+            x._accumulate(gx if mask is None else gx * mask)
+        w._accumulate(xv.T @ g)
 
     out._backward_fn = backward_fn
+    return out
+
+
+def clamped_sigmoid(t, lo, hi) -> Tensor:
+    """``clip(sigmoid(t), lo, hi)``; the gradient passes only strictly inside."""
+    t = as_tensor(t)
+    # exp(-|x|) formulation avoids overflow for large negative inputs
+    e = np.exp(-np.abs(t.value))
+    s = np.where(t.value >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    inside = (s > lo) & (s < hi)
+    out = Tensor(np.clip(s, lo, hi), (t,))
+    out._backward_fn = lambda g: t._accumulate(g * inside * s * (1.0 - s))
+    return out
+
+
+def clamped_exp(t, lo, hi) -> Tensor:
+    """``exp(clip(t, lo, hi))``; the gradient passes only strictly inside."""
+    t = as_tensor(t)
+    inside = (t.value > lo) & (t.value < hi)
+    value = np.exp(np.clip(t.value, lo, hi))
+    out = Tensor(value, (t,))
+    out._backward_fn = lambda g: t._accumulate(g * value * inside)
     return out
 
 

@@ -32,6 +32,7 @@ from .experiment import (
     write_aggregate_csv,
     write_failures_jsonl,
     write_run_csv,
+    write_timings_csv,
     write_variance_csv,
 )
 from .metrics import evaluate_model
@@ -150,10 +151,12 @@ def _cmd_experiment(args):
         ms=args.m,
         methods=args.method or None,
     )
-    run_rows, aggregates = run_experiment(spec, workers=args.workers)
+    wall_times = []
+    run_rows, aggregates = run_experiment(spec, workers=args.workers, wall_times=wall_times)
     out = _ensure_out(args.out)
     write_run_csv(os.path.join(out, "runs.csv"), run_rows)
     write_aggregate_csv(os.path.join(out, "aggregate.csv"), aggregates)
+    write_timings_csv(os.path.join(out, "timings.csv"), run_rows, wall_times)
     # written on every sweep, so a stale file never outlives a clean rerun
     failures_path = os.path.join(out, "failures.jsonl")
     write_failures_jsonl(failures_path, run_rows)

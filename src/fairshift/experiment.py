@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import ctypes
 import json
+import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -70,6 +71,9 @@ _METRIC_FIELDS = [
     "error_group0_pct",
     "error_group1_pct",
 ]
+
+# wall time stays out of runs.csv, so reruns of a sweep match byte for byte
+TIMING_COLUMNS = ["method", "gamma", "lambda1", "lambda2", "m", "rep", "seed", "status", "wall_s"]
 
 AGGREGATE_COLUMNS = (
     ["method", "gamma", "lambda1", "lambda2", "m", "repetitions", "ok_runs", "status"]
@@ -207,6 +211,7 @@ def _execute_run(task, provider=None):
     """One seeded run of a ``(point, rep)`` task; returns its CSV row and metrics (or None).
 
     ``provider`` defaults to the one the pool worker received at start-up.
+    Also returns the run's wall seconds: data, training and scoring.
     """
     (method, gamma, lam1, lam2, m), rep = task
     if provider is None:
@@ -225,6 +230,7 @@ def _execute_run(task, provider=None):
         "rep": rep,
         "seed": seed,
     }
+    start = time.perf_counter()
     try:
         source, target, eval_set = provider.make(gamma, seed)
         model = train(source, target, cfg)
@@ -235,14 +241,14 @@ def _execute_run(task, provider=None):
             row[name] = ""
         row["_exception"] = type(exc).__name__
         row["_traceback"] = traceback.format_exc()
-        return row, None
+        return row, None, time.perf_counter() - start
     row["status"] = "ok"
     for name in _METRIC_FIELDS:
         row[name] = getattr(metrics, name)
-    return row, metrics
+    return row, metrics, time.perf_counter() - start
 
 
-def run_experiment(spec: ExperimentSpec, workers: int = 1):
+def run_experiment(spec: ExperimentSpec, workers: int = 1, wall_times=None):
     """Execute the sweep; returns ``(run_rows, aggregate_rows)``.
 
     The dataset is loaded (and a CSV pool z-scored) once, in the calling
@@ -251,7 +257,8 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1):
     pool whose workers each receive the loaded data once, at start-up, and
     run BLAS on one thread; results are gathered in grid order either way,
     and a run that raises is recorded with status ``failed`` without
-    stopping the sweep.
+    stopping the sweep.  A ``wall_times`` list receives each run's wall
+    seconds, in the same order as the run rows.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -266,11 +273,13 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1):
         ) as pool:
             outcomes = list(pool.map(_execute_run, tasks))
 
-    run_rows = [row for row, _ in outcomes]
+    run_rows = [row for row, _, _ in outcomes]
+    if wall_times is not None:
+        wall_times.extend(seconds for _, _, seconds in outcomes)
     aggregates = []
     for i, (method, gamma, lam1, lam2, m) in enumerate(points):
         chunk = outcomes[i * spec.repetitions : (i + 1) * spec.repetitions]
-        metrics_ok = [metrics for _, metrics in chunk if metrics is not None]
+        metrics_ok = [metrics for _, metrics, _ in chunk if metrics is not None]
         aggregates.append(
             _aggregate(method, gamma, lam1, lam2, m, spec.repetitions, metrics_ok)
         )
@@ -315,6 +324,15 @@ def _write_table(path, columns, rows):
 
 def write_run_csv(path, run_rows):
     _write_table(path, RUN_COLUMNS, ([row[c] for c in RUN_COLUMNS] for row in run_rows))
+
+
+def write_timings_csv(path, run_rows, wall_times):
+    """One row per run: its grid point, rep, seed, status and wall seconds."""
+    _write_table(
+        path,
+        TIMING_COLUMNS,
+        ([row[c] for c in TIMING_COLUMNS[:-1]] + [t] for row, t in zip(run_rows, wall_times)),
+    )
 
 
 def write_failures_jsonl(path, run_rows):

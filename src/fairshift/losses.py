@@ -46,6 +46,12 @@ class LossBreakdown:
     coupling_solves: int = 0
     coupling_reuses: int = 0
     wasserstein_skipped: int = 0
+    # largest pre-clip gradient norm and steps whose norm was clipped, for the
+    # classifier (theta) and the weight network (w; 0 without one)
+    theta_grad_norm_max: float = 0.0
+    theta_clip_hits: int = 0
+    w_grad_norm_max: float = 0.0
+    w_clip_hits: int = 0
 
     def to_dict(self):
         return asdict(self)
@@ -55,20 +61,46 @@ def cross_entropy_risk(probs, labels, row_weights=None) -> Tensor:
     """Mean negative log-likelihood of binary labels under ``probs``.
 
     ``row_weights`` (one per row) scale each row's term before the mean.
+    One tape node: the gradient is ``r y / p - r (1 - y) / (1 - p)`` with
+    ``r = -g / n`` (times the row weights).
     """
     p = as_tensor(probs)
     y = np.asarray(labels, dtype=np.float64)
-    per_row = -(Tensor(y) * ad.log(p) + Tensor(1.0 - y) * ad.log(1.0 - p))
+    not_y = 1.0 - y
+    q = 1.0 - p.value
+    per_row = -(y * np.log(p.value) + not_y * np.log(q))
     if row_weights is not None:
-        per_row = Tensor(row_weights) * per_row
-    return per_row.mean()
+        row_weights = np.asarray(row_weights, dtype=np.float64)
+        per_row = row_weights * per_row
+    n = per_row.size
+    out = Tensor(per_row.sum() * (1.0 / n), (p,))
+
+    def backward_fn(g):
+        r = g * (1.0 / n)
+        r = -r if row_weights is None else -(r * row_weights)
+        p._accumulate((r * y) / p.value - (r * not_y) / q)
+
+    out._backward_fn = backward_fn
+    return out
 
 
 def conditional_entropy(probs) -> Tensor:
-    """Binary prediction entropy -p log p - (1-p) log(1-p), elementwise."""
+    """Binary prediction entropy -p log p - (1-p) log(1-p), elementwise.
+
+    One tape node; its gradient ``log(1-p) - log(p)`` is summed from the
+    same four terms, in the same order, as the unfused graph's.
+    """
     p = as_tensor(probs)
-    q = 1.0 - p
-    return -(p * ad.log(p)) - (q * ad.log(q))
+    q = 1.0 - p.value
+    log_p, log_q = np.log(p.value), np.log(q)
+    out = Tensor(-(p.value * log_p) - (q * log_q), (p,))
+
+    def backward_fn(g):
+        ng = -g
+        p._accumulate(ng * log_p + (ng * p.value) / p.value - (ng * log_q + (ng * q) / q))
+
+    out._backward_fn = backward_fn
+    return out
 
 
 def weighted_entropy_term(weights_fw, entropies) -> Tensor:

@@ -75,21 +75,23 @@ class PredictorModel:
         ``dropout_rng`` enables training-mode dropout; omit it for
         deterministic inference.
         """
-        x = batch if isinstance(batch, Tensor) else Tensor(batch)
-        if x.value.ndim != 2 or x.value.shape[1] != self.config.input_dim:
-            raise ValueError(
-                f"expected batch of width {self.config.input_dim}, "
-                f"got shape {x.value.shape}"
-            )
-        rate = self.config.dropout_rate
-        h1 = ad.relu(ad.matmul(x, self.w1) + self.b1)
-        h1 = _dropout(h1, rate, dropout_rng)
-        rep = ad.relu(ad.matmul(h1, self.w2) + self.b2)
-        h2 = _dropout(rep, rate, dropout_rng)
-        h3 = ad.relu(ad.matmul(h2, self.w3) + self.b3)
-        h3 = _dropout(h3, rate, dropout_rng)
-        logits = ad.matmul(h3, self.w4) + self.b4
-        probs = ad.clip(ad.sigmoid(logits.sum(axis=1)), PROB_CLAMP, 1.0 - PROB_CLAMP)
+        x = batch if isinstance(batch, Tensor) else np.asarray(batch, dtype=np.float64)
+        c = self.config
+        if len(x.shape) != 2 or x.shape[1] != c.input_dim:
+            raise ValueError(f"expected batch of width {c.input_dim}, got shape {x.shape}")
+        # dropout after each hidden layer scales the next layer's input
+        masks = [None] * 3
+        if dropout_rng is not None and c.dropout_rate > 0.0:
+            masks = [
+                (dropout_rng.random((x.shape[0], width)) >= c.dropout_rate)
+                / (1.0 - c.dropout_rate)
+                for width in (c.hidden_dim, c.rep_dim, c.clf_hidden_dim)
+            ]
+        h1 = ad.dense(x, self.w1, self.b1, relu=True)
+        rep = ad.dense(h1, self.w2, self.b2, relu=True, mask=masks[0])
+        h3 = ad.dense(rep, self.w3, self.b3, relu=True, mask=masks[1])
+        logits = ad.dense(h3, self.w4, self.b4, mask=masks[2])
+        probs = ad.clamped_sigmoid(logits.sum(axis=1), PROB_CLAMP, 1.0 - PROB_CLAMP)
         return rep, probs
 
     def predict_proba(self, features) -> np.ndarray:
@@ -99,13 +101,6 @@ class PredictorModel:
     def representations(self, features) -> np.ndarray:
         rep, _ = self.forward(np.asarray(features, dtype=np.float64))
         return rep.value
-
-
-def _dropout(t, rate, rng):
-    if rng is None or rate <= 0.0:
-        return t
-    mask = (rng.random(t.value.shape) >= rate) / (1.0 - rate)
-    return t * Tensor(mask)
 
 
 class WeightNetwork:
@@ -134,16 +129,12 @@ class WeightNetwork:
         return [self.w1, self.b1, self.w2, self.b2]
 
     def forward(self, inputs):
-        x = inputs if isinstance(inputs, Tensor) else Tensor(inputs)
-        if x.value.ndim != 2 or x.value.shape[1] != self.input_dim:
-            raise ValueError(
-                f"expected input of width {self.input_dim}, got shape {x.value.shape}"
-            )
-        h = ad.relu(ad.matmul(x, self.w1) + self.b1)
-        pre = (ad.matmul(h, self.w2) + self.b2).sum(axis=1)
-        return ad.exp(
-            ad.clip(pre, -WEIGHT_NET_PREACT_LIMIT, WEIGHT_NET_PREACT_LIMIT)
-        )
+        x = inputs if isinstance(inputs, Tensor) else np.asarray(inputs, dtype=np.float64)
+        if len(x.shape) != 2 or x.shape[1] != self.input_dim:
+            raise ValueError(f"expected input of width {self.input_dim}, got shape {x.shape}")
+        h = ad.dense(x, self.w1, self.b1, relu=True)
+        pre = ad.dense(h, self.w2, self.b2).sum(axis=1)
+        return ad.clamped_exp(pre, -WEIGHT_NET_PREACT_LIMIT, WEIGHT_NET_PREACT_LIMIT)
 
     def ratios(self, inputs) -> np.ndarray:
         return self.forward(np.asarray(inputs, dtype=np.float64)).value
@@ -161,7 +152,11 @@ class AdamOptimizer:
 
     ``step(params, step_index)`` reads gradients from each parameter's
     ``grad`` slot, clips their joint norm to GRAD_CLIP_NORM, applies the
-    moment update at the scheduled learning rate, and clears the grads.
+    moment update at the scheduled learning rate, clears the grads and
+    returns the pre-clip norm.  The moments are flat buffers, and each
+    step updates all parameters at once, concatenated, then rebinds each
+    parameter's ``value`` to its view of the result; nothing is written in
+    place, so assigning a new array to a ``value`` between steps is safe.
     """
 
     def __init__(
@@ -179,32 +174,37 @@ class AdamOptimizer:
         self.base_lr = base_lr
         self.weight_decay = weight_decay
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.m = [np.zeros_like(p.value) for p in self.params]
-        self.v = [np.zeros_like(p.value) for p in self.params]
+        sizes = [p.value.size for p in self.params]
+        self._bounds = [(sum(sizes[:i]), sum(sizes[: i + 1])) for i in range(len(sizes))]
+        self.m = np.zeros(sum(sizes))
+        self.v = np.zeros(sum(sizes))
         self.t = 0
 
-    def step(self, step_index: int):
-        grads = [
-            p.grad if p.grad is not None else np.zeros_like(p.value)
-            for p in self.params
-        ]
-        for g in grads:
-            if not np.all(np.isfinite(g)):
-                raise FloatingPointError("non-finite gradient entries")
-        norm = math.sqrt(sum(float((g * g).sum()) for g in grads))
+    def step(self, step_index: int) -> float:
+        g = np.concatenate(
+            [np.zeros(p.value.size) if p.grad is None else p.grad.ravel() for p in self.params]
+        )
+        if not np.isfinite(g).all():
+            raise FloatingPointError("non-finite gradient entries")
+        # squares summed per parameter, then over parameters: this order
+        # fixes the last bits of the norm, and so of every trajectory
+        gg = g * g
+        norm = math.sqrt(sum(float(gg[lo:hi].sum()) for lo, hi in self._bounds))
         if norm > GRAD_CLIP_NORM:
-            scale = GRAD_CLIP_NORM / norm
-            grads = [g * scale for g in grads]
+            g = g * (GRAD_CLIP_NORM / norm)
         lr = cosine_lr(step_index, self.total_steps, self.base_lr)
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        for i, (p, g) in enumerate(zip(self.params, grads)):
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
-            update = (self.m[i] / bc1) / (np.sqrt(self.v[i] / bc2) + self.eps)
-            p.value = p.value - lr * update - lr * self.weight_decay * p.value
+        self.m = self.beta1 * self.m + (1.0 - self.beta1) * g
+        self.v = self.beta2 * self.v + (1.0 - self.beta2) * g * g
+        update = (self.m / bc1) / (np.sqrt(self.v / bc2) + self.eps)
+        flat = np.concatenate([p.value.ravel() for p in self.params])
+        flat = flat - lr * update - lr * self.weight_decay * flat
+        for p, (lo, hi) in zip(self.params, self._bounds):
+            p.value = flat[lo:hi].reshape(p.value.shape)
             p.grad = None
+        return norm
 
 
 def zero_grads(params):

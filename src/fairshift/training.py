@@ -42,6 +42,7 @@ from .losses import (
     weighted_entropy_term,
 )
 from .nets import (
+    GRAD_CLIP_NORM,
     AdamOptimizer,
     NetConfig,
     PredictorModel,
@@ -154,6 +155,11 @@ def _batches(perm, batch_size):
         yield perm[start : start + batch_size]
 
 
+def _clip_stats(norms):
+    """An epoch's largest pre-clip gradient norm and its count of clipped steps."""
+    return max(norms, default=0.0), sum(norm > GRAD_CLIP_NORM for norm in norms)
+
+
 def _check_finite(value, epoch, what):
     if not np.isfinite(value):
         raise RuntimeError(f"non-finite {what} at epoch {epoch}: {value!r}")
@@ -177,6 +183,7 @@ class _Engine:
             weight_decay=cfg.weight_decay,
         )
         self.step = 0
+        self.theta_norms = []  # pre-clip gradient norms of this epoch's steps
         self.history = []
         self.digests = []
 
@@ -192,10 +199,21 @@ class _Engine:
 
     def theta_update(self, loss):
         loss.backward()
-        self.opt.step(self.step)
+        self.theta_norms.append(self.opt.step(self.step))
         self.step += 1
 
-    def finish_epoch(self, breakdown: LossBreakdown, epoch):
+    def finish_epoch(self, epoch, w_norms=(), **terms):
+        """Log one epoch: its loss ``terms`` plus the gradient-clip statistics."""
+        theta_max, theta_hits = _clip_stats(self.theta_norms)
+        w_max, w_hits = _clip_stats(w_norms)
+        self.theta_norms = []
+        breakdown = LossBreakdown(
+            **terms,
+            theta_grad_norm_max=theta_max,
+            theta_clip_hits=theta_hits,
+            w_grad_norm_max=w_max,
+            w_clip_hits=w_hits,
+        )
         _check_finite(breakdown.total, epoch, "loss")
         self.history.append(breakdown)
         self.digests.append(parameter_digest(self.model.parameters))
@@ -212,7 +230,7 @@ class _Engine:
                 self.theta_update(loss)
                 total += float(loss) * len(batch_idx)
             erm = total / self.source.n
-            self.finish_epoch(LossBreakdown(erm=erm, total=erm), epoch)
+            self.finish_epoch(epoch, erm=erm, total=erm)
 
     def result(self, method, **extra) -> TrainedModel:
         return TrainedModel(
@@ -283,6 +301,7 @@ def _adapt(eng: _Engine, target_sample, first_epoch, entropy=None, row_weights=N
         n_steps = 0
         plans.solves = plans.reuses = 0
         skipped_before = skipped_w2
+        w_norms = []
         for batch_idx in _batches(eng.epoch_perm(), sizes[epoch]):
             if use_entropy or (cfg.lambda2 > 0 and can_match):
                 rep_t, probs_t = eng.model.forward(target_x)
@@ -298,7 +317,7 @@ def _adapt(eng: _Engine, target_sample, first_epoch, entropy=None, row_weights=N
                 penalty = constraint_penalty(fw_t, fw_s, cfg.c1, cfg.c2)
                 w_loss = penalty - cfg.lambda1 * we
                 w_loss.backward()
-                w_opt.step(eng.step)
+                w_norms.append(w_opt.step(eng.step))
                 d1 = float(fw_t.value.mean() - 1.0)
                 d2 = float((1.0 / fw_s.value).mean() - 1.0)
                 sums[3] += cfg.c1 * d1 * d1
@@ -329,18 +348,17 @@ def _adapt(eng: _Engine, target_sample, first_epoch, entropy=None, row_weights=N
             n_steps += 1
         avg = sums / n_steps
         eng.finish_epoch(
-            LossBreakdown(
-                erm=avg[0],
-                weighted_entropy=avg[1],
-                wasserstein=avg[2],
-                c1_penalty=avg[3],
-                c2_penalty=avg[4],
-                total=avg[0] + cfg.lambda1 * avg[1] + cfg.lambda2 * avg[2],
-                coupling_solves=plans.solves,
-                coupling_reuses=plans.reuses,
-                wasserstein_skipped=skipped_w2 - skipped_before,
-            ),
             epoch,
+            w_norms,
+            erm=avg[0],
+            weighted_entropy=avg[1],
+            wasserstein=avg[2],
+            c1_penalty=avg[3],
+            c2_penalty=avg[4],
+            total=avg[0] + cfg.lambda1 * avg[1] + cfg.lambda2 * avg[2],
+            coupling_solves=plans.solves,
+            coupling_reuses=plans.reuses,
+            wasserstein_skipped=skipped_w2 - skipped_before,
         )
     return weight_net, skipped_w2
 

@@ -1,8 +1,22 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fairshift import autodiff as ad
 from fairshift.autodiff import Tensor
+from fairshift.data import make_synthetic_asymmetric
+from fairshift.losses import (
+    conditional_entropy,
+    cross_entropy_risk,
+    transport_cost,
+    wasserstein2,
+    weighted_entropy_term,
+)
+from fairshift.nets import NetConfig, PredictorModel, WeightNetwork
 
 
 def _numeric_grad(f, x, h=1e-6):
@@ -42,7 +56,8 @@ def test_matmul_log_sigmoid_composite():
         return float(-np.log(1.0 / (1.0 + np.exp(-(xv @ w)))).mean())
 
     w = Tensor(wv.copy())
-    loss = -(ad.log(ad.sigmoid(ad.matmul(Tensor(xv), w)))).mean()
+    logits = ad.dense(xv, w, Tensor(np.zeros(2)))
+    loss = -(ad.log(ad.clamped_sigmoid(logits, 1e-7, 1.0 - 1e-7))).mean()
     loss.backward()
     np.testing.assert_allclose(w.grad, _numeric_grad(f, wv.copy()), atol=1e-6)
 
@@ -63,15 +78,27 @@ def test_division_gradients():
 
 
 def test_relu_blocks_negative_side():
-    t = Tensor(np.array([-1.0, 2.0]))
-    ad.relu(t).sum().backward()
-    np.testing.assert_array_equal(t.grad, [0.0, 1.0])
+    t = Tensor(np.array([[-1.0, 2.0]]))
+    ad.dense(t, Tensor(np.eye(2)), Tensor(np.zeros(2)), relu=True).sum().backward()
+    np.testing.assert_array_equal(t.grad, [[0.0, 1.0]])
 
 
 def test_clip_gradient_only_inside():
     t = Tensor(np.array([-2.0, 0.5, 2.0]))
-    ad.clip(t, 0.0, 1.0).sum().backward()
-    np.testing.assert_array_equal(t.grad, [0.0, 1.0, 0.0])
+    ad.clamped_exp(t, 0.0, 1.0).sum().backward()
+    np.testing.assert_array_equal(t.grad, [0.0, np.exp(0.5), 0.0])
+    t = Tensor(np.array([-30.0, 0.0, 30.0]))
+    ad.clamped_sigmoid(t, 1e-7, 1.0 - 1e-7).sum().backward()
+    np.testing.assert_array_equal(t.grad, [0.0, 0.25, 0.0])
+
+
+def test_dense_gives_no_gradient_to_an_array_batch():
+    w, b = Tensor(np.ones((2, 3))), Tensor(np.zeros(3))
+    out = ad.dense(np.array([[1.0, 2.0]]), w, b)
+    assert out._parents == (w, b)
+    out.sum().backward()
+    np.testing.assert_array_equal(w.grad, [[1.0] * 3, [2.0] * 3])
+    np.testing.assert_array_equal(b.grad, [1.0] * 3)
 
 
 def test_take_rows_accumulates_repeats():
@@ -115,3 +142,185 @@ def test_grad_accumulates_across_shared_subexpressions():
     y = x * x + x * 3.0
     y.backward()
     np.testing.assert_allclose(x.grad, 2 * 2.0 + 3.0)
+
+
+# -- fused nodes: vector-Jacobian products against central differences ------
+
+SHAPES = st.integers(1, 5)
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def _check_vjp(build, inputs, seed, h=1e-6):
+    """``build(*tensors)`` vs central differences of ``sum(out * c)``, random ``c``."""
+    tensors = [Tensor(x.copy()) for x in inputs]
+    out = build(*tensors)
+    cot = np.random.default_rng(seed).normal(size=out.value.shape)
+    (out * Tensor(cot)).sum().backward()
+    for k, x in enumerate(inputs):
+
+        def f(xk, k=k):
+            args = [Tensor(v) for v in inputs[:k] + [xk] + inputs[k + 1 :]]
+            return float((build(*args).value * cot).sum())
+
+        expected = _numeric_grad(f, x.copy(), h)
+        np.testing.assert_allclose(tensors[k].grad, expected, rtol=1e-5, atol=1e-6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(SHAPES, SHAPES, SHAPES, st.booleans(), st.booleans(), SEEDS)
+def test_dense_vjp(rows, fan_in, fan_out, relu, masked, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(rows, fan_in))
+    w, b = rng.normal(size=(fan_in, fan_out)), rng.normal(size=fan_out)
+    mask = (rng.random((rows, fan_in)) >= 0.25) / 0.75 if masked else None
+    pre = (x if mask is None else x * mask) @ w + b
+    assume(not relu or np.abs(pre).min() > 1e-3)  # central differences across the kink
+    _check_vjp(lambda x, w, b: ad.dense(x, w, b, relu=relu, mask=mask), [x, w, b], seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(SHAPES, SHAPES, st.sampled_from([(1e-7, 1.0 - 1e-7), (0.2, 0.8)]), SEEDS)
+def test_clamped_sigmoid_vjp(rows, cols, bounds, seed):
+    lo, hi = bounds
+    x = np.random.default_rng(seed).normal(scale=6.0, size=(rows, cols))
+    s = 1.0 / (1.0 + np.exp(-x))
+    assume(np.abs(s - lo).min() > 1e-4 and np.abs(s - hi).min() > 1e-4)
+    _check_vjp(lambda t: ad.clamped_sigmoid(t, lo, hi), [x], seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(SHAPES, SEEDS)
+def test_clamped_exp_vjp(rows, seed):
+    x = np.random.default_rng(seed).normal(scale=2.0, size=rows)
+    assume(np.abs(np.abs(x) - 1.0).min() > 1e-4)
+    _check_vjp(lambda t: ad.clamped_exp(t, -1.0, 1.0), [x], seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(SHAPES, st.booleans(), SEEDS)
+def test_cross_entropy_vjp(rows, weighted, seed):
+    rng = np.random.default_rng(seed)
+    p, y = rng.uniform(0.05, 0.95, rows), (rng.random(rows) < 0.5).astype(np.float64)
+    weights = rng.uniform(0.1, 3.0, rows) if weighted else None
+    _check_vjp(lambda t: cross_entropy_risk(t, y, weights), [p], seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(SHAPES, SEEDS)
+def test_conditional_entropy_vjp(rows, seed):
+    p = np.random.default_rng(seed).uniform(0.05, 0.95, rows)
+    _check_vjp(conditional_entropy, [p], seed)
+
+
+def _unfused_cross_entropy(p, y, row_weights):
+    per_row = -(Tensor(y) * ad.log(p) + Tensor(1.0 - y) * ad.log(1.0 - p))
+    return (per_row if row_weights is None else Tensor(row_weights) * per_row).mean()
+
+
+def _unfused_entropy(p):
+    q = 1.0 - p
+    return -(p * ad.log(p)) - (q * ad.log(q))
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_fused_losses_equal_the_unfused_graph_bit_for_bit(weighted):
+    rng = np.random.default_rng(8)
+    for _ in range(30):
+        n = int(rng.integers(1, 60))
+        pv, y = rng.uniform(1e-7, 1.0 - 1e-7, n), (rng.random(n) < 0.5).astype(np.float64)
+        weights = rng.uniform(0.01, 5.0, n) if weighted else None
+        cot = Tensor(rng.normal(size=n))
+        for fused, unfused in (
+            (
+                lambda p: cross_entropy_risk(p, y, weights),
+                lambda p: _unfused_cross_entropy(p, y, weights),
+            ),
+            (
+                lambda p: (conditional_entropy(p) * cot).sum(),
+                lambda p: (_unfused_entropy(p) * cot).sum(),
+            ),
+        ):
+            a, b = Tensor(pv.copy()), Tensor(pv.copy())
+            la, lb = fused(a), unfused(b)
+            la.backward()
+            lb.backward()
+            assert float(la) == float(lb)
+            np.testing.assert_array_equal(a.grad, b.grad)
+
+
+# -- no reference cycles: a dropped graph is freed without the cyclic GC -----
+
+
+def _node_values(root):
+    """Weak references to the value of every non-leaf node ``root`` reaches."""
+    refs, stack, seen = [], [root], set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node._parents:
+            refs.append(weakref.ref(node.value))
+        stack.extend(node._parents)
+    return refs
+
+
+def _leaf():
+    return Tensor(np.random.default_rng(0).uniform(0.1, 0.9, size=(4, 3)))
+
+
+NODES = {
+    "add_mul_div_neg": lambda: (-(_leaf() * 2.0 + 1.0) / 3.0).sum(),
+    "exp": lambda: ad.exp(_leaf()).sum(),
+    "log": lambda: ad.log(_leaf()).sum(),
+    "sqrt": lambda: ad.sqrt(_leaf().sum()),
+    "take_rows": lambda: ad.take_rows(_leaf(), np.array([0, 2])).sum(),
+    "dense": lambda: ad.dense(_leaf(), Tensor(np.ones((3, 2))), Tensor(np.zeros(2)), True).sum(),
+    "clamped_sigmoid": lambda: ad.clamped_sigmoid(_leaf(), 0.2, 0.8).sum(),
+    "clamped_exp": lambda: ad.clamped_exp(_leaf(), -1.0, 1.0).sum(),
+    "cross_entropy": lambda: cross_entropy_risk(_leaf().sum(axis=1) * (1.0 / 3.0), [0, 1, 1, 0]),
+    "entropy": lambda: conditional_entropy(_leaf()).sum(),
+    "transport_cost": lambda: transport_cost(_leaf(), _leaf() * 2.0, np.eye(4) / 4.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NODES))
+def test_dropped_graph_is_freed_without_the_cyclic_gc(name):
+    gc.collect()
+    gc.disable()
+    try:
+        loss = NODES[name]()
+        loss.backward()
+        refs = _node_values(loss)
+        del loss
+        assert refs and all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
+
+
+def test_training_step_graph_is_freed_without_the_cyclic_gc():
+    source, target = make_synthetic_asymmetric(seed=3, n_per_group=20)
+    model = PredictorModel(NetConfig(input_dim=2), seed=0)
+    weight_net = WeightNetwork(64, seed=1)
+    rng = np.random.default_rng(2)
+    gc.collect()
+    gc.disable()
+    try:
+        rep_t, probs_t = model.forward(target.features)
+        probs = model.forward(source.features, dropout_rng=rng)[1]
+        fw = weight_net.forward(rep_t.value)
+        groups = target.groups
+        loss = (
+            cross_entropy_risk(probs, source.labels)
+            + weighted_entropy_term(fw, conditional_entropy(probs_t))
+            + wasserstein2(
+                ad.take_rows(rep_t, np.flatnonzero(groups == 0)),
+                ad.take_rows(rep_t, np.flatnonzero(groups == 1)),
+            )
+        )
+        loss.backward()
+        refs = _node_values(loss)
+        del loss, rep_t, probs_t, probs, fw
+        assert len(refs) > 10 and all(ref() is None for ref in refs)
+    finally:
+        gc.enable()

@@ -120,6 +120,8 @@ def test_experiment_and_pareto_commands(tmp_path, capsys):
     )
     assert code == 0
     assert (out / "runs.csv").exists()
+    # header + one row per run (2 methods x 2 reps)
+    assert (out / "timings.csv").read_text().count("\n") == 5
     agg = out / "aggregate.csv"
     assert agg.exists()
 

@@ -14,6 +14,7 @@ from fairshift.experiment import (
     run_variance_study,
     write_aggregate_csv,
     write_run_csv,
+    write_timings_csv,
     write_variance_csv,
 )
 from fairshift.training import TrainConfig
@@ -185,8 +186,18 @@ class TestRunExperiment:
         blobs = []
         for workers in (1, 2):
             path = tmp_path / f"runs_{workers}.csv"
-            write_run_csv(path, run_experiment(spec, workers=workers)[0])
+            wall_times = []
+            runs = run_experiment(spec, workers=workers, wall_times=wall_times)[0]
+            write_run_csv(path, runs)
             blobs.append(path.read_bytes())
+            timings = tmp_path / f"timings_{workers}.csv"
+            write_timings_csv(timings, runs, wall_times)
+            with open(timings) as fh:
+                rows = list(csv.DictReader(fh))
+            assert [(r["method"], r["rep"], r["status"]) for r in rows] == [
+                (r["method"], str(r["rep"]), r["status"]) for r in runs
+            ]
+            assert all(float(r["wall_s"]) > 0 for r in rows)
         assert blobs[0] == blobs[1]
 
     @pytest.mark.parametrize("workers", [0, -2])

@@ -118,7 +118,7 @@ class TestAdam:
         params[0].grad = g.copy()
         opt.step(0)
         clipped = g * (5.0 / 50.0)
-        np.testing.assert_allclose(opt.m[0], 0.1 * clipped)
+        np.testing.assert_allclose(opt.m.reshape(g.shape), 0.1 * clipped)
 
     def test_step_at_schedule_end_changes_nothing(self):
         params = self._params()
@@ -136,6 +136,44 @@ class TestAdam:
         params[0].grad = g
         with pytest.raises(FloatingPointError, match="non-finite"):
             opt.step(0)
+
+    def test_step_returns_the_pre_clip_norm(self):
+        params = self._params()
+        opt = AdamOptimizer(params, total_steps=10)
+        params[0].grad = np.full_like(params[0].value, 2.0)
+        assert opt.step(0) == pytest.approx(2.0 * math.sqrt(params[0].value.size))
+
+    def test_flat_update_matches_per_parameter_adam_bit_for_bit(self):
+        model = PredictorModel(CFG, seed=4)
+        params = model.parameters
+        ref = [p.value.copy() for p in params]
+        ref_m = [np.zeros_like(v) for v in ref]
+        ref_v = [np.zeros_like(v) for v in ref]
+        opt = AdamOptimizer(params, total_steps=6, weight_decay=1e-2)
+        rng = np.random.default_rng(5)
+        for step in range(6):
+            grads = [rng.normal(scale=3.0, size=v.shape) for v in ref]
+            for i, p in enumerate(params):
+                # one parameter without a gradient, and one replaced between steps
+                p.grad = None if (i == 3 and step == 2) else grads[i].copy()
+            if step == 2:
+                grads[3] = np.zeros_like(ref[3])
+            if step == 4:
+                params[1].value = ref[1] = ref[1] + 1.0
+            opt.step(step)
+            norm = math.sqrt(sum(float((g * g).sum()) for g in grads))
+            if norm > 5.0:
+                grads = [g * (5.0 / norm) for g in grads]
+            lr = cosine_lr(step, 6, 1e-3)
+            bc1, bc2 = 1.0 - 0.9 ** (step + 1), 1.0 - 0.999 ** (step + 1)
+            for i, g in enumerate(grads):
+                ref_m[i] = 0.9 * ref_m[i] + (1.0 - 0.9) * g
+                ref_v[i] = 0.999 * ref_v[i] + (1.0 - 0.999) * g * g
+                update = (ref_m[i] / bc1) / (np.sqrt(ref_v[i] / bc2) + 1e-8)
+                ref[i] = ref[i] - lr * update - lr * 1e-2 * ref[i]
+            for p, r in zip(params, ref):
+                np.testing.assert_array_equal(p.value, r)
+                assert p.grad is None
 
     def test_weight_decay_shrinks_parameters(self):
         params = self._params()

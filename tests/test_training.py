@@ -19,8 +19,10 @@ from fairshift.losses import (
     weighted_entropy_term,
 )
 from fairshift.metrics import evaluate_model
-from fairshift.nets import parameter_digest, zero_grads
+from fairshift import nets
+from fairshift.nets import GRAD_CLIP_NORM, parameter_digest, zero_grads
 from fairshift.training import (
+    METHODS,
     TrainConfig,
     _check_finite,
     train,
@@ -112,6 +114,26 @@ class TestDeterminism:
         a = train_erm(source, replace(QUICK, seed=1))
         b = train_erm(source, replace(QUICK, seed=2))
         assert a.param_digests[-1] != b.param_digests[-1]
+
+
+# param_digests[-1] of QUICK on small_task, recorded before the tape nodes
+# were fused (numpy 2.4, OpenBLAS 0.3.31, x86-64); a rewrite of the tape,
+# the networks or the optimizer must keep every bit of every trajectory
+GOLDEN_FINAL_DIGESTS = {
+    "ours": "a9a72c3711059899de80c8a304ef50704f6692fd04d0fec5fb2bcdd828ec146d",
+    "erm": "03c818707fe85124fad8c0bf88ba36e213950204a73e4cf2e3682f37de577e49",
+    "kliep_iw": "9e616c9e5028737939bf406b4a24cd5932faaf742bedccf3aaa0bec3b6d19d10",
+    "lsif_iw": "b3c19ed5542be18508ae8d97e56297f85d61101ea6055ee0ee731e38e76f91c8",
+    "zsa": "f8da5ee84b3962d2b845ec629305cb5db2e4bef20234cb6c90f65a2e888e003f",
+    "unweighted_entropy": "6138f2c3e89f8556a97d4f69f8cec2e8737d5507c1c123d2eeade5887f917d20",
+}
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_final_digest_matches_the_recorded_trajectory(small_task, method):
+    source, target = small_task
+    model = train(source, target, replace(QUICK, method=method))
+    assert model.param_digests[-1] == GOLDEN_FINAL_DIGESTS[method]
 
 
 class TestErm:
@@ -236,6 +258,37 @@ class TestOurs:
             matched = logged["coupling_solves"] + logged["coupling_reuses"]
             assert matched + logged["wasserstein_skipped"] == steps_per_epoch
         assert sum(e.coupling_solves for e in model.history) >= 1
+
+    def test_clip_statistics_match_a_hand_count(self, small_task, monkeypatch):
+        source, target = small_task
+        norms = {"theta": [], "w": []}
+        real_step = nets.AdamOptimizer.step
+
+        def logged_step(opt, step_index):
+            norm = real_step(opt, step_index)
+            norms["w" if len(opt.params) == 4 else "theta"].append(norm)
+            return norm
+
+        monkeypatch.setattr(nets.AdamOptimizer, "step", logged_step)
+        # a large learning rate makes both networks clip
+        cfg = replace(QUICK, learning_rate=0.05)
+        model = train_ours(source, target, cfg)
+        theta_steps = [-(-source.n // cfg.batch_size)] * cfg.pretrain_epochs + [
+            -(-source.n // cfg.adapt_train_batch_size)
+        ] * cfg.adapt_epochs
+        w_steps = [0] * cfg.pretrain_epochs + theta_steps[cfg.pretrain_epochs :]
+        hits = {"theta": 0, "w": 0}
+        for part, steps in (("theta", theta_steps), ("w", w_steps)):
+            start = 0
+            for entry, count in zip(model.history, steps):
+                epoch = norms[part][start : start + count]
+                start += count
+                clipped = sum(n > GRAD_CLIP_NORM for n in epoch)
+                assert getattr(entry, f"{part}_clip_hits") == clipped
+                assert getattr(entry, f"{part}_grad_norm_max") == max(epoch, default=0.0)
+                hits[part] += clipped
+            assert start == len(norms[part])
+        assert hits["theta"] > 0 and hits["w"] > 0
 
     def test_weight_and_classifier_parameters_disjoint(self, small_task):
         source, target = small_task
