@@ -9,12 +9,17 @@ creation counter, so independent models can train concurrently in
 separate threads.
 
 The layers of a network are fused nodes: :func:`dense` is one node for a
-product, bias, ReLU and dropout mask, and :func:`clamped_sigmoid` and
-:func:`clamped_exp` squash and clamp in one node, each with a closed-form
-vector-Jacobian product that repeats the unfused graph's operations in
-the same order, so fusing changes no bit of a gradient.  No backward
-closure holds its own output ``Tensor``: it captures the value array
-instead, so a dropped graph is freed at once, without the cyclic GC.
+product, bias, ReLU and dropout mask (a one-output last layer returns its
+column), and :func:`clamped_sigmoid` and :func:`clamped_exp` squash and
+clamp in one node, each with a closed-form vector-Jacobian product that
+repeats the unfused graph's operations in the same order, so fusing
+changes no bit of a gradient.  The losses fuse the same way (see
+:mod:`fairshift.losses`); the ``Tensor`` operators remain for the terms
+that combine them.  No backward closure holds its own output ``Tensor``:
+it captures the value array instead, so a dropped graph is freed at once,
+without the cyclic GC.  No gradient is ever written in place, so a node
+stores the first gradient it receives as is, without a copy; it may be a
+read-only broadcast view.
 """
 
 from __future__ import annotations
@@ -89,18 +94,15 @@ class Tensor:
                 if id(parent) not in reached:
                     reached[id(parent)] = parent
                     stack.append(parent)
-        if self.grad is None:
-            self.grad = np.zeros_like(self.value)
-        self.grad = self.grad + np.ones_like(self.value)
+        one = np.ones_like(self.value)
+        self.grad = one if self.grad is None else self.grad + one
         for node in sorted(reached.values(), key=lambda node: node._seq, reverse=True):
             if node._backward_fn is not None and node.grad is not None:
                 node._backward_fn(node.grad)
 
     def _accumulate(self, grad):
-        if self.grad is None:
-            self.grad = np.array(grad, dtype=np.float64, copy=True)
-        else:
-            self.grad = self.grad + grad
+        # no gradient is ever written in place, so the first one is stored as is
+        self.grad = grad if self.grad is None else self.grad + grad
 
     # -- arithmetic ------------------------------------------------------
 
@@ -209,24 +211,29 @@ def sqrt(t) -> Tensor:
     return out
 
 
-def dense(x, w, b, relu=False, mask=None) -> Tensor:
+def dense(x, w, b, relu=False, mask=None, column=False) -> Tensor:
     """One layer ``(x * mask) @ w + b``, then ReLU if ``relu``, as one node.
 
     ``mask`` is a constant array (a dropout mask) scaling the input.  An
     ``x`` that is a plain array is a constant batch: it gets no gradient,
-    and the backward pass skips ``g @ w.T`` for it.
+    and the backward pass skips ``g @ w.T`` for it.  With ``column``, a
+    one-output layer returns its ``(n,)`` column instead of ``(n, 1)``.
     """
     xv = x.value if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
     if mask is not None:
         xv = xv * mask
     wv = w.value
-    value = xv @ wv + b.value
+    value = xv @ wv
+    value += b.value
     if relu:
-        value = np.maximum(value, 0.0)
+        np.maximum(value, 0.0, out=value)
     wants_input_grad = isinstance(x, Tensor)
-    out = Tensor(value, (x, w, b) if wants_input_grad else (w, b))
+    parents = (x, w, b) if wants_input_grad else (w, b)
+    out = Tensor(value.reshape(-1) if column else value, parents)
 
     def backward_fn(g):
+        if column:
+            g = g[:, None]
         if relu:
             g = g * (value > 0.0)
         b._accumulate(g.sum(axis=0))
@@ -244,7 +251,8 @@ def clamped_sigmoid(t, lo, hi) -> Tensor:
     t = as_tensor(t)
     # exp(-|x|) formulation avoids overflow for large negative inputs
     e = np.exp(-np.abs(t.value))
-    s = np.where(t.value >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    d = 1.0 + e
+    s = np.where(t.value >= 0, 1.0 / d, e / d)
     inside = (s > lo) & (s < hi)
     out = Tensor(np.clip(s, lo, hi), (t,))
     out._backward_fn = lambda g: t._accumulate(g * inside * s * (1.0 - s))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import os
 import sys
@@ -70,6 +71,14 @@ def _cmd_split(args):
     return 0
 
 
+def _data_digest(data):
+    """SHA-256 of a labeled set's features (float64) and labels (int64), row order."""
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(data.features, dtype=np.float64).tobytes())
+    h.update(np.ascontiguousarray(data.labels, dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
 def _cmd_train(args):
     source = load_csv(args.data)
     target = load_unlabeled_csv(args.target) if args.target else None
@@ -78,7 +87,12 @@ def _cmd_train(args):
     )
     model = train(source, target, cfg)
     out = _ensure_out(args.out)
-    extra = {"method": model.method, "seed": cfg.seed, "config": dataclasses.asdict(cfg)}
+    extra = {
+        "method": model.method,
+        "seed": cfg.seed,
+        "config": dataclasses.asdict(cfg),
+        "train_data_sha256": _data_digest(source),
+    }
     if model.input_stats is not None:
         extra["input_stats"] = {
             "means": model.input_stats.means.tolist(),
@@ -99,6 +113,7 @@ def _cmd_train(args):
 
 
 def _load_trained(path):
+    """Return ``(TrainedModel, extra)`` from a checkpoint file."""
     predictor, weight_net, extra = load_checkpoint(path)
     method = extra.get("method", "erm")
     # checkpoints written before the config was stored record the method only
@@ -109,18 +124,21 @@ def _load_trained(path):
             np.array(extra["input_stats"]["means"]),
             np.array(extra["input_stats"]["stds"]),
         )
-    return TrainedModel(
+    model = TrainedModel(
         method=method,
         predictor=predictor,
         config=config,
         weight_net=weight_net,
         input_stats=stats,
     )
+    return model, extra
 
 
 def _cmd_evaluate(args):
-    model = _load_trained(args.checkpoint)
+    model, extra = _load_trained(args.checkpoint)
     data = load_csv(args.data)
+    # checkpoints written before the digest was stored do not name their data
+    print(f"trained on data sha256={extra.get('train_data_sha256', 'unrecorded')}")
     metrics = evaluate_model(model, data)
     row = {
         "method": model.method,

@@ -2,10 +2,15 @@
 
 Every loss accepts plain arrays or autodiff tensors and returns an
 autodiff tensor, so the same formula serves both evaluation
-(``float(loss)``) and gradient-based training.  All logarithms are
-natural.  The Wasserstein-2 distance is computed from an exact optimal
-coupling: a linear assignment when the point clouds have equal size, a
-network simplex on integer flows otherwise, whose plan entries are exact
+(``float(loss)``) and gradient-based training.  The risk, the entropy,
+the damped entropy, the constraint penalty and the transport cost are one
+tape node each, whose vector-Jacobian product repeats the operations of
+the unfused operator graph in its order, so fusing changes no bit.  All
+logarithms are natural.
+
+The Wasserstein-2 distance is computed from an exact optimal coupling: a
+linear assignment when the point clouds have equal size, a network
+simplex on integer flows otherwise, whose plan entries are exact
 multiples of ``1 / lcm(na, nb)``.  Gradients flow through the pairwise
 costs with the optimal plan held fixed.
 
@@ -42,16 +47,22 @@ class LossBreakdown:
     c1_penalty: float = 0.0
     c2_penalty: float = 0.0
     total: float = 0.0
-    # matching steps: plans solved, plans reused, steps skipped (a group missing)
+    # matching steps: plans solved, plans reused
     coupling_solves: int = 0
     coupling_reuses: int = 0
-    wasserstein_skipped: int = 0
     # largest pre-clip gradient norm and steps whose norm was clipped, for the
     # classifier (theta) and the weight network (w; 0 without one)
     theta_grad_norm_max: float = 0.0
     theta_clip_hits: int = 0
     w_grad_norm_max: float = 0.0
     w_clip_hits: int = 0
+    # weight-network outputs at the ascent steps (0 without one): step means
+    # of F_w on the target and of 1 / F_w on the source batch, averaged over
+    # the epoch, and the smallest and largest F_w of either side
+    fw_target_mean: float = 0.0
+    fw_source_recip_mean: float = 0.0
+    fw_min: float = 0.0
+    fw_max: float = 0.0
 
     def to_dict(self):
         return asdict(self)
@@ -107,24 +118,55 @@ def weighted_entropy_term(weights_fw, entropies) -> Tensor:
     """Mean of exp(-weight) * entropy over a batch of target points.
 
     Points the weight network scores as training-typical (large output)
-    contribute exponentially little.
+    contribute exponentially little; weight 0 gives the plain mean, since
+    ``exp(-0) = 1`` exactly.  One tape node, with gradients
+    ``-(r h) e`` to the weights and ``r e`` to the entropies, where
+    ``e = exp(-weight)`` and ``r = g / n``.
     """
     fw = as_tensor(weights_fw)
+    h = as_tensor(entropies)
     if not np.all(np.isfinite(fw.value)):
         raise ValueError("weight network produced non-finite values")
-    return (ad.exp(-fw) * as_tensor(entropies)).mean()
+    damp = np.exp(-fw.value)
+    weighted = damp * h.value
+    n = weighted.size
+    out = Tensor(weighted.sum() * (1.0 / n), (fw, h))
+
+    def backward_fn(g):
+        r = g * (1.0 / n)
+        fw._accumulate(-((r * h.value) * damp))
+        h._accumulate(r * damp)
+
+    out._backward_fn = backward_fn
+    return out
 
 
 def constraint_penalty(fw_test, fw_train, c1=1.0, c2=1.0) -> Tensor:
     """Squared-error penalties pushing the test-side mean weight and the
-    train-side mean reciprocal weight toward 1."""
+    train-side mean reciprocal weight toward 1.
+
+    One tape node: ``c1 d1^2 + c2 d2^2`` with ``d1 = mean(fw_test) - 1``
+    and ``d2 = mean(1 / fw_train) - 1``; each mean is ``sum * (1 / n)``,
+    and the gradients repeat the unfused graph's operations in its order.
+    """
     ft = as_tensor(fw_test)
     fs = as_tensor(fw_train)
     if (ft.value <= 0).any() or (fs.value <= 0).any():
         raise ValueError("weight values must be strictly positive")
-    d1 = ft.mean() - 1.0
-    d2 = (1.0 / fs).mean() - 1.0
-    return c1 * (d1 * d1) + c2 * (d2 * d2)
+    d1 = ft.value.sum() * (1.0 / ft.value.size) - 1.0
+    d2 = (1.0 / fs.value).sum() * (1.0 / fs.value.size) - 1.0
+    out = Tensor(c1 * (d1 * d1) + c2 * (d2 * d2), (ft, fs))
+
+    def backward_fn(g):
+        # d(d^2) = g d + g d, as the product node summed its two operands
+        g1, g2 = g * c1, g * c2
+        r2 = (g2 * d2 + g2 * d2) * (1.0 / fs.value.size)
+        fs._accumulate(-r2 / fs.value**2)
+        r1 = (g1 * d1 + g1 * d1) * (1.0 / ft.value.size)
+        ft._accumulate(np.broadcast_to(r1, ft.value.shape))
+
+    out._backward_fn = backward_fn
+    return out
 
 
 def kliep_loss(s_test, s_train) -> Tensor:
@@ -166,7 +208,7 @@ def _pairwise_sq_dists(a, b):
     # direct differences: exactly zero for coincident points, unlike the
     # a^2 + b^2 - 2ab expansion
     diff = a[:, None, :] - b[None, :, :]
-    return (diff * diff).sum(axis=2)
+    return np.multiply(diff, diff, out=diff).sum(axis=2)
 
 
 def _transport_simplex(cost, basis=None):

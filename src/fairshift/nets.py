@@ -69,29 +69,44 @@ class PredictorModel:
     def parameters(self):
         return [self.w1, self.b1, self.w2, self.b2, self.w3, self.b3, self.w4, self.b4]
 
+    def _encode(self, x, mask=None):
+        """Layers 1-2: the representation ``g(x)``; ``mask`` drops layer 1's output."""
+        h1 = ad.dense(x, self.w1, self.b1, relu=True)
+        return ad.dense(h1, self.w2, self.b2, relu=True, mask=mask)
+
+    def _batch(self, batch):
+        x = batch if isinstance(batch, Tensor) else np.asarray(batch, dtype=np.float64)
+        if len(x.shape) != 2 or x.shape[1] != self.config.input_dim:
+            raise ValueError(
+                f"expected batch of width {self.config.input_dim}, got shape {x.shape}"
+            )
+        return x
+
     def forward(self, batch, dropout_rng=None):
         """Return ``(representations [b, rep_dim], probabilities [b])``.
 
         ``dropout_rng`` enables training-mode dropout; omit it for
         deterministic inference.
         """
-        x = batch if isinstance(batch, Tensor) else np.asarray(batch, dtype=np.float64)
+        x = self._batch(batch)
         c = self.config
-        if len(x.shape) != 2 or x.shape[1] != c.input_dim:
-            raise ValueError(f"expected batch of width {c.input_dim}, got shape {x.shape}")
-        # dropout after each hidden layer scales the next layer's input
+        # dropout after each hidden layer scales the next layer's input; one
+        # draw, split in order, takes the stream three per-layer draws took
         masks = [None] * 3
         if dropout_rng is not None and c.dropout_rate > 0.0:
+            n, widths = x.shape[0], [c.hidden_dim, c.rep_dim, c.clf_hidden_dim]
+            keep = (dropout_rng.random(n * sum(widths)) >= c.dropout_rate) / (
+                1.0 - c.dropout_rate
+            )
+            ends = np.cumsum(widths) * n
             masks = [
-                (dropout_rng.random((x.shape[0], width)) >= c.dropout_rate)
-                / (1.0 - c.dropout_rate)
-                for width in (c.hidden_dim, c.rep_dim, c.clf_hidden_dim)
+                keep[end - n * width : end].reshape(n, width)
+                for end, width in zip(ends.tolist(), widths)
             ]
-        h1 = ad.dense(x, self.w1, self.b1, relu=True)
-        rep = ad.dense(h1, self.w2, self.b2, relu=True, mask=masks[0])
+        rep = self._encode(x, masks[0])
         h3 = ad.dense(rep, self.w3, self.b3, relu=True, mask=masks[1])
-        logits = ad.dense(h3, self.w4, self.b4, mask=masks[2])
-        probs = ad.clamped_sigmoid(logits.sum(axis=1), PROB_CLAMP, 1.0 - PROB_CLAMP)
+        logits = ad.dense(h3, self.w4, self.b4, mask=masks[2], column=True)
+        probs = ad.clamped_sigmoid(logits, PROB_CLAMP, 1.0 - PROB_CLAMP)
         return rep, probs
 
     def predict_proba(self, features) -> np.ndarray:
@@ -99,8 +114,8 @@ class PredictorModel:
         return probs.value
 
     def representations(self, features) -> np.ndarray:
-        rep, _ = self.forward(np.asarray(features, dtype=np.float64))
-        return rep.value
+        """Encoder output ``g(x)`` in inference mode; the head is not run."""
+        return self._encode(self._batch(features)).value
 
 
 class WeightNetwork:
@@ -133,7 +148,7 @@ class WeightNetwork:
         if len(x.shape) != 2 or x.shape[1] != self.input_dim:
             raise ValueError(f"expected input of width {self.input_dim}, got shape {x.shape}")
         h = ad.dense(x, self.w1, self.b1, relu=True)
-        pre = ad.dense(h, self.w2, self.b2).sum(axis=1)
+        pre = ad.dense(h, self.w2, self.b2, column=True)
         return ad.clamped_exp(pre, -WEIGHT_NET_PREACT_LIMIT, WEIGHT_NET_PREACT_LIMIT)
 
     def ratios(self, inputs) -> np.ndarray:
@@ -153,10 +168,11 @@ class AdamOptimizer:
     ``step(params, step_index)`` reads gradients from each parameter's
     ``grad`` slot, clips their joint norm to GRAD_CLIP_NORM, applies the
     moment update at the scheduled learning rate, clears the grads and
-    returns the pre-clip norm.  The moments are flat buffers, and each
-    step updates all parameters at once, concatenated, then rebinds each
-    parameter's ``value`` to its view of the result; nothing is written in
-    place, so assigning a new array to a ``value`` between steps is safe.
+    returns the pre-clip norm.  The moments and the work arrays are
+    flat buffers, allocated once; each step updates all parameters at
+    once, concatenated, into a fresh array and rebinds each parameter's
+    ``value`` to its view of it.  No value is written in place, so
+    assigning a new array to a ``value`` between steps is safe.
     """
 
     def __init__(
@@ -174,35 +190,72 @@ class AdamOptimizer:
         self.base_lr = base_lr
         self.weight_decay = weight_decay
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        sizes = [p.value.size for p in self.params]
-        self._bounds = [(sum(sizes[:i]), sum(sizes[: i + 1])) for i in range(len(sizes))]
-        self.m = np.zeros(sum(sizes))
-        self.v = np.zeros(sum(sizes))
+        size = sum(p.value.size for p in self.params)
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        # work buffers: the gradient and two temporaries
+        self._g, self._a, self._b = (np.zeros(size) for _ in range(3))
+        self._g_parts = self._parts(self._g)
+        self._a_parts = self._parts(self._a)
+        # the last step's result and the views of it that it bound
+        self._flat, self._views = None, [None] * len(self.params)
         self.t = 0
 
+    def _parts(self, flat):
+        """Views of ``flat`` shaped like each parameter, in order."""
+        parts, lo = [], 0
+        for p in self.params:
+            parts.append(flat[lo : lo + p.value.size].reshape(p.value.shape))
+            lo += p.value.size
+        return parts
+
     def step(self, step_index: int) -> float:
-        g = np.concatenate(
-            [np.zeros(p.value.size) if p.grad is None else p.grad.ravel() for p in self.params]
-        )
-        if not np.isfinite(g).all():
-            raise FloatingPointError("non-finite gradient entries")
+        g, a, b = self._g, self._a, self._b
+        for p, part in zip(self.params, self._g_parts):
+            if p.grad is None:
+                part.fill(0.0)
+            else:
+                np.copyto(part, p.grad)
         # squares summed per parameter, then over parameters: this order
         # fixes the last bits of the norm, and so of every trajectory
-        gg = g * g
-        norm = math.sqrt(sum(float(gg[lo:hi].sum()) for lo, hi in self._bounds))
+        np.multiply(g, g, out=a)
+        norm = math.sqrt(sum(float(part.sum()) for part in self._a_parts))
+        # a finite sum of squares has finite terms; only look when it is not
+        if not math.isfinite(norm) and not np.isfinite(g).all():
+            raise FloatingPointError("non-finite gradient entries")
         if norm > GRAD_CLIP_NORM:
-            g = g * (GRAD_CLIP_NORM / norm)
+            np.multiply(g, GRAD_CLIP_NORM / norm, out=g)
         lr = cosine_lr(step_index, self.total_steps, self.base_lr)
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * g
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * g * g
-        update = (self.m / bc1) / (np.sqrt(self.v / bc2) + self.eps)
-        flat = np.concatenate([p.value.ravel() for p in self.params])
-        flat = flat - lr * update - lr * self.weight_decay * flat
-        for p, (lo, hi) in zip(self.params, self._bounds):
-            p.value = flat[lo:hi].reshape(p.value.shape)
+        # m = beta1 m + (1 - beta1) g;  v = beta2 v + ((1 - beta2) g) g
+        np.multiply(g, 1.0 - self.beta1, out=a)
+        np.multiply(self.m, self.beta1, out=self.m)
+        np.add(self.m, a, out=self.m)
+        np.multiply(g, 1.0 - self.beta2, out=a)
+        np.multiply(a, g, out=a)
+        np.multiply(self.v, self.beta2, out=self.v)
+        np.add(self.v, a, out=self.v)
+        # update = (m / bc1) / (sqrt(v / bc2) + eps)
+        np.divide(self.m, bc1, out=a)
+        np.divide(self.v, bc2, out=b)
+        np.sqrt(b, out=b)
+        np.add(b, self.eps, out=b)
+        np.divide(a, b, out=a)
+        # new = (flat - lr update) - (lr wd) flat; while every value is still
+        # the view the last step bound, the last result is the flat vector
+        flat = self._flat
+        if any(p.value is not view for p, view in zip(self.params, self._views)):
+            flat = np.concatenate([p.value.ravel() for p in self.params])
+        np.multiply(a, lr, out=a)
+        np.multiply(flat, lr * self.weight_decay, out=b)
+        new = flat - a
+        np.subtract(new, b, out=new)
+        self._flat = new
+        self._views = self._parts(new)
+        for p, view in zip(self.params, self._views):
+            p.value = view
             p.grad = None
         return norm
 

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
 from .data import (
     LabeledDataset,
     NormalizationStats,
@@ -116,7 +115,6 @@ class TrainedModel:
     param_digests: list = field(default_factory=list)
     weight_net: WeightNetwork | None = None
     input_stats: NormalizationStats | None = None
-    skipped_wasserstein_steps: int = 0
 
     def predict_proba(self, features) -> np.ndarray:
         features = np.asarray(features, dtype=np.float64)
@@ -243,11 +241,26 @@ class _Engine:
         )
 
 
-def _subsample_target(target: UnlabeledDataset, cfg, rng) -> UnlabeledDataset:
+def _subsample_target(target: UnlabeledDataset, cfg, rng, matching=True) -> UnlabeledDataset:
+    """The run's ``m_cap`` target points, drawn once.
+
+    With ``matching`` the group clouds are matched, so the target and the
+    subsample must both hold points of each group.
+    """
+    if matching and not (target.has_group(0) and target.has_group(1)):
+        raise ValueError("target must contain both groups for representation matching")
     if cfg.m_cap > target.m:
         raise ValueError(f"m_cap={cfg.m_cap} exceeds available target points ({target.m})")
     idx = rng.choice(target.m, size=cfg.m_cap, replace=False)
-    return target.subset(np.sort(idx))
+    sample = target.subset(np.sort(idx))
+    if matching:
+        for group in (0, 1):
+            if not sample.has_group(group):
+                raise ValueError(
+                    f"the m_cap={cfg.m_cap} target subsample has no group-{group} point "
+                    "to match; raise m_cap"
+                )
+    return sample
 
 
 def train_erm(source: LabeledDataset, cfg: TrainConfig) -> TrainedModel:
@@ -255,11 +268,6 @@ def train_erm(source: LabeledDataset, cfg: TrainConfig) -> TrainedModel:
     eng = _Engine(source, cfg)
     eng.run_erm_epochs(cfg.total_epochs)
     return eng.result("erm")
-
-
-def _require_both_groups(target: UnlabeledDataset):
-    if not (target.has_group(0) and target.has_group(1)):
-        raise ValueError("target must contain both groups for representation matching")
 
 
 def _adapt(eng: _Engine, target_sample, first_epoch, entropy=None, row_weights=None):
@@ -272,8 +280,8 @@ def _adapt(eng: _Engine, target_sample, first_epoch, entropy=None, row_weights=N
     Each step runs one target forward pass; the ascent reads its values
     as constants, so its backward pass never reaches the classifier graph.
     The matching steps share one plan cache, so each coupling solve
-    starts from the last optimal simplex basis.
-    Returns ``(weight_net or None, skipped matching steps)``.
+    starts from the last optimal simplex basis.  Returns the weight
+    network, or None.
     """
     cfg = eng.cfg
     target_x = target_sample.features
@@ -291,19 +299,19 @@ def _adapt(eng: _Engine, target_sample, first_epoch, entropy=None, row_weights=N
             weight_decay=cfg.weight_decay,
         )
     use_entropy = entropy is not None and cfg.lambda1 > 0
-    can_match = len(idx0) > 0 and len(idx1) > 0
     plans = PlanCache()
-    skipped_w2 = 0
     sizes = _epoch_batch_sizes(cfg)
 
     for epoch in range(first_epoch, cfg.total_epochs):
-        sums = np.zeros(5)  # erm, entropy, w2, c1 penalty, c2 penalty
+        # erm, entropy, w2, c1 penalty, c2 penalty, mean F_w on the target,
+        # mean 1 / F_w on the source batch
+        sums = np.zeros(7)
+        fw_lo, fw_hi = np.inf, -np.inf
         n_steps = 0
         plans.solves = plans.reuses = 0
-        skipped_before = skipped_w2
         w_norms = []
         for batch_idx in _batches(eng.epoch_perm(), sizes[epoch]):
-            if use_entropy or (cfg.lambda2 > 0 and can_match):
+            if use_entropy or cfg.lambda2 > 0:
                 rep_t, probs_t = eng.model.forward(target_x)
             if use_entropy:
                 entropies = conditional_entropy(probs_t)
@@ -318,35 +326,33 @@ def _adapt(eng: _Engine, target_sample, first_epoch, entropy=None, row_weights=N
                 w_loss = penalty - cfg.lambda1 * we
                 w_loss.backward()
                 w_norms.append(w_opt.step(eng.step))
-                d1 = float(fw_t.value.mean() - 1.0)
-                d2 = float((1.0 / fw_s.value).mean() - 1.0)
-                sums[3] += cfg.c1 * d1 * d1
-                sums[4] += cfg.c2 * d2 * d2
+                # the penalty's inputs, as it saw them before the step
+                t_mean = fw_t.value.mean()
+                recip_mean = (1.0 / fw_s.value).mean()
+                d1 = float(t_mean - 1.0)
+                d2 = float(recip_mean - 1.0)
+                sums[3:] += (cfg.c1 * d1 * d1, cfg.c2 * d2 * d2, t_mean, recip_mean)
+                fw_lo = min(fw_lo, fw_t.value.min(), fw_s.value.min())
+                fw_hi = max(fw_hi, fw_t.value.max(), fw_s.value.max())
 
             # -- classifier descent ------------------------------------
             zero_grads(eng.model.parameters)
             loss = eng.erm_loss(batch_idx, row_weights)
             sums[0] += float(loss)
             if use_entropy:
-                if weight_net is None:
-                    ent_term = entropies.mean()
-                else:
-                    fw_now = weight_net.ratios(rep_t.value)
-                    ent_term = weighted_entropy_term(Tensor(fw_now), entropies)
+                fw_now = 0.0 if weight_net is None else weight_net.ratios(rep_t.value)
+                ent_term = weighted_entropy_term(fw_now, entropies)
                 sums[1] += float(ent_term)
                 loss = loss + cfg.lambda1 * ent_term
             if cfg.lambda2 > 0:
-                if can_match:
-                    w2 = wasserstein2(
-                        ad.take_rows(rep_t, idx0), ad.take_rows(rep_t, idx1), plans
-                    )
-                    sums[2] += float(w2)
-                    loss = loss + cfg.lambda2 * w2
-                else:
-                    skipped_w2 += 1
+                w2 = wasserstein2(ad.take_rows(rep_t, idx0), ad.take_rows(rep_t, idx1), plans)
+                sums[2] += float(w2)
+                loss = loss + cfg.lambda2 * w2
             eng.theta_update(loss)
             n_steps += 1
         avg = sums / n_steps
+        if not w_norms:  # no ascent step saw a weight net
+            fw_lo = fw_hi = 0.0
         eng.finish_epoch(
             epoch,
             w_norms,
@@ -358,9 +364,12 @@ def _adapt(eng: _Engine, target_sample, first_epoch, entropy=None, row_weights=N
             total=avg[0] + cfg.lambda1 * avg[1] + cfg.lambda2 * avg[2],
             coupling_solves=plans.solves,
             coupling_reuses=plans.reuses,
-            wasserstein_skipped=skipped_w2 - skipped_before,
+            fw_target_mean=avg[5],
+            fw_source_recip_mean=avg[6],
+            fw_min=float(fw_lo),
+            fw_max=float(fw_hi),
         )
-    return weight_net, skipped_w2
+    return weight_net
 
 
 def train_ours(
@@ -374,12 +383,11 @@ def train_ours(
     source risk plus the (gradient-stopped) weighted entropy plus the
     group-level Wasserstein matching term.
     """
-    _require_both_groups(target)
     eng = _Engine(source, cfg)
     target_sub = _subsample_target(target, cfg, eng.streams["subsample"])
     eng.run_erm_epochs(cfg.pretrain_epochs)
-    weight_net, skipped = _adapt(eng, target_sub, cfg.pretrain_epochs, entropy="learned")
-    return eng.result("ours", weight_net=weight_net, skipped_wasserstein_steps=skipped)
+    weight_net = _adapt(eng, target_sub, cfg.pretrain_epochs, entropy="learned")
+    return eng.result("ours", weight_net=weight_net)
 
 
 def train_unweighted_entropy(
@@ -390,12 +398,11 @@ def train_unweighted_entropy(
     No weight network and no constraints; otherwise the two-stage
     schedule is identical.
     """
-    _require_both_groups(target)
     eng = _Engine(source, cfg)
     target_sub = _subsample_target(target, cfg, eng.streams["subsample"])
     eng.run_erm_epochs(cfg.pretrain_epochs)
-    _, skipped = _adapt(eng, target_sub, cfg.pretrain_epochs, entropy="uniform")
-    return eng.result("unweighted_entropy", skipped_wasserstein_steps=skipped)
+    _adapt(eng, target_sub, cfg.pretrain_epochs, entropy="uniform")
+    return eng.result("unweighted_entropy")
 
 
 def _fit_ratio_net(source, target_x, cfg, init_seed, batch_seed):
@@ -439,7 +446,6 @@ def train_importance_weighted(
     """
     if cfg.method not in ("kliep_iw", "lsif_iw"):
         raise ValueError(f"method must be kliep_iw or lsif_iw, got {cfg.method!r}")
-    _require_both_groups(target)
     eng = _Engine(source, cfg)
     target_sub = _subsample_target(target, cfg, eng.streams["subsample"])
 
@@ -458,8 +464,8 @@ def train_importance_weighted(
         weights = weights / weights.mean()
     weights = np.maximum(weights, RATIO_FLOOR)
 
-    _, skipped = _adapt(eng, target_sub, 0, row_weights=weights)
-    return eng.result(cfg.method, weight_net=ratio_net, skipped_wasserstein_steps=skipped)
+    _adapt(eng, target_sub, 0, row_weights=weights)
+    return eng.result(cfg.method, weight_net=ratio_net)
 
 
 def train_zsa(
@@ -475,7 +481,7 @@ def train_zsa(
     standardized = (source.features - train_stats.means) / train_stats.stds
     eng = _Engine(source, cfg, features=standardized)
     eng.run_erm_epochs(cfg.total_epochs)
-    target_sub = _subsample_target(target, cfg, eng.streams["subsample"])
+    target_sub = _subsample_target(target, cfg, eng.streams["subsample"], matching=False)
     adapted = fit_zscore(target_sub, source.feature_kinds)
     return eng.result("zsa", input_stats=adapted)
 

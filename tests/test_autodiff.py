@@ -11,12 +11,14 @@ from fairshift.autodiff import Tensor
 from fairshift.data import make_synthetic_asymmetric
 from fairshift.losses import (
     conditional_entropy,
+    constraint_penalty,
     cross_entropy_risk,
     transport_cost,
     wasserstein2,
     weighted_entropy_term,
 )
 from fairshift.nets import NetConfig, PredictorModel, WeightNetwork
+from fairshift.training import TrainConfig, train_ours
 
 
 def _numeric_grad(f, x, h=1e-6):
@@ -212,6 +214,39 @@ def test_conditional_entropy_vjp(rows, seed):
     _check_vjp(conditional_entropy, [p], seed)
 
 
+@settings(max_examples=60, deadline=None)
+@given(SHAPES, SEEDS)
+def test_weighted_entropy_vjp(rows, seed):
+    rng = np.random.default_rng(seed)
+    fw, h = rng.normal(scale=2.0, size=rows), rng.uniform(0.0, 0.7, rows)
+    _check_vjp(weighted_entropy_term, [fw, h], seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(SHAPES, SHAPES, st.floats(0.1, 5.0), st.floats(0.1, 5.0), SEEDS)
+def test_constraint_penalty_vjp(rows_t, rows_s, c1, c2, seed):
+    assume(c1 != c2)
+    rng = np.random.default_rng(seed)
+    ft, fs = rng.uniform(0.2, 3.0, rows_t), rng.uniform(0.2, 3.0, rows_s)
+    _check_vjp(lambda t, s: constraint_penalty(t, s, c1, c2), [ft, fs], seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(SHAPES, SHAPES, st.sampled_from(["sigmoid", "exp"]), st.booleans(), SEEDS)
+def test_column_head_vjp(rows, fan_in, head, past_clamp, seed):
+    # past_clamp scales the weights so that some outputs sit on the clamp
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(rows, fan_in))
+    w = rng.normal(scale=8.0 if past_clamp else 0.3, size=(fan_in, 1))
+    b = rng.normal(size=1)
+    lo, hi = (0.2, 0.8) if head == "sigmoid" else (-1.0, 1.0)
+    squash = ad.clamped_sigmoid if head == "sigmoid" else ad.clamped_exp
+    pre = (x @ w + b)[:, 0]
+    edges = 1.0 / (1.0 + np.exp(-pre)) if head == "sigmoid" else pre
+    assume(np.abs(edges - lo).min() > 1e-4 and np.abs(edges - hi).min() > 1e-4)
+    _check_vjp(lambda x, w, b: squash(ad.dense(x, w, b, column=True), lo, hi), [x, w, b], seed)
+
+
 def _unfused_cross_entropy(p, y, row_weights):
     per_row = -(Tensor(y) * ad.log(p) + Tensor(1.0 - y) * ad.log(1.0 - p))
     return (per_row if row_weights is None else Tensor(row_weights) * per_row).mean()
@@ -248,6 +283,94 @@ def test_fused_losses_equal_the_unfused_graph_bit_for_bit(weighted):
             np.testing.assert_array_equal(a.grad, b.grad)
 
 
+def _unfused_weighted_entropy(fw, h):
+    return (ad.exp(-fw) * h).mean()
+
+
+def _unfused_penalty(ft, fs, c1, c2):
+    d1 = ft.mean() - 1.0
+    d2 = (1.0 / fs).mean() - 1.0
+    return c1 * (d1 * d1) + c2 * (d2 * d2)
+
+
+@pytest.mark.parametrize("n_t,n_s", [(1, 1), (7, 3), (50, 256)])
+def test_ascent_nodes_equal_the_unfused_graph_bit_for_bit(n_t, n_s):
+    # the weight-net ascent loss: both nodes accumulate into one shared F_w
+    # on the target, the penalty first, as the unfused graph's order did
+    rng = np.random.default_rng(n_t + n_s)
+    for _ in range(20):
+        ftv, fsv = rng.uniform(0.05, 20.0, n_t), rng.uniform(0.05, 20.0, n_s)
+        hv = rng.uniform(0.0, 0.7, n_t)
+        c1, c2, lam = rng.uniform(0.1, 3.0, 3)
+        grads = []
+        for we_fn, penalty_fn in (
+            (weighted_entropy_term, constraint_penalty),
+            (_unfused_weighted_entropy, _unfused_penalty),
+        ):
+            leaf_t, fs, h = Tensor(ftv.copy()), Tensor(fsv.copy()), Tensor(hv.copy())
+            ft = leaf_t * 1.0  # a non-leaf, like the weight net's output
+            loss = penalty_fn(ft, fs, c1, c2) - lam * we_fn(ft, h)
+            loss.backward()
+            grads.append([float(loss), leaf_t.grad, fs.grad, h.grad])
+        (va, *ga), (vb, *gb) = grads
+        assert va == vb
+        for a, b in zip(ga, gb):
+            np.testing.assert_array_equal(a, b)
+
+
+def test_weight_zero_entropy_term_equals_the_plain_mean_bit_for_bit():
+    rng = np.random.default_rng(3)
+    for n in (1, 5, 50):
+        hv = rng.uniform(0.0, 0.7, n)
+        a, b = Tensor(hv.copy()), Tensor(hv.copy())
+        la, lb = weighted_entropy_term(0.0, a) * 0.3, b.mean() * 0.3
+        la.backward()
+        lb.backward()
+        assert float(la) == float(lb)
+        np.testing.assert_array_equal(a.grad, b.grad)
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_column_heads_equal_the_unfused_graph_bit_for_bit(masked):
+    rng = np.random.default_rng(11)
+    for rows, fan_in in ((1, 1), (9, 4), (256, 32)):
+        xv = rng.normal(size=(rows, fan_in))
+        wv, bv = rng.normal(scale=3.0, size=(fan_in, 1)), rng.normal(size=1)
+        mask = (rng.random((rows, fan_in)) >= 0.25) / 0.75 if masked else None
+        cot = rng.normal(size=rows)
+        for squash, lo, hi in ((ad.clamped_sigmoid, 1e-7, 1 - 1e-7), (ad.clamped_exp, -2, 2)):
+            results = []
+            for column in (True, False):
+                x, w, b = Tensor(xv.copy()), Tensor(wv.copy()), Tensor(bv.copy())
+                pre = ad.dense(x, w, b, mask=mask, column=column)
+                out = squash(pre if column else pre.sum(axis=1), lo, hi)
+                (out * Tensor(cot)).sum().backward()
+                results.append([out.value, x.grad, w.grad, b.grad])
+            for a, b in zip(*results):
+                np.testing.assert_array_equal(a, b)
+
+
+def test_training_never_writes_a_stored_gradient(monkeypatch):
+    # every gradient an accumulation stores is made read-only: an in-place
+    # write to one (by a later accumulation, a VJP or Adam) would raise
+    source, target = make_synthetic_asymmetric(seed=4, n_per_group=40)
+    cfg = TrainConfig(pretrain_epochs=0, adapt_epochs=1, m_cap=30, seed=2)
+    expected = train_ours(source, target, cfg).param_digests
+    real = Tensor._accumulate
+    stored = []
+
+    def frozen(self, grad):
+        real(self, grad)
+        if isinstance(self.grad, np.ndarray):
+            self.grad.flags.writeable = False
+            stored.append(self.grad)
+
+    monkeypatch.setattr(Tensor, "_accumulate", frozen)
+    model = train_ours(source, target, cfg)
+    assert len(stored) > 20
+    assert model.param_digests == expected
+
+
 # -- no reference cycles: a dropped graph is freed without the cyclic GC -----
 
 
@@ -280,6 +403,11 @@ NODES = {
     "clamped_exp": lambda: ad.clamped_exp(_leaf(), -1.0, 1.0).sum(),
     "cross_entropy": lambda: cross_entropy_risk(_leaf().sum(axis=1) * (1.0 / 3.0), [0, 1, 1, 0]),
     "entropy": lambda: conditional_entropy(_leaf()).sum(),
+    "weighted_entropy": lambda: weighted_entropy_term(_leaf() * 1.0, _leaf()),
+    "constraint_penalty": lambda: constraint_penalty(_leaf() * 1.0, _leaf(), 2.0, 0.5),
+    "dense_column": lambda: ad.dense(
+        _leaf(), Tensor(np.ones((3, 1))), Tensor(np.zeros(1)), column=True
+    ).sum(),
     "transport_cost": lambda: transport_cost(_leaf(), _leaf() * 2.0, np.eye(4) / 4.0),
 }
 

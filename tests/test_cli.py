@@ -1,10 +1,11 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from fairshift.cli import _load_trained, main
-from fairshift.data import make_synthetic_asymmetric_labeled, write_csv
+from fairshift.data import load_csv, make_synthetic_asymmetric_labeled, write_csv
 from fairshift.training import TrainConfig
 
 
@@ -84,6 +85,12 @@ def test_train_and_evaluate_round_trip(source_and_target_csv, tmp_path, capsys):
     )
     assert code == 0
     printed = capsys.readouterr().out.splitlines()
+    source = load_csv(source_path)
+    digest = hashlib.sha256(
+        source.features.astype(np.float64).tobytes() + source.labels.astype(np.int64).tobytes()
+    ).hexdigest()
+    assert json.loads((out / "checkpoint.json").read_text())["extra"]["train_data_sha256"] == digest
+    assert f"trained on data sha256={digest}" in printed
     assert printed[-2].startswith("method,seed,gamma,error_pct")
     fields = printed[-1].split(",")
     assert fields[0] == "ours"
@@ -93,12 +100,15 @@ def test_train_and_evaluate_round_trip(source_and_target_csv, tmp_path, capsys):
         pretrain_epochs=2, adapt_epochs=2, m_cap=30, lambda2=0.3, method="ours", seed=1
     )
     checkpoint = out / "checkpoint.json"
-    assert _load_trained(checkpoint).config == trained
+    assert _load_trained(checkpoint)[0].config == trained
     # a checkpoint written before the config was stored rebuilds the method only
     payload = json.loads(checkpoint.read_text())
     del payload["extra"]["config"]
+    del payload["extra"]["train_data_sha256"]
     checkpoint.write_text(json.dumps(payload))
-    assert _load_trained(checkpoint).config == TrainConfig(method="ours")
+    assert _load_trained(checkpoint)[0].config == TrainConfig(method="ours")
+    assert main(["evaluate", "--checkpoint", str(checkpoint), "--data", str(eval_path)]) == 0
+    assert "trained on data sha256=unrecorded" in capsys.readouterr().out.splitlines()
 
 
 def test_experiment_and_pareto_commands(tmp_path, capsys):

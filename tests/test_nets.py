@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fairshift import autodiff as ad
 from fairshift.nets import (
     PROB_CLAMP,
     AdamOptimizer,
@@ -57,6 +58,35 @@ def test_width_mismatch_raises():
     model = PredictorModel(CFG, seed=0)
     with pytest.raises(ValueError, match="width"):
         model.forward(np.zeros((3, 5)))
+    with pytest.raises(ValueError, match="width"):
+        model.representations(np.zeros((3, 5)))
+
+
+def test_representations_are_the_inference_forward_encoder_output():
+    model = PredictorModel(CFG, seed=8)
+    x = np.random.default_rng(9).normal(size=(11, 6))
+    np.testing.assert_array_equal(model.representations(x), model.forward(x)[0].value)
+
+
+def test_one_dropout_draw_equals_three_per_layer_draws():
+    # the forward pass as it was with one rng draw per dropout mask
+    model = PredictorModel(CFG, seed=12)
+    x = np.random.default_rng(13).normal(size=(9, 6))
+    rng = np.random.default_rng(14)
+    masks = [
+        (rng.random((9, width)) >= CFG.dropout_rate) / (1.0 - CFG.dropout_rate)
+        for width in (CFG.hidden_dim, CFG.rep_dim, CFG.clf_hidden_dim)
+    ]
+    h1 = ad.dense(x, model.w1, model.b1, relu=True)
+    rep = ad.dense(h1, model.w2, model.b2, relu=True, mask=masks[0])
+    h3 = ad.dense(rep, model.w3, model.b3, relu=True, mask=masks[1])
+    logits = ad.dense(h3, model.w4, model.b4, mask=masks[2]).sum(axis=1)
+    probs = ad.clamped_sigmoid(logits, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    fused_rng = np.random.default_rng(14)
+    rep_f, probs_f = model.forward(x, dropout_rng=fused_rng)
+    np.testing.assert_array_equal(rep_f.value, rep.value)
+    np.testing.assert_array_equal(probs_f.value, probs.value)
+    assert fused_rng.random() == rng.random()  # the streams stay in step
 
 
 def test_same_seed_same_model():
@@ -137,6 +167,16 @@ class TestAdam:
         with pytest.raises(FloatingPointError, match="non-finite"):
             opt.step(0)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_gradient_rejected(self, bad):
+        params = self._params()
+        opt = AdamOptimizer(params, total_steps=10)
+        g = np.zeros_like(params[0].value)
+        g[1, 2] = bad
+        params[0].grad = g
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            opt.step(0)
+
     def test_step_returns_the_pre_clip_norm(self):
         params = self._params()
         opt = AdamOptimizer(params, total_steps=10)
@@ -174,6 +214,25 @@ class TestAdam:
             for p, r in zip(params, ref):
                 np.testing.assert_array_equal(p.value, r)
                 assert p.grad is None
+
+    def test_values_bound_by_a_step_are_never_written_later(self):
+        model = PredictorModel(CFG, seed=6)
+        opt = AdamOptimizer(model.parameters, total_steps=5, weight_decay=1e-2)
+        rng = np.random.default_rng(7)
+        held = []
+        for step in range(4):
+            held.append([(p.value, p.value.copy()) for p in model.parameters])
+            if step == 2:  # an in-place edit of a bound value is honoured
+                model.w1.value += 1.0
+                expected_w1 = model.w1.value.copy()
+            for p in model.parameters:
+                p.grad = rng.normal(size=p.value.shape)
+            opt.step(step)
+        for values in held[:2] + held[3:]:
+            for value, copy in values:
+                np.testing.assert_array_equal(value, copy)
+        assert not np.array_equal(model.w1.value, expected_w1)
+        assert np.abs(model.w1.value - expected_w1).max() < 0.1
 
     def test_weight_decay_shrinks_parameters(self):
         params = self._params()

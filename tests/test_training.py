@@ -136,6 +136,62 @@ def test_final_digest_matches_the_recorded_trajectory(small_task, method):
     assert model.param_digests[-1] == GOLDEN_FINAL_DIGESTS[method]
 
 
+# every epoch of ``ours`` on QUICK, recorded before the ascent's entropy and
+# penalty were fused into single nodes: floats as float.hex, counts as is
+GOLDEN_OURS_HISTORY = {
+    "erm": (
+        "0x1.622aa000d9368p-1", "0x1.5b2871182a8a6p-1", "0x1.55c9a4f5f5d73p-1",
+        "0x1.56934539eb0dap-1", "0x1.53c647902874dp-1", "0x1.56017509862dap-1",
+        "0x1.585d228d164aap-1",
+    ),
+    "weighted_entropy": (
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.38a07988aa000p-5",
+        "0x1.3ee60d6242415p-5", "0x1.41c2fe53c95ecp-5", "0x1.42825502918bcp-5",
+    ),
+    "wasserstein": (
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.f160d505052aap+0",
+        "0x1.f0ad06e7b71b7p+0", "0x1.f01c5dbdea18cp+0", "0x1.efcebc671a2d8p+0",
+    ),
+    "c1_penalty": (
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.ef7ed7f46d942p+1",
+        "0x1.dcdc656c95b61p+1", "0x1.d292d653d324dp+1", "0x1.ce07cc481a8dfp+1",
+    ),
+    "c2_penalty": (
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.8fcd3ed75b5dbp-2",
+        "0x1.8a38b817d84a8p-2", "0x1.870ebb21f0783p-2", "0x1.85a49d1b026cdp-2",
+    ),
+    "total": (
+        "0x1.622aa000d9368p-1", "0x1.5b2871182a8a6p-1", "0x1.55c9a4f5f5d73p-1",
+        "0x1.4ed248ce67365p+1", "0x1.4dc7a490735f0p+1", "0x1.4e0f408711b52p+1",
+        "0x1.4e7fa7c5a07d4p+1",
+    ),
+    "coupling_solves": (0, 0, 0, 1, 0, 0, 0),
+    "coupling_reuses": (0, 0, 0, 0, 1, 1, 1),
+    "theta_grad_norm_max": (
+        "0x1.275de9bb70525p+0", "0x1.3f9280b4df43fp-1", "0x1.9165bcf86c319p-1",
+        "0x1.0260dbea75b51p+2", "0x1.0211c7b80bb59p+2", "0x1.01630e0372ab3p+2",
+        "0x1.01f81e8f80195p+2",
+    ),
+    "theta_clip_hits": (0, 0, 0, 0, 0, 0, 0),
+    "w_grad_norm_max": (
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.4c4ed2c76bc1ap+4",
+        "0x1.40e2ce8ad59a2p+4", "0x1.3a7ebd1a7813cp+4", "0x1.37ca599a697bfp+4",
+    ),
+    "w_clip_hits": (0, 0, 0, 1, 1, 1, 1),
+}
+
+
+def test_ours_history_matches_the_recorded_epoch_log(small_task):
+    source, target = small_task
+    history = [entry.to_dict() for entry in train_ours(source, target, QUICK).history]
+    for field, expected in GOLDEN_OURS_HISTORY.items():
+        logged = tuple(
+            entry[field].hex() if isinstance(expected[0], str) else entry[field]
+            for entry in history
+        )
+        assert logged == expected, field
+
+
 class TestErm:
     def test_linearly_separable_toy(self):
         rng = np.random.default_rng(0)
@@ -203,22 +259,26 @@ class TestOurs:
         with pytest.raises(ValueError, match="m_cap"):
             train_ours(source, target, replace(QUICK, m_cap=target.m + 1))
 
-    def test_group_starved_subsample_skips_matching(self, small_task, monkeypatch):
+    @staticmethod
+    def _starved_target(target):
+        # 100 group-0 points and one group-1 point: an m_cap=5 subsample of
+        # this seed's stream draws no group-1 point
+        idx = np.concatenate(
+            [np.flatnonzero(target.groups == 0)[:100], np.flatnonzero(target.groups == 1)[:1]]
+        )
+        return target.subset(np.sort(idx))
+
+    @pytest.mark.parametrize("method", ["ours", "unweighted_entropy", "kliep_iw"])
+    def test_group_starved_subsample_raises(self, small_task, method):
         source, target = small_task
-        import fairshift.training as training_module
+        cfg = replace(QUICK, method=method, m_cap=5)
+        with pytest.raises(ValueError, match="m_cap=5 target subsample has no group-1 point"):
+            train(source, self._starved_target(target), cfg)
 
-        def single_group(target_ds, cfg, rng):
-            idx = np.flatnonzero(target_ds.groups == 0)[: cfg.m_cap]
-            return target_ds.subset(idx)
-
-        monkeypatch.setattr(training_module, "_subsample_target", single_group)
-        cfg = replace(QUICK, lambda1=0.3, lambda2=0.5)
-        model = train_ours(source, target, cfg)
-        steps_per_epoch = -(-source.n // cfg.adapt_train_batch_size)
-        assert model.skipped_wasserstein_steps == cfg.adapt_epochs * steps_per_epoch
-        for entry in model.history[cfg.pretrain_epochs :]:
-            assert (entry.coupling_solves, entry.coupling_reuses) == (0, 0)
-            assert entry.wasserstein_skipped == steps_per_epoch
+    def test_group_starved_subsample_is_fine_without_matching(self, small_task):
+        source, target = small_task
+        model = train(source, self._starved_target(target), replace(QUICK, method="zsa", m_cap=5))
+        assert model.input_stats is not None
 
     @staticmethod
     def _unequal_target(target, sizes=(26, 24)):
@@ -254,10 +314,49 @@ class TestOurs:
         for entry in model.history[: cfg.pretrain_epochs]:
             assert entry.coupling_solves == entry.coupling_reuses == 0
         for entry in model.history[cfg.pretrain_epochs :]:
-            logged = entry.to_dict()
-            matched = logged["coupling_solves"] + logged["coupling_reuses"]
-            assert matched + logged["wasserstein_skipped"] == steps_per_epoch
+            assert entry.coupling_solves + entry.coupling_reuses == steps_per_epoch
         assert sum(e.coupling_solves for e in model.history) >= 1
+
+    def test_weight_statistics_match_a_hand_computation(self, small_task, monkeypatch):
+        source, target = small_task
+        import fairshift.training as training_module
+
+        real_penalty = training_module.constraint_penalty
+        seen = []  # (epoch-step order) F_w on the target and on the source batch
+
+        def recording_penalty(fw_t, fw_s, c1, c2):
+            seen.append((fw_t.value.copy(), fw_s.value.copy()))
+            return real_penalty(fw_t, fw_s, c1, c2)
+
+        monkeypatch.setattr(training_module, "constraint_penalty", recording_penalty)
+        cfg = replace(QUICK, adapt_train_batch_size=64)
+        model = train_ours(source, target, cfg)
+        steps = -(-source.n // cfg.adapt_train_batch_size)
+        assert len(seen) == cfg.adapt_epochs * steps
+        for entry in model.history[: cfg.pretrain_epochs]:
+            assert (entry.fw_target_mean, entry.fw_source_recip_mean) == (0.0, 0.0)
+            assert (entry.fw_min, entry.fw_max) == (0.0, 0.0)
+        for k, entry in enumerate(model.history[cfg.pretrain_epochs :]):
+            epoch = seen[k * steps : (k + 1) * steps]
+            both = np.concatenate([np.concatenate(pair) for pair in epoch])
+            assert entry.fw_target_mean == pytest.approx(
+                np.mean([t.mean() for t, _ in epoch]), rel=1e-12
+            )
+            assert entry.fw_source_recip_mean == pytest.approx(
+                np.mean([(1.0 / s).mean() for _, s in epoch]), rel=1e-12
+            )
+            assert (entry.fw_min, entry.fw_max) == (both.min(), both.max())
+            assert entry.c1_penalty == pytest.approx(
+                np.mean([(t.mean() - 1.0) ** 2 for t, _ in epoch]), rel=1e-12
+            )
+
+    def test_weight_statistics_are_zero_without_a_weight_net(self, small_task):
+        source, target = small_task
+        cfg = replace(QUICK, method="unweighted_entropy")
+        for entry in train_unweighted_entropy(source, target, cfg).history:
+            logged = entry.to_dict()
+            assert [logged[k] for k in ("fw_target_mean", "fw_source_recip_mean")] == [0.0, 0.0]
+            assert [logged[k] for k in ("fw_min", "fw_max")] == [0.0, 0.0]
 
     def test_clip_statistics_match_a_hand_count(self, small_task, monkeypatch):
         source, target = small_task
