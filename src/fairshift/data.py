@@ -29,10 +29,14 @@ def _freeze(arr):
     return arr
 
 
-def _check_binary(values, name):
+def _binary(values, name):
+    """``values`` as a frozen int64 array; checked before the cast, which
+    would truncate a 0.5 to 0."""
+    values = np.asarray(values)
     if not np.isin(values, (0.0, 1.0)).all():
         bad = values[~np.isin(values, (0.0, 1.0))][0]
         raise ValueError(f"{name} column must contain only 0 or 1, found {bad!r}")
+    return _freeze(values.astype(np.int64, copy=False))
 
 
 @dataclass(frozen=True)
@@ -46,19 +50,15 @@ class LabeledDataset:
 
     def __post_init__(self):
         features = _freeze(np.asarray(self.features, dtype=np.float64))
-        groups = _freeze(np.asarray(self.groups, dtype=np.int64))
-        labels = _freeze(np.asarray(self.labels, dtype=np.int64))
         object.__setattr__(self, "features", features)
-        object.__setattr__(self, "groups", groups)
-        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "feature_kinds", tuple(self.feature_kinds))
         n, d = features.shape if features.ndim == 2 else (0, 0)
         if n < 1 or d < 1:
             raise ValueError(f"need a non-empty 2-D feature matrix, got {features.shape}")
-        if len(groups) != n or len(labels) != n:
+        if len(self.groups) != n or len(self.labels) != n:
             raise ValueError("features, groups and labels must share length")
-        _check_binary(groups, "group")
-        _check_binary(labels, "label")
+        object.__setattr__(self, "groups", _binary(self.groups, "group"))
+        object.__setattr__(self, "labels", _binary(self.labels, "label"))
         if len(self.feature_kinds) != d:
             raise ValueError("feature_kinds length must equal feature count")
 
@@ -89,14 +89,12 @@ class UnlabeledDataset:
 
     def __post_init__(self):
         features = _freeze(np.asarray(self.features, dtype=np.float64))
-        groups = _freeze(np.asarray(self.groups, dtype=np.int64))
         object.__setattr__(self, "features", features)
-        object.__setattr__(self, "groups", groups)
         if features.ndim != 2 or features.shape[0] < 2:
             raise ValueError("unlabeled dataset needs at least 2 rows")
-        if len(groups) != features.shape[0]:
+        if len(self.groups) != features.shape[0]:
             raise ValueError("features and groups must share length")
-        _check_binary(groups, "group")
+        object.__setattr__(self, "groups", _binary(self.groups, "group"))
 
     @property
     def m(self):
@@ -191,26 +189,23 @@ def _sidecar_kinds(path):
         return json.load(fh)
 
 
-def load_csv(path, group_col="group", label_col="label", kind_overrides=None) -> LabeledDataset:
+def load_csv(path, kind_overrides=None) -> LabeledDataset:
     """Load a labeled CSV; ``kind_overrides`` maps column name to kind.
 
     A sidecar ``<path>.kinds.json`` provides the same overrides from disk;
     explicit arguments win over the sidecar.
     """
     header, matrix = _read_rows(path)
-    names, features, (groups, labels) = _split_columns(header, matrix, [group_col, label_col])
-    _check_binary(groups, group_col)
-    _check_binary(labels, label_col)
+    names, features, (groups, labels) = _split_columns(header, matrix, ["group", "label"])
     merged = {**_sidecar_kinds(path), **(kind_overrides or {})}
     overrides = {names.index(c): k for c, k in merged.items()}
     kinds = infer_feature_kinds(features, overrides)
     return LabeledDataset(features, groups, labels, kinds)
 
 
-def load_unlabeled_csv(path, group_col="group") -> UnlabeledDataset:
+def load_unlabeled_csv(path) -> UnlabeledDataset:
     header, matrix = _read_rows(path)
-    _, features, (groups,) = _split_columns(header, matrix, [group_col])
-    _check_binary(groups, group_col)
+    _, features, (groups,) = _split_columns(header, matrix, ["group"])
     return UnlabeledDataset(features, groups)
 
 

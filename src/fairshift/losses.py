@@ -8,11 +8,10 @@ tape node each, whose vector-Jacobian product repeats the operations of
 the unfused operator graph in its order, so fusing changes no bit.  All
 logarithms are natural.
 
-The Wasserstein-2 distance is computed from an exact optimal coupling: a
-linear assignment when the point clouds have equal size, a network
-simplex on integer flows otherwise, whose plan entries are exact
-multiples of ``1 / lcm(na, nb)``.  Gradients flow through the pairwise
-costs with the optimal plan held fixed.
+The Wasserstein-2 distance is computed from an exact optimal coupling,
+found by a network simplex on integer flows for clouds of any sizes, so
+plan entries are exact multiples of ``1 / lcm(na, nb)``.  Gradients flow
+through the pairwise costs with the optimal plan held fixed.
 
 Across the steps of a training run the optimal basis rarely changes, so
 :class:`PlanCache` keeps the last simplex basis and :func:`wasserstein2`
@@ -28,7 +27,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import autodiff as ad
 from .autodiff import Tensor, as_tensor
@@ -195,20 +193,36 @@ def lsif_loss(s_test, s_train) -> Tensor:
 class CouplingPlan:
     """Optimal transport plan between two uniform empirical measures.
 
-    Between unequal clouds ``basis`` is the simplex's final tree, a warm
-    start for the next solve at the same sizes, reached after ``pivots``.
+    ``basis`` is the simplex's final tree, a warm start for the next
+    solve at the same sizes, reached after ``pivots``.
     """
 
     plan: np.ndarray
-    basis: tuple | None = None
-    pivots: int = 0
+    basis: tuple
+    pivots: int
+
+
+def _clouds(points_a, points_b):
+    """Two point clouds as float64 ``[count, dim]`` arrays of one ``dim``."""
+    a = np.asarray(points_a, dtype=np.float64)
+    b = np.asarray(points_b, dtype=np.float64)
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
+        raise ValueError(
+            "point clouds must be 2-D [count, dim] with one dim, "
+            f"got shapes {a.shape} and {b.shape}"
+        )
+    if len(a) == 0 or len(b) == 0:
+        raise ValueError("cannot transport to or from an empty point set")
+    return a, b
 
 
 def _pairwise_sq_dists(a, b):
     # direct differences: exactly zero for coincident points, unlike the
-    # a^2 + b^2 - 2ab expansion
-    diff = a[:, None, :] - b[None, :, :]
-    return np.multiply(diff, diff, out=diff).sum(axis=2)
+    # a^2 + b^2 - 2ab expansion; a non-finite result is left for
+    # solve_coupling to reject
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = a[:, None, :] - b[None, :, :]
+        return np.multiply(diff, diff, out=diff).sum(axis=2)
 
 
 def _transport_simplex(cost, basis=None):
@@ -292,29 +306,21 @@ def _transport_simplex(cost, basis=None):
 def solve_coupling(points_a, points_b, cost=None, basis=None) -> CouplingPlan:
     """Exact optimal coupling for squared-Euclidean cost, uniform weights.
 
-    Equal sizes use the assignment fast path (an optimal plan is a
-    permutation by Birkhoff's theorem); unequal sizes run the network
-    simplex in integer units, so plan entries are exact multiples of
-    ``1 / lcm(na, nb)``.  ``cost`` is the pairwise squared-distance
-    matrix, if already known.  An earlier plan's ``basis`` at the same
-    sizes starts the simplex; while it stays optimal, no pivot is taken.
+    Runs the network simplex in integer units, so plan entries are exact
+    multiples of ``1 / lcm(na, nb)``; between equal clouds the plan is a
+    permutation.  ``cost`` is the pairwise squared-distance matrix, if
+    already known.  An earlier plan's ``basis`` at the same sizes starts
+    the simplex; while it stays optimal, no pivot is taken.  A non-finite
+    cost raises ``ValueError``: the simplex cannot price a NaN or an inf.
     """
-    a = np.asarray(points_a, dtype=np.float64)
-    b = np.asarray(points_b, dtype=np.float64)
-    if a.ndim == 1:
-        a = a[:, None]
-    if b.ndim == 1:
-        b = b[:, None]
-    if len(a) == 0 or len(b) == 0:
-        raise ValueError("cannot transport to or from an empty point set")
-    na, nb = len(a), len(b)
+    a, b = _clouds(points_a, points_b)
     if cost is None:
         cost = _pairwise_sq_dists(a, b)
-    if na == nb:
-        rows, cols = linear_sum_assignment(cost)
-        plan = np.zeros_like(cost)
-        plan[rows, cols] = 1.0 / na
-        return CouplingPlan(plan)
+    if not np.isfinite(cost).all():
+        raise ValueError(
+            "transport costs must be finite: a point is NaN or inf, "
+            "or a squared distance overflows"
+        )
     return _transport_simplex(cost, basis)
 
 
@@ -323,7 +329,8 @@ class PlanCache:
     """The last simplex basis of a sequence of :func:`wasserstein2` calls.
 
     A step whose cached basis is still optimal counts as a reuse; a cold
-    start or a step that pivots counts as a solve.
+    start, including one after the cloud sizes change, or a step that
+    pivots counts as a solve.
     """
 
     basis: tuple | None = None
@@ -359,18 +366,19 @@ def wasserstein2(points_a, points_b, cache: PlanCache | None = None) -> Tensor:
 
     Differentiable in the points: the optimal plan is constant almost
     everywhere, so the gradient flows through the pairwise costs only.
-    With a ``cache``, the simplex between unequal clouds starts from the
-    last optimal basis, which most steps of a training run keep.
+    With a ``cache``, the simplex starts from the last optimal basis,
+    which most steps of a training run keep.  Both clouds must be 2-D
+    ``[count, dim]`` with one ``dim`` and finite, or ``ValueError`` is
+    raised.
     """
     a = as_tensor(points_a)
     b = as_tensor(points_b)
-    if a.value.ndim == 1:
-        raise ValueError("points must be 2-D [count, dim]")
+    _clouds(a.value, b.value)
     cost = _pairwise_sq_dists(a.value, b.value)
     warm = None if cache is None else cache.basis
     coupling = solve_coupling(a.value, b.value, cost, warm)
     if cache is not None:
-        if coupling.pivots == 0 and warm is not None and coupling.basis == warm:
+        if coupling.pivots == 0 and coupling.basis == warm:
             cache.reuses += 1
         else:
             cache.solves += 1

@@ -217,12 +217,14 @@ class AdamOptimizer:
             else:
                 np.copyto(part, p.grad)
         # squares summed per parameter, then over parameters: this order
-        # fixes the last bits of the norm, and so of every trajectory
-        np.multiply(g, g, out=a)
-        norm = math.sqrt(sum(float(part.sum()) for part in self._a_parts))
-        # a finite sum of squares has finite terms; only look when it is not
-        if not math.isfinite(norm) and not np.isfinite(g).all():
-            raise FloatingPointError("non-finite gradient entries")
+        # fixes the last bits of the norm, and so of every trajectory.  A
+        # finite gradient whose squares overflow has an infinite norm, and
+        # clipping by it would zero the step
+        with np.errstate(over="ignore"):
+            np.multiply(g, g, out=a)
+            norm = math.sqrt(sum(float(part.sum()) for part in self._a_parts))
+        if not math.isfinite(norm):
+            raise FloatingPointError("non-finite gradient norm")
         if norm > GRAD_CLIP_NORM:
             np.multiply(g, GRAD_CLIP_NORM / norm, out=g)
         lr = cosine_lr(step_index, self.total_steps, self.base_lr)

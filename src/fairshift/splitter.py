@@ -102,6 +102,11 @@ def _tilt(projection, gamma, percentile):
 
 
 def _partition_counts(n, cfg):
+    if n < 3:
+        raise ValueError(
+            f"splitting needs at least 3 rows (in each group, if asymmetric) to fill "
+            f"train, validation and test, got {n}"
+        )
     n_test = int(round(cfg.test_fraction * n))
     n_test = min(max(n_test, 1), n - 2)
     remaining = n - n_test

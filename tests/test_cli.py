@@ -1,9 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fairshift
 from fairshift.cli import _load_trained, main
 from fairshift.data import load_csv, make_synthetic_asymmetric_labeled, write_csv
 from fairshift.training import TrainConfig
@@ -223,3 +227,16 @@ def test_variance_study_rejects_unknown_key(tmp_path, capsys):
     code = main(["variance-study", "--config", str(cfg), "--out", str(tmp_path / "var_out")])
     assert code == 1
     assert "gamas" in capsys.readouterr().err
+
+
+def test_importing_the_package_loads_no_scipy():
+    code = (
+        "import sys, fairshift, fairshift.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = os.path.dirname(os.path.dirname(fairshift.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -56,6 +56,17 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="label"):
             load_csv(path)
 
+    # 0.5 would pass a check made after the cast to int
+    @pytest.mark.parametrize("cell", ["2", "0.5"])
+    def test_group_outside_binary_rejected(self, tmp_path, cell):
+        message = "group column must contain only 0 or 1"
+        path = _write(tmp_path, f"f0,group,label\n1.0,{cell},0\n2.0,1,1\n")
+        with pytest.raises(ValueError, match=message):
+            load_csv(path)
+        path = _write(tmp_path, f"f0,group\n1.0,{cell}\n2.0,1\n", "target.csv")
+        with pytest.raises(ValueError, match=message):
+            load_unlabeled_csv(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_csv(tmp_path / "absent.csv")

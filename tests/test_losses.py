@@ -1,5 +1,7 @@
 import itertools
 import math
+import signal
+import warnings
 
 import numpy as np
 import pytest
@@ -276,7 +278,7 @@ class TestTransportCost:
         expected = (plan * _pairwise_sq_dists(a, b)).sum()
         assert transport_cost(a, b, plan).value == expected
 
-    # equal sizes take the assignment path, unequal sizes the LP path
+    # a permutation plan and a plan that splits mass
     @pytest.mark.parametrize("na,nb", [(6, 6), (7, 4)])
     def test_w2_gradient_matches_finite_differences(self, na, nb):
         rng = np.random.default_rng(7)
@@ -325,7 +327,8 @@ class TestPlanCertificate:
         rng = np.random.default_rng(9)
         a, b = rng.normal(size=(6, 2)), rng.normal(size=(6, 2))
         cost = _pairwise_sq_dists(a, b)
-        plan = solve_coupling(a, b).plan
+        plan = np.zeros_like(cost)
+        plan[linear_sum_assignment(cost)] = 1 / 6
         simplex = _transport_simplex(cost)
         assert simplex.pivots > 0
         np.testing.assert_array_equal(simplex.plan, plan)
@@ -395,13 +398,52 @@ class TestPlanCertificate:
         wasserstein2(nudged[::-1], b, cache)
         assert (cache.solves, cache.reuses) == (2, 1)
 
-    def test_equal_clouds_are_always_solved(self):
+    def test_equal_clouds_reuse_the_basis(self):
         rng = np.random.default_rng(13)
         a, b = rng.normal(size=(5, 2)), rng.normal(size=(5, 2))
         cache = PlanCache()
         for _ in range(3):
             wasserstein2(a, b, cache)
-        assert (cache.solves, cache.reuses) == (3, 0)
+        assert (cache.solves, cache.reuses) == (1, 2)
+
+
+def _cloud_with(value, n):
+    cloud = np.random.default_rng(15).normal(size=(n, 2))
+    cloud[1, 0] = value
+    return cloud
+
+
+@pytest.mark.parametrize(
+    "a,b,message",
+    [
+        (np.zeros((3, 2)), np.zeros(4), "shapes"),
+        (np.zeros(3), np.zeros((3, 2)), "shapes"),
+        (np.zeros((3, 2)), np.zeros((4, 3)), "shapes"),
+        (np.zeros((3, 2)), np.zeros((3, 3)), "shapes"),
+        (_cloud_with(np.nan, 3), np.zeros((3, 2)), "finite"),
+        (_cloud_with(np.nan, 3), np.zeros((4, 2)), "finite"),
+        (np.zeros((3, 2)), _cloud_with(np.inf, 3), "finite"),
+        (np.zeros((3, 2)), _cloud_with(-np.inf, 4), "finite"),
+        # finite points whose squared distances overflow
+        (_cloud_with(1e200, 3), np.zeros((3, 2)), "finite"),
+        (_cloud_with(1e200, 3), np.zeros((4, 2)), "finite"),
+    ],
+)
+def test_bad_clouds_raise_one_value_error(a, b, message):
+    # a NaN cost would send the simplex round forever: bound the wait
+    def give_up(signum, frame):
+        raise TimeoutError("wasserstein2 did not return")
+
+    previous = signal.signal(signal.SIGALRM, give_up)
+    signal.alarm(10)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                wasserstein2(a, b, PlanCache())
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestRiskBoundGap:

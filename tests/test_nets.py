@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -176,6 +177,18 @@ class TestAdam:
         params[0].grad = g
         with pytest.raises(FloatingPointError, match="non-finite"):
             opt.step(0)
+
+    def test_gradient_whose_squares_overflow_rejected(self):
+        # finite entries, infinite norm: clipping by it would zero the step
+        params = self._params()
+        before = params[0].value.copy()
+        opt = AdamOptimizer(params, total_steps=10)
+        params[0].grad = np.full_like(before, 1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match="non-finite"):
+                opt.step(0)
+        np.testing.assert_array_equal(params[0].value, before)
 
     def test_step_returns_the_pre_clip_norm(self):
         params = self._params()

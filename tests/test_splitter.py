@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairshift.data import CONTINUOUS, LabeledDataset
 from fairshift.splitter import (
@@ -185,3 +187,46 @@ class TestShiftConfigValidation:
     def test_percentile_bounds(self):
         with pytest.raises(ValueError):
             ShiftConfig(percentile=100.0)
+
+
+FRACTIONS = st.floats(0.01, 0.99)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(
+    st.integers(3, 40),
+    st.integers(0, 40),
+    FRACTIONS,
+    FRACTIONS,
+    st.sampled_from([None, 0, 1]),
+    st.integers(0, 2**32 - 1),
+)
+def test_split_parts_partition_the_rows(n0, n1, test_fraction, val_fraction, group, seed):
+    # asymmetric mode splits each group on its own, so each needs 3 rows
+    if group is not None:
+        n1 += 3
+    groups = np.repeat([0, 1], [n0, n1])
+    pool = _dataset(np.random.default_rng(seed).normal(size=(n0 + n1, 2)), groups)
+    cfg = ShiftConfig(
+        gamma=2.0,
+        test_fraction=test_fraction,
+        val_fraction_of_train=val_fraction,
+        asymmetric_group=group,
+        seed=seed,
+    )
+    result = split(pool, cfg)
+    parts = (result.train_idx, result.val_idx, result.test_idx)
+    merged = np.concatenate(parts)
+    np.testing.assert_array_equal(np.sort(merged), np.arange(pool.n))
+    assert min(map(len, parts)) >= 1
+    if group is not None:
+        for g in (0, 1):
+            assert all((pool.groups[part] == g).any() for part in parts)
+
+
+@pytest.mark.parametrize("sizes,group", [((2, 0), None), ((5, 1), 1), ((4, 2), 1), ((2, 5), 1)])
+def test_too_few_rows_to_split_rejected(sizes, group):
+    groups = np.repeat([0, 1], sizes)
+    pool = _dataset(np.random.default_rng(0).normal(size=(sum(sizes), 2)), groups)
+    with pytest.raises(ValueError, match="at least 3 rows"):
+        split(pool, ShiftConfig(gamma=1.0, asymmetric_group=group))

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -95,3 +96,18 @@ def test_reuse_after_a_move_costs_the_optimum(a, b, data):
     best = float((_oracle_plan(cost) * cost).sum())
     assert cache.solves + cache.reuses == 2
     assert _same_cost(w2 * w2, best, cost)
+
+
+@pytest.mark.parametrize("n", [6, 25])
+def test_equal_clouds_with_coincident_rows_match_the_oracle(n):
+    # ReLU features: all-dead rows and repeated rows coincide, so many costs tie
+    rng = np.random.default_rng(n)
+    a = np.maximum(rng.normal(size=(n, 8)), 0.0)
+    b = np.maximum(rng.normal(size=(n, 8)) + 0.3, 0.0)
+    a[: n // 3] = 0.0
+    b[1::3] = b[0]
+    cost = _pairwise_sq_dists(a, b)
+    plan = solve_coupling(a, b, cost).plan
+    assert _same_cost((plan * cost).sum(), (_oracle_plan(cost) * cost).sum(), cost)
+    np.testing.assert_array_equal(plan.sum(axis=1), np.full(n, 1.0 / n))
+    np.testing.assert_array_equal(plan.sum(axis=0), np.full(n, 1.0 / n))
