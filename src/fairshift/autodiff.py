@@ -13,11 +13,12 @@ product, bias, ReLU and dropout mask (a one-output last layer returns its
 column), and :func:`clamped_sigmoid` and :func:`clamped_exp` squash and
 clamp in one node, each with a closed-form vector-Jacobian product that
 repeats the unfused graph's operations in the same order, so fusing
-changes no bit of a gradient.  The losses fuse the same way (see
-:mod:`fairshift.losses`); the ``Tensor`` operators remain for the terms
-that combine them.  No backward closure holds its own output ``Tensor``:
-it captures the value array instead, so a dropped graph is freed at once,
-without the cyclic GC.  No gradient is ever written in place, so a node
+changes no bit of a gradient.  The losses, W2 included, fuse the same
+way (see :mod:`fairshift.losses`); the ``Tensor`` operators, :func:`exp`,
+:func:`log` and :func:`take_rows` remain for the terms that combine
+them.  No backward closure holds its own output ``Tensor``: it captures
+the value array instead, so a dropped graph is freed at once, without
+the cyclic GC.  No gradient is ever written in place, so a node
 stores the first gradient it receives as is, without a copy; it may be a
 read-only broadcast view.
 """
@@ -36,7 +37,6 @@ __all__ = [
     "dense",
     "exp",
     "log",
-    "sqrt",
     "take_rows",
 ]
 
@@ -194,20 +194,6 @@ def log(t) -> Tensor:
     t = as_tensor(t)
     out = Tensor(np.log(t.value), (t,))
     out._backward_fn = lambda g: t._accumulate(g / t.value)
-    return out
-
-
-def sqrt(t) -> Tensor:
-    t = as_tensor(t)
-    value = np.sqrt(t.value)
-    out = Tensor(value, (t,))
-
-    def backward_fn(g):
-        # subgradient 0 at the origin; W2 between identical clouds hits this
-        safe = np.where(value > 0.0, value, 1.0)
-        t._accumulate(np.where(value > 0.0, 0.5 * g / safe, 0.0))
-
-    out._backward_fn = backward_fn
     return out
 
 

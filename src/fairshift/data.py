@@ -35,7 +35,7 @@ def _binary(values, name):
     values = np.asarray(values)
     if not np.isin(values, (0.0, 1.0)).all():
         bad = values[~np.isin(values, (0.0, 1.0))][0]
-        raise ValueError(f"{name} column must contain only 0 or 1, found {bad!r}")
+        raise ValueError(f"{name} column must contain only 0 or 1, found {bad.item()}")
     return _freeze(values.astype(np.int64, copy=False))
 
 

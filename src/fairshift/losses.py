@@ -3,15 +3,15 @@
 Every loss accepts plain arrays or autodiff tensors and returns an
 autodiff tensor, so the same formula serves both evaluation
 (``float(loss)``) and gradient-based training.  The risk, the entropy,
-the damped entropy, the constraint penalty and the transport cost are one
-tape node each, whose vector-Jacobian product repeats the operations of
-the unfused operator graph in its order, so fusing changes no bit.  All
+the damped entropy, the constraint penalty and W2 are one tape node
+each, whose vector-Jacobian product repeats the operations of the
+unfused operator graph in its order, so fusing changes no bit.  All
 logarithms are natural.
 
-The Wasserstein-2 distance is computed from an exact optimal coupling,
-found by a network simplex on integer flows for clouds of any sizes, so
-plan entries are exact multiples of ``1 / lcm(na, nb)``.  Gradients flow
-through the pairwise costs with the optimal plan held fixed.
+The Wasserstein-2 distance is ``sqrt(<P, C>)`` for an exact optimal
+coupling ``P``, found by a network simplex on integer flows for clouds
+of any sizes, so plan entries are exact multiples of ``1 / lcm(na, nb)``.
+Gradients flow through the pairwise costs ``C`` with the plan held fixed.
 
 Across the steps of a training run the optimal basis rarely changes, so
 :class:`PlanCache` keeps the last simplex basis and :func:`wasserstein2`
@@ -24,7 +24,7 @@ the optimum is unique.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -61,6 +61,8 @@ class LossBreakdown:
     fw_source_recip_mean: float = 0.0
     fw_min: float = 0.0
     fw_max: float = 0.0
+    # wall time of the epoch; two runs of one seed differ here only
+    epoch_s: float = field(default=0.0, compare=False)
 
     def to_dict(self):
         return asdict(self)
@@ -338,38 +340,19 @@ class PlanCache:
     reuses: int = 0
 
 
-def transport_cost(points_a, points_b, plan, cost=None) -> Tensor:
-    """Cost ``sum_ij P_ij |a_i - b_j|^2`` of a fixed plan, as one tape node.
-
-    The value is computed from direct differences (or the given pairwise
-    ``cost`` matrix), so it is exactly zero for coincident clouds.  The
-    vector-Jacobian product is the closed form ``2g (diag(P 1) a - P b)``
-    for ``a`` and ``2g (diag(P^T 1) b - P^T a)`` for ``b``.
-    """
-    a = as_tensor(points_a)
-    b = as_tensor(points_b)
-    plan = np.asarray(plan, dtype=np.float64)
-    if cost is None:
-        cost = _pairwise_sq_dists(a.value, b.value)
-    out = Tensor((plan * cost).sum(), (a, b))
-
-    def backward_fn(g):
-        a._accumulate(2.0 * g * (plan.sum(axis=1)[:, None] * a.value - plan @ b.value))
-        b._accumulate(2.0 * g * (plan.sum(axis=0)[:, None] * b.value - plan.T @ a.value))
-
-    out._backward_fn = backward_fn
-    return out
-
-
 def wasserstein2(points_a, points_b, cache: PlanCache | None = None) -> Tensor:
     """Exact W2 between uniform empirical measures on two point clouds.
 
-    Differentiable in the points: the optimal plan is constant almost
-    everywhere, so the gradient flows through the pairwise costs only.
-    With a ``cache``, the simplex starts from the last optimal basis,
-    which most steps of a training run keep.  Both clouds must be 2-D
-    ``[count, dim]`` with one ``dim`` and finite, or ``ValueError`` is
-    raised.
+    One tape node with value ``sqrt(<P, C>)``, ``P`` the optimal plan and
+    ``C`` the pairwise squared distances from direct differences, so W2 is
+    exactly zero between coincident clouds.  The plan is constant almost
+    everywhere, so the gradient flows through the costs only: the VJP
+    scales ``g`` by the sqrt's derivative ``0.5 / W2`` (subgradient 0 at
+    0), then applies ``2r (diag(P 1) a - P b)`` to ``a`` and
+    ``2r (diag(P^T 1) b - P^T a)`` to ``b``.  With a ``cache``, the
+    simplex starts from the last optimal basis, which most steps of a
+    training run keep.  Both clouds must be 2-D ``[count, dim]`` with one
+    ``dim`` and finite, or ``ValueError`` is raised.
     """
     a = as_tensor(points_a)
     b = as_tensor(points_b)
@@ -383,7 +366,20 @@ def wasserstein2(points_a, points_b, cache: PlanCache | None = None) -> Tensor:
         else:
             cache.solves += 1
         cache.basis = coupling.basis
-    return ad.sqrt(transport_cost(a, b, coupling.plan, cost))
+    plan = coupling.plan
+    value = np.sqrt((plan * cost).sum())
+    out = Tensor(value, (a, b))
+
+    def backward_fn(g):
+        # the sqrt's derivative, with subgradient 0 at the origin, which W2
+        # between coincident clouds hits
+        safe = np.where(value > 0.0, value, 1.0)
+        r = np.where(value > 0.0, 0.5 * g / safe, 0.0)
+        a._accumulate(2.0 * r * (plan.sum(axis=1)[:, None] * a.value - plan @ b.value))
+        b._accumulate(2.0 * r * (plan.sum(axis=0)[:, None] * b.value - plan.T @ a.value))
+
+    out._backward_fn = backward_fn
+    return out
 
 
 def risk_bound_gap(source_risk, weighted_entropy, epsilon, test_risk) -> float:

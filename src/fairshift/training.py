@@ -7,18 +7,24 @@ share a seed consume identical randomness on the classifier path.  In
 particular ``train_ours`` with both regularizers at zero reproduces the
 ``train_erm`` parameter trajectory bit for bit.
 
-All trainers run ``pretrain_epochs + adapt_epochs`` epochs over the
-source data, using ``batch_size`` during the first stage and the larger
-``adapt_train_batch_size`` during the second (the larger batches keep the
-Monte-Carlo estimate of the reciprocal-mean constraint low-variance).
-``ours`` and ``unweighted_entropy`` minimize the source risk alone during
-the first stage; the importance-weighting baselines apply the matching
-term from epoch 0.
+Every trainer is the paper's one objective with some terms switched
+off, and runs the one epoch loop of :func:`_train`: source risk, plus the
+``exp(-F_w)``-damped target entropy, plus exact W2 between the target
+representation's two group clouds.  It runs ``pretrain_epochs +
+adapt_epochs`` epochs over the source data, using ``batch_size`` during
+the first stage and the larger ``adapt_train_batch_size`` during the
+second (the larger batches keep the Monte-Carlo estimate of the
+reciprocal-mean constraint low-variance).  ``ours`` and
+``unweighted_entropy`` minimize the source risk alone during the first
+stage; the importance-weighting baselines apply the matching term from
+epoch 0; ``erm`` and ``zsa`` never adapt.  Epochs that do not adapt run
+no target pass, no ascent and no matching.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -163,84 +169,6 @@ def _check_finite(value, epoch, what):
         raise RuntimeError(f"non-finite {what} at epoch {epoch}: {value!r}")
 
 
-class _Engine:
-    """Shared state for one training run."""
-
-    def __init__(self, source: LabeledDataset, cfg: TrainConfig, features=None):
-        self.cfg = cfg
-        self.source = source
-        self.features = source.features if features is None else features
-        self.labels = source.labels.astype(np.float64)
-        self.streams = _streams(cfg.seed)
-        self.model = PredictorModel(cfg.net_config(source.d), self.streams["predictor"])
-        self.total_steps = _total_steps(cfg, source.n)
-        self.opt = AdamOptimizer(
-            self.model.parameters,
-            self.total_steps,
-            base_lr=cfg.learning_rate,
-            weight_decay=cfg.weight_decay,
-        )
-        self.step = 0
-        self.theta_norms = []  # pre-clip gradient norms of this epoch's steps
-        self.history = []
-        self.digests = []
-
-    def epoch_perm(self):
-        return self.streams["batches"].permutation(self.source.n)
-
-    def erm_loss(self, batch_idx, row_weights=None):
-        _, probs = self.model.forward(
-            self.features[batch_idx], dropout_rng=self.streams["dropout"]
-        )
-        weights = None if row_weights is None else row_weights[batch_idx]
-        return cross_entropy_risk(probs, self.labels[batch_idx], weights)
-
-    def theta_update(self, loss):
-        loss.backward()
-        self.theta_norms.append(self.opt.step(self.step))
-        self.step += 1
-
-    def finish_epoch(self, epoch, w_norms=(), **terms):
-        """Log one epoch: its loss ``terms`` plus the gradient-clip statistics."""
-        theta_max, theta_hits = _clip_stats(self.theta_norms)
-        w_max, w_hits = _clip_stats(w_norms)
-        self.theta_norms = []
-        breakdown = LossBreakdown(
-            **terms,
-            theta_grad_norm_max=theta_max,
-            theta_clip_hits=theta_hits,
-            w_grad_norm_max=w_max,
-            w_clip_hits=w_hits,
-        )
-        _check_finite(breakdown.total, epoch, "loss")
-        self.history.append(breakdown)
-        self.digests.append(parameter_digest(self.model.parameters))
-
-    def run_erm_epochs(self, epochs):
-        """Plain empirical-risk epochs from the start of the schedule."""
-        sizes = _epoch_batch_sizes(self.cfg)
-        for epoch in range(epochs):
-            total = 0.0
-            perm = self.epoch_perm()
-            for batch_idx in _batches(perm, sizes[epoch]):
-                zero_grads(self.model.parameters)
-                loss = self.erm_loss(batch_idx)
-                self.theta_update(loss)
-                total += float(loss) * len(batch_idx)
-            erm = total / self.source.n
-            self.finish_epoch(epoch, erm=erm, total=erm)
-
-    def result(self, method, **extra) -> TrainedModel:
-        return TrainedModel(
-            method=method,
-            predictor=self.model,
-            config=self.cfg,
-            history=self.history,
-            param_digests=self.digests,
-            **extra,
-        )
-
-
 def _subsample_target(target: UnlabeledDataset, cfg, rng, matching=True) -> UnlabeledDataset:
     """The run's ``m_cap`` target points, drawn once.
 
@@ -263,61 +191,80 @@ def _subsample_target(target: UnlabeledDataset, cfg, rng, matching=True) -> Unla
     return sample
 
 
-def train_erm(source: LabeledDataset, cfg: TrainConfig) -> TrainedModel:
-    """Cross-entropy minimization only; the reference trajectory."""
-    eng = _Engine(source, cfg)
-    eng.run_erm_epochs(cfg.total_epochs)
-    return eng.result("erm")
+def _train(
+    method,
+    source: LabeledDataset,
+    cfg: TrainConfig,
+    streams,
+    features=None,
+    target_sample=None,
+    adapt_from=0,
+    entropy=None,
+    row_weights=None,
+) -> TrainedModel:
+    """The one epoch loop: source risk, then target entropy and matching.
 
-
-def _adapt(eng: _Engine, target_sample, first_epoch, entropy=None, row_weights=None):
-    """Epochs ``first_epoch..total_epochs`` of risk + entropy + matching.
-
-    ``entropy`` picks the target-entropy term: ``"learned"`` trains a
-    weight network by ascent and damps each target point by
+    Every epoch descends the source risk, weighted per row by
+    ``row_weights`` if given, on ``features`` (the source features by
+    default).  With a ``target_sample``, epochs from ``adapt_from`` on
+    adapt too.  ``entropy`` picks the target-entropy term: ``"learned"``
+    trains a weight network by ascent and damps each target point by
     ``exp(-F_w)``, ``"uniform"`` weights every point 1, ``None`` drops the
-    term.  ``row_weights`` (one per source row) weight the source risk.
-    Each step runs one target forward pass; the ascent reads its values
-    as constants, so its backward pass never reaches the classifier graph.
-    The matching steps share one plan cache, so each coupling solve
-    starts from the last optimal simplex basis.  Returns the weight
-    network, or None.
+    term.  ``lambda2 > 0`` adds W2 between the target's group clouds.
+    Each adapting step runs one target forward pass; the ascent reads its
+    values as constants, so its backward pass never reaches the
+    classifier graph.  The matching steps share one plan cache, so each
+    coupling solve starts from the last optimal simplex basis.
+
+    Each epoch logs the row-weighted mean risk, the step means of the
+    other terms and the epoch's wall time.
     """
-    cfg = eng.cfg
-    target_x = target_sample.features
-    idx0 = np.flatnonzero(target_sample.groups == 0)
-    idx1 = np.flatnonzero(target_sample.groups == 1)
+    features = source.features if features is None else features
+    labels = source.labels.astype(np.float64)
+    model = PredictorModel(cfg.net_config(source.d), streams["predictor"])
+    total_steps = _total_steps(cfg, source.n)
+    opt = AdamOptimizer(
+        model.parameters, total_steps, base_lr=cfg.learning_rate, weight_decay=cfg.weight_decay
+    )
     weight_net = None
     if entropy == "learned":
         weight_net = WeightNetwork(
-            cfg.rep_dim, eng.streams["weight_net"], hidden_dim=cfg.weight_hidden_dim
+            cfg.rep_dim, streams["weight_net"], hidden_dim=cfg.weight_hidden_dim
         )
         w_opt = AdamOptimizer(
             weight_net.parameters,
-            eng.total_steps,
+            total_steps,
             base_lr=cfg.learning_rate * cfg.weight_lr_multiplier,
             weight_decay=cfg.weight_decay,
         )
     use_entropy = entropy is not None and cfg.lambda1 > 0
+    if target_sample is not None:
+        target_x = target_sample.features
+        idx0 = np.flatnonzero(target_sample.groups == 0)
+        idx1 = np.flatnonzero(target_sample.groups == 1)
     plans = PlanCache()
-    sizes = _epoch_batch_sizes(cfg)
+    history, digests = [], []
+    step = 0
 
-    for epoch in range(first_epoch, cfg.total_epochs):
-        # erm, entropy, w2, c1 penalty, c2 penalty, mean F_w on the target,
-        # mean 1 / F_w on the source batch
+    for epoch, batch_size in enumerate(_epoch_batch_sizes(cfg)):
+        started = time.perf_counter()
+        adapting = target_sample is not None and epoch >= adapt_from
+        entropy_on = adapting and use_entropy
+        matching = adapting and cfg.lambda2 > 0
+        # row-weighted erm, then step sums of: entropy, w2, c1 penalty,
+        # c2 penalty, mean F_w on the target, mean 1 / F_w on the source batch
         sums = np.zeros(7)
         fw_lo, fw_hi = np.inf, -np.inf
-        n_steps = 0
         plans.solves = plans.reuses = 0
-        w_norms = []
-        for batch_idx in _batches(eng.epoch_perm(), sizes[epoch]):
-            if use_entropy or cfg.lambda2 > 0:
-                rep_t, probs_t = eng.model.forward(target_x)
-            if use_entropy:
+        theta_norms, w_norms = [], []
+        for batch_idx in _batches(streams["batches"].permutation(source.n), batch_size):
+            if entropy_on or matching:
+                rep_t, probs_t = model.forward(target_x)
+            if entropy_on:
                 entropies = conditional_entropy(probs_t)
             # -- weight-network ascent (classifier frozen, inference mode) --
-            if use_entropy and weight_net is not None:
-                rep_s = eng.model.representations(eng.features[batch_idx])
+            if entropy_on and weight_net is not None:
+                rep_s = model.representations(features[batch_idx])
                 zero_grads(weight_net.parameters)
                 fw_t = weight_net.forward(rep_t.value)
                 fw_s = weight_net.forward(rep_s)
@@ -325,7 +272,7 @@ def _adapt(eng: _Engine, target_sample, first_epoch, entropy=None, row_weights=N
                 penalty = constraint_penalty(fw_t, fw_s, cfg.c1, cfg.c2)
                 w_loss = penalty - cfg.lambda1 * we
                 w_loss.backward()
-                w_norms.append(w_opt.step(eng.step))
+                w_norms.append(w_opt.step(step))
                 # the penalty's inputs, as it saw them before the step
                 t_mean = fw_t.value.mean()
                 recip_mean = (1.0 / fw_s.value).mean()
@@ -336,40 +283,65 @@ def _adapt(eng: _Engine, target_sample, first_epoch, entropy=None, row_weights=N
                 fw_hi = max(fw_hi, fw_t.value.max(), fw_s.value.max())
 
             # -- classifier descent ------------------------------------
-            zero_grads(eng.model.parameters)
-            loss = eng.erm_loss(batch_idx, row_weights)
-            sums[0] += float(loss)
-            if use_entropy:
+            zero_grads(model.parameters)
+            _, probs = model.forward(features[batch_idx], dropout_rng=streams["dropout"])
+            weights = None if row_weights is None else row_weights[batch_idx]
+            loss = cross_entropy_risk(probs, labels[batch_idx], weights)
+            sums[0] += float(loss) * len(batch_idx)
+            if entropy_on:
                 fw_now = 0.0 if weight_net is None else weight_net.ratios(rep_t.value)
                 ent_term = weighted_entropy_term(fw_now, entropies)
                 sums[1] += float(ent_term)
                 loss = loss + cfg.lambda1 * ent_term
-            if cfg.lambda2 > 0:
+            if matching:
                 w2 = wasserstein2(ad.take_rows(rep_t, idx0), ad.take_rows(rep_t, idx1), plans)
                 sums[2] += float(w2)
                 loss = loss + cfg.lambda2 * w2
-            eng.theta_update(loss)
-            n_steps += 1
-        avg = sums / n_steps
+            loss.backward()
+            theta_norms.append(opt.step(step))
+            step += 1
+
+        erm = sums[0] / source.n
+        avg = sums / len(theta_norms)
         if not w_norms:  # no ascent step saw a weight net
             fw_lo = fw_hi = 0.0
-        eng.finish_epoch(
-            epoch,
-            w_norms,
-            erm=avg[0],
+        theta_max, theta_hits = _clip_stats(theta_norms)
+        w_max, w_hits = _clip_stats(w_norms)
+        breakdown = LossBreakdown(
+            erm=erm,
             weighted_entropy=avg[1],
             wasserstein=avg[2],
             c1_penalty=avg[3],
             c2_penalty=avg[4],
-            total=avg[0] + cfg.lambda1 * avg[1] + cfg.lambda2 * avg[2],
+            total=erm + cfg.lambda1 * avg[1] + cfg.lambda2 * avg[2],
             coupling_solves=plans.solves,
             coupling_reuses=plans.reuses,
+            theta_grad_norm_max=theta_max,
+            theta_clip_hits=theta_hits,
+            w_grad_norm_max=w_max,
+            w_clip_hits=w_hits,
             fw_target_mean=avg[5],
             fw_source_recip_mean=avg[6],
             fw_min=float(fw_lo),
             fw_max=float(fw_hi),
+            epoch_s=time.perf_counter() - started,
         )
-    return weight_net
+        _check_finite(breakdown.total, epoch, "loss")
+        history.append(breakdown)
+        digests.append(parameter_digest(model.parameters))
+    return TrainedModel(
+        method=method,
+        predictor=model,
+        config=cfg,
+        history=history,
+        param_digests=digests,
+        weight_net=weight_net,
+    )
+
+
+def train_erm(source: LabeledDataset, cfg: TrainConfig) -> TrainedModel:
+    """Cross-entropy minimization only; the reference trajectory."""
+    return _train("erm", source, cfg, _streams(cfg.seed))
 
 
 def train_ours(
@@ -383,11 +355,17 @@ def train_ours(
     source risk plus the (gradient-stopped) weighted entropy plus the
     group-level Wasserstein matching term.
     """
-    eng = _Engine(source, cfg)
-    target_sub = _subsample_target(target, cfg, eng.streams["subsample"])
-    eng.run_erm_epochs(cfg.pretrain_epochs)
-    weight_net = _adapt(eng, target_sub, cfg.pretrain_epochs, entropy="learned")
-    return eng.result("ours", weight_net=weight_net)
+    streams = _streams(cfg.seed)
+    target_sub = _subsample_target(target, cfg, streams["subsample"])
+    return _train(
+        "ours",
+        source,
+        cfg,
+        streams,
+        target_sample=target_sub,
+        adapt_from=cfg.pretrain_epochs,
+        entropy="learned",
+    )
 
 
 def train_unweighted_entropy(
@@ -398,11 +376,17 @@ def train_unweighted_entropy(
     No weight network and no constraints; otherwise the two-stage
     schedule is identical.
     """
-    eng = _Engine(source, cfg)
-    target_sub = _subsample_target(target, cfg, eng.streams["subsample"])
-    eng.run_erm_epochs(cfg.pretrain_epochs)
-    _adapt(eng, target_sub, cfg.pretrain_epochs, entropy="uniform")
-    return eng.result("unweighted_entropy")
+    streams = _streams(cfg.seed)
+    target_sub = _subsample_target(target, cfg, streams["subsample"])
+    return _train(
+        "unweighted_entropy",
+        source,
+        cfg,
+        streams,
+        target_sample=target_sub,
+        adapt_from=cfg.pretrain_epochs,
+        entropy="uniform",
+    )
 
 
 def _fit_ratio_net(source, target_x, cfg, init_seed, batch_seed):
@@ -446,8 +430,8 @@ def train_importance_weighted(
     """
     if cfg.method not in ("kliep_iw", "lsif_iw"):
         raise ValueError(f"method must be kliep_iw or lsif_iw, got {cfg.method!r}")
-    eng = _Engine(source, cfg)
-    target_sub = _subsample_target(target, cfg, eng.streams["subsample"])
+    streams = _streams(cfg.seed)
+    target_sub = _subsample_target(target, cfg, streams["subsample"])
 
     ratio_net = None
     if ratio_override is not None:
@@ -456,7 +440,7 @@ def train_importance_weighted(
             raise ValueError("ratio_override must have one weight per source row")
     else:
         ratio_net = _fit_ratio_net(
-            source, target_sub.features, cfg, eng.streams["weight_net"], eng.streams["ratio"]
+            source, target_sub.features, cfg, streams["weight_net"], streams["ratio"]
         )
         weights = ratio_net.ratios(source.features)
         # the squared-penalty fit overshoots the constrained optimum by a
@@ -464,8 +448,8 @@ def train_importance_weighted(
         weights = weights / weights.mean()
     weights = np.maximum(weights, RATIO_FLOOR)
 
-    _adapt(eng, target_sub, 0, row_weights=weights)
-    return eng.result(cfg.method, weight_net=ratio_net)
+    model = _train(cfg.method, source, cfg, streams, target_sample=target_sub, row_weights=weights)
+    return replace(model, weight_net=ratio_net)
 
 
 def train_zsa(
@@ -477,13 +461,13 @@ def train_zsa(
     statistics; at adaptation time the standardization layer switches to
     statistics recomputed from the available unlabeled target points.
     """
+    streams = _streams(cfg.seed)
+    target_sub = _subsample_target(target, cfg, streams["subsample"], matching=False)
+    adapted = fit_zscore(target_sub, source.feature_kinds)
     train_stats = fit_zscore(source)
     standardized = (source.features - train_stats.means) / train_stats.stds
-    eng = _Engine(source, cfg, features=standardized)
-    eng.run_erm_epochs(cfg.total_epochs)
-    target_sub = _subsample_target(target, cfg, eng.streams["subsample"], matching=False)
-    adapted = fit_zscore(target_sub, source.feature_kinds)
-    return eng.result("zsa", input_stats=adapted)
+    model = _train("zsa", source, cfg, streams, features=standardized)
+    return replace(model, input_stats=adapted)
 
 
 _TRAINERS = {

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fairshift import autodiff as ad
 from fairshift.autodiff import Tensor
@@ -13,7 +14,6 @@ from fairshift.losses import (
     conditional_entropy,
     constraint_penalty,
     cross_entropy_risk,
-    transport_cost,
     wasserstein2,
     weighted_entropy_term,
 )
@@ -110,12 +110,6 @@ def test_take_rows_accumulates_repeats():
     np.testing.assert_array_equal(t.grad, [[0, 0], [2, 2], [1, 1]])
 
 
-def test_sqrt_at_zero_uses_zero_subgradient():
-    t = Tensor(np.array(0.0))
-    ad.sqrt(t).backward()
-    np.testing.assert_array_equal(t.grad, 0.0)
-
-
 def test_backward_requires_scalar():
     t = Tensor(np.ones(3))
     with pytest.raises(ValueError, match="scalar"):
@@ -154,6 +148,7 @@ SEEDS = st.integers(0, 2**32 - 1)
 
 def _check_vjp(build, inputs, seed, h=1e-6):
     """``build(*tensors)`` vs central differences of ``sum(out * c)``, random ``c``."""
+    inputs = [np.asarray(x, dtype=np.float64) for x in inputs]  # 0-d draws are scalars
     tensors = [Tensor(x.copy()) for x in inputs]
     out = build(*tensors)
     cot = np.random.default_rng(seed).normal(size=out.value.shape)
@@ -165,6 +160,7 @@ def _check_vjp(build, inputs, seed, h=1e-6):
             return float((build(*args).value * cot).sum())
 
         expected = _numeric_grad(f, x.copy(), h)
+        assert np.shape(tensors[k].grad) == x.shape
         np.testing.assert_allclose(tensors[k].grad, expected, rtol=1e-5, atol=1e-6)
 
 
@@ -245,6 +241,64 @@ def test_column_head_vjp(rows, fan_in, head, past_clamp, seed):
     edges = 1.0 / (1.0 + np.exp(-pre)) if head == "sigmoid" else pre
     assume(np.abs(edges - lo).min() > 1e-4 and np.abs(edges - hi).min() > 1e-4)
     _check_vjp(lambda x, w, b: squash(ad.dense(x, w, b, column=True), lo, hi), [x, w, b], seed)
+
+
+# -- Tensor operators and the plain nodes, against central differences -----
+
+OPERATORS = {
+    "+": lambda x, y: x + y,
+    "-": lambda x, y: x - y,
+    "*": lambda x, y: x * y,
+    "/": lambda x, y: x / y,
+}
+UNARY = {
+    "neg": lambda t: -t,
+    "rsub": lambda t: 1.5 - t,
+    "rtruediv": lambda t: 1.5 / t,
+    "exp": ad.exp,
+    "log": ad.log,
+}
+
+
+def _away_from_zero(rng, shape):
+    return rng.uniform(0.5, 2.0, size=shape) * rng.choice([-1.0, 1.0], size=shape)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    hnp.mutually_broadcastable_shapes(num_shapes=2, max_dims=3, max_side=3),
+    st.sampled_from(sorted(OPERATORS)),
+    SEEDS,
+)
+def test_binary_operator_vjp(shapes, op, seed):
+    rng = np.random.default_rng(seed)
+    x, y = (_away_from_zero(rng, shape) for shape in shapes.input_shapes)
+    _check_vjp(OPERATORS[op], [x, y], seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hnp.array_shapes(min_dims=0, max_dims=3, max_side=3), st.sampled_from(sorted(UNARY)), SEEDS)
+def test_unary_node_vjp(shape, op, seed):
+    x = _away_from_zero(np.random.default_rng(seed), shape)
+    _check_vjp(UNARY[op], [np.abs(x) if op == "log" else x], seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hnp.array_shapes(min_dims=0, max_dims=3, max_side=3), st.data(), st.booleans(), SEEDS)
+def test_sum_and_mean_vjp(shape, data, keepdims, seed):
+    axis = data.draw(st.sampled_from([None, *range(-len(shape), len(shape))]))
+    x = np.random.default_rng(seed).normal(size=shape)
+    _check_vjp(lambda t: t.sum(axis=axis, keepdims=keepdims), [x], seed)
+    _check_vjp(lambda t: t.mean(axis=axis), [x], seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(SHAPES, st.integers(0, 3), st.lists(st.integers(0, 100), min_size=1, max_size=8), SEEDS)
+def test_take_rows_vjp(rows, cols, picks, seed):
+    # cols 0 selects entries of a vector; the first pick repeats at the end
+    x = np.random.default_rng(seed).normal(size=(rows, cols) if cols else (rows,))
+    index = np.array(picks + picks[:1]) % rows
+    _check_vjp(lambda t: ad.take_rows(t, index), [x], seed)
 
 
 def _unfused_cross_entropy(p, y, row_weights):
@@ -396,7 +450,6 @@ NODES = {
     "add_mul_div_neg": lambda: (-(_leaf() * 2.0 + 1.0) / 3.0).sum(),
     "exp": lambda: ad.exp(_leaf()).sum(),
     "log": lambda: ad.log(_leaf()).sum(),
-    "sqrt": lambda: ad.sqrt(_leaf().sum()),
     "take_rows": lambda: ad.take_rows(_leaf(), np.array([0, 2])).sum(),
     "dense": lambda: ad.dense(_leaf(), Tensor(np.ones((3, 2))), Tensor(np.zeros(2)), True).sum(),
     "clamped_sigmoid": lambda: ad.clamped_sigmoid(_leaf(), 0.2, 0.8).sum(),
@@ -408,7 +461,11 @@ NODES = {
     "dense_column": lambda: ad.dense(
         _leaf(), Tensor(np.ones((3, 1))), Tensor(np.zeros(1)), column=True
     ).sum(),
-    "transport_cost": lambda: transport_cost(_leaf(), _leaf() * 2.0, np.eye(4) / 4.0),
+    "wasserstein2": lambda: wasserstein2(_leaf(), _leaf() * 2.0),
+    # the W2 node's sqrt at its zero subgradient, between coincident clouds
+    "sqrt": lambda: wasserstein2(_leaf(), _leaf() * 1.0),
+    # the W2 node's plan cost under a fractional plan, 4 points against 2
+    "transport_cost": lambda: wasserstein2(_leaf(), ad.take_rows(_leaf(), np.array([0, 2])) * 2.0),
 }
 
 

@@ -77,7 +77,7 @@ def test_train_and_evaluate_round_trip(source_and_target_csv, tmp_path, capsys):
     assert (out / "checkpoint.json").exists()
     history = [json.loads(line) for line in (out / "history.jsonl").read_text().splitlines()]
     assert len(history) == 4
-    assert {"epoch", "erm", "total"} <= set(history[0])
+    assert {"epoch", "erm", "total", "epoch_s"} <= set(history[0])
 
     code = main(
         [

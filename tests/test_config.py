@@ -1,4 +1,9 @@
+import dataclasses
+import json
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fairshift.config import (
     experiment_spec_from_dict,
@@ -7,6 +12,8 @@ from fairshift.config import (
     shift_config_from_dict,
     train_config_from_dict,
 )
+from fairshift.splitter import ShiftConfig
+from fairshift.training import METHODS, TrainConfig
 
 
 class TestParseKvText:
@@ -91,3 +98,59 @@ class TestBuilders:
         )
         assert spec.repetitions == 50
         assert spec.base_seed == 4
+
+
+# -- round trips: a checkpoint stores dataclasses.asdict(cfg) as JSON, and
+# the evaluate command rebuilds the config from it -------------------------
+
+COUNTS = st.integers(0, 10**6)
+SIZES = st.integers(1, 10**6)
+NONNEGATIVE = st.floats(0.0, 1e6)
+POSITIVE = st.floats(1e-9, 1e6)
+UNIT_OPEN = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+TRAIN_CONFIGS = st.builds(
+    TrainConfig,
+    pretrain_epochs=COUNTS,
+    adapt_epochs=COUNTS,
+    batch_size=SIZES,
+    adapt_train_batch_size=SIZES,
+    lambda1=NONNEGATIVE,
+    lambda2=NONNEGATIVE,
+    c1=POSITIVE,
+    c2=POSITIVE,
+    seed=st.integers(0, 2**63 - 1),
+    weight_decay=NONNEGATIVE,
+    learning_rate=POSITIVE,
+    weight_lr_multiplier=POSITIVE,
+    m_cap=SIZES,
+    method=st.sampled_from(METHODS),
+    hidden_dim=SIZES,
+    rep_dim=SIZES,
+    clf_hidden_dim=SIZES,
+    weight_hidden_dim=SIZES,
+    dropout_rate=st.floats(0.0, 1.0, exclude_max=True),
+)
+SHIFT_CONFIGS = st.builds(
+    ShiftConfig,
+    gamma=NONNEGATIVE,
+    percentile=st.floats(0.0, 100.0, exclude_min=True, exclude_max=True),
+    test_fraction=UNIT_OPEN,
+    val_fraction_of_train=UNIT_OPEN,
+    asymmetric_group=st.sampled_from([None, 0, 1]),
+    seed=st.integers(0, 2**63 - 1),
+)
+
+
+@given(TRAIN_CONFIGS)
+def test_train_config_round_trips_through_a_checkpoint(cfg):
+    values = dataclasses.asdict(cfg)
+    assert train_config_from_dict(values) == cfg
+    assert train_config_from_dict(json.loads(json.dumps(values))) == cfg
+
+
+@given(SHIFT_CONFIGS)
+def test_shift_config_round_trips_through_a_dict(cfg):
+    values = dataclasses.asdict(cfg)
+    assert shift_config_from_dict(values) == cfg
+    assert shift_config_from_dict(json.loads(json.dumps(values))) == cfg

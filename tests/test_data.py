@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -59,7 +60,8 @@ class TestLoadCsv:
     # 0.5 would pass a check made after the cast to int
     @pytest.mark.parametrize("cell", ["2", "0.5"])
     def test_group_outside_binary_rejected(self, tmp_path, cell):
-        message = "group column must contain only 0 or 1"
+        # the bad value as a plain float, not numpy's repr np.float64(0.5)
+        message = re.escape(f"group column must contain only 0 or 1, found {float(cell)}")
         path = _write(tmp_path, f"f0,group,label\n1.0,{cell},0\n2.0,1,1\n")
         with pytest.raises(ValueError, match=message):
             load_csv(path)

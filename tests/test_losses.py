@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from fairshift.autodiff import Tensor
@@ -19,7 +21,6 @@ from fairshift.losses import (
     lsif_loss,
     risk_bound_gap,
     solve_coupling,
-    transport_cost,
     wasserstein2,
     weighted_entropy_term,
 )
@@ -269,14 +270,19 @@ def _central_diff(f, x, h=1e-6):
     return grad
 
 
+SIZES = st.integers(1, 6)
+
+
 class TestTransportCost:
+    """The one W2 node: its value ``sqrt(<P, C>)`` and its VJP."""
+
     @pytest.mark.parametrize("na,nb", [(5, 5), (6, 4)])
     def test_value_is_exact_plan_cost(self, na, nb):
         rng = np.random.default_rng(6)
         a, b = rng.normal(size=(na, 3)), rng.normal(size=(nb, 3))
         plan = solve_coupling(a, b).plan
         expected = (plan * _pairwise_sq_dists(a, b)).sum()
-        assert transport_cost(a, b, plan).value == expected
+        assert wasserstein2(a, b).value == np.sqrt(expected)
 
     # a permutation plan and a plan that splits mass
     @pytest.mark.parametrize("na,nb", [(6, 6), (7, 4)])
@@ -295,6 +301,29 @@ class TestTransportCost:
         for grad in (grad_a, grad_b):
             assert np.all(np.isfinite(grad))
             np.testing.assert_array_equal(grad, 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(SIZES, SIZES, st.integers(1, 4), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_w2_vjp_matches_central_differences(self, na, nb, dim, identical, seed):
+        # identical measures: b repeats each point of a 1 or 2 times, shuffled,
+        # so W2 sits on the sqrt's kink and takes its zero subgradient
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(na, dim))
+        if identical:
+            b = rng.permutation(np.tile(a, (1 + nb % 2, 1)))
+        else:
+            b = rng.normal(size=(nb, dim)) + 0.5
+        grad_a, grad_b = _w2_grads(a, b)
+        assert grad_a.shape == a.shape and grad_b.shape == b.shape
+        if identical:
+            assert float(wasserstein2(a, b)) == 0.0
+            np.testing.assert_array_equal(grad_a, 0.0)
+            np.testing.assert_array_equal(grad_b, 0.0)
+            return
+        num_a = _central_diff(lambda: float(wasserstein2(a, b)), a)
+        num_b = _central_diff(lambda: float(wasserstein2(a, b)), b)
+        np.testing.assert_allclose(grad_a, num_a, rtol=1e-5, atol=1e-7)
+        np.testing.assert_allclose(grad_b, num_b, rtol=1e-5, atol=1e-7)
 
 
 def _support_components(plan):

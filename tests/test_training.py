@@ -190,6 +190,17 @@ def test_ours_history_matches_the_recorded_epoch_log(small_task):
             for entry in history
         )
         assert logged == expected, field
+    assert all(entry["epoch_s"] > 0 for entry in history)
+
+
+@pytest.mark.parametrize("method", ["erm", "ours"])
+def test_epoch_wall_time_is_logged_but_not_compared(small_task, method):
+    source, target = small_task
+    cfg = replace(QUICK, method=method)
+    a, b = train(source, target, cfg), train(source, target, cfg)
+    assert len(a.history) == cfg.total_epochs
+    assert all(isinstance(entry.epoch_s, float) and entry.epoch_s > 0 for entry in a.history)
+    assert a.history == b.history
 
 
 class TestErm:
