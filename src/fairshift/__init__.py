@@ -62,6 +62,7 @@ from .nets import (
 )
 from .splitter import ShiftConfig, SplitResult, first_principal_projection, split, tilt_densities
 from .training import (
+    PretrainCache,
     TrainConfig,
     TrainedModel,
     train,

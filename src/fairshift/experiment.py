@@ -5,6 +5,13 @@ for a fixed number of repetitions, with per-run seeds derived as
 ``base_seed + repetition`` so results are independent yet reproducible.
 Outputs are plain CSV with documented headers; re-running a spec
 reproduces every byte.
+
+The ``erm``, ``ours`` and ``unweighted_entropy`` runs of one
+``(gamma, rep)`` train the same first ``pretrain_epochs`` epochs, so they
+run as one task that shares one :class:`~fairshift.training.PretrainCache`:
+the first of them trains those epochs and the others resume from a copy.
+Each still draws its data and trains once, in grid order, and its results
+are those of a run on its own.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from .data import (
 from .losses import conditional_entropy, risk_bound_gap
 from .metrics import evaluate_model
 from .splitter import ShiftConfig, split
-from .training import TrainConfig, train
+from .training import SHARES_PRETRAINING, PretrainCache, TrainConfig, train
 
 SYNTHETIC_ASYMMETRIC = "synthetic:asymmetric"
 SYNTHETIC_GAUSSIAN = "synthetic:gaussian"
@@ -72,8 +79,9 @@ _METRIC_FIELDS = [
     "error_group1_pct",
 ]
 
-# wall time stays out of runs.csv, so reruns of a sweep match byte for byte
-TIMING_COLUMNS = ["method", "gamma", "lambda1", "lambda2", "m", "rep", "seed", "status", "wall_s"]
+# wall time stays out of runs.csv, so reruns of a sweep match byte for byte;
+# resumed_epochs counts the epochs a run took from its task's pretraining cache
+TIMING_COLUMNS = RUN_COLUMNS[: RUN_COLUMNS.index("status") + 1] + ["resumed_epochs", "wall_s"]
 
 AGGREGATE_COLUMNS = (
     ["method", "gamma", "lambda1", "lambda2", "m", "repetitions", "ok_runs", "status"]
@@ -207,11 +215,12 @@ def _init_worker(provider):
             break
 
 
-def _execute_run(task, provider=None):
+def _execute_run(task, provider=None, cache=None):
     """One seeded run of a ``(point, rep)`` task; returns its CSV row and metrics (or None).
 
-    ``provider`` defaults to the one the pool worker received at start-up.
-    Also returns the run's wall seconds: data, training and scoring.
+    ``provider`` defaults to the one the pool worker received at start-up;
+    ``cache`` goes to :func:`train`.  Also returns the run's wall seconds:
+    data, training (without any epochs resumed from the cache) and scoring.
     """
     (method, gamma, lam1, lam2, m), rep = task
     if provider is None:
@@ -229,11 +238,13 @@ def _execute_run(task, provider=None):
         "m": m,
         "rep": rep,
         "seed": seed,
+        "resumed_epochs": 0,
     }
     start = time.perf_counter()
     try:
         source, target, eval_set = provider.make(gamma, seed)
-        model = train(source, target, cfg)
+        model = train(source, target, cfg, cache)
+        row["resumed_epochs"] = model.resumed_epochs
         metrics = evaluate_model(model, eval_set)
     except Exception as exc:
         row["status"] = "failed"
@@ -248,6 +259,34 @@ def _execute_run(task, provider=None):
     return row, metrics, time.perf_counter() - start
 
 
+def _execute_group(tasks, provider=None):
+    """The runs of ``tasks``, in order, sharing one pretraining cache."""
+    cache = PretrainCache()
+    return [_execute_run(task, provider, cache) for task in tasks]
+
+
+def _group_tasks(tasks, workers):
+    """Index lists into ``tasks``: the runs that execute as one task.
+
+    The ``SHARES_PRETRAINING`` runs of one ``(gamma, rep)`` form one group;
+    every other run is alone.  Groups keep grid order, within and by their
+    first member.  If that leaves fewer groups than ``workers``, every run
+    is alone, so no worker idles for the sake of sharing.
+    """
+    groups, shared = [], {}
+    for i, ((method, gamma, *_), rep) in enumerate(tasks):
+        if method not in SHARES_PRETRAINING:
+            groups.append([i])
+        elif (gamma, rep) in shared:
+            shared[gamma, rep].append(i)
+        else:
+            shared[gamma, rep] = [i]
+            groups.append(shared[gamma, rep])
+    if len(groups) < workers:
+        return [[i] for i in range(len(tasks))]
+    return groups
+
+
 def run_experiment(spec: ExperimentSpec, workers: int = 1, wall_times=None):
     """Execute the sweep; returns ``(run_rows, aggregate_rows)``.
 
@@ -255,7 +294,9 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1, wall_times=None):
     process, so a bad dataset raises before any run starts.  Runs are
     independent, so ``workers > 1`` fans them out over a bounded process
     pool whose workers each receive the loaded data once, at start-up, and
-    run BLAS on one thread; results are gathered in grid order either way,
+    run BLAS on one thread.  The runs that share pretraining execute as
+    one task (see :func:`_group_tasks`), which the serial path reaches at
+    its first run's place; results are gathered in grid order either way,
     and a run that raises is recorded with status ``failed`` without
     stopping the sweep.  A ``wall_times`` list receives each run's wall
     seconds, in the same order as the run rows.
@@ -265,13 +306,19 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1, wall_times=None):
     points = list(spec.grid())
     tasks = [(point, rep) for point in points for rep in range(spec.repetitions)]
     provider = _DataProvider(spec)
+    groups = _group_tasks(tasks, workers)
+    members = [[tasks[i] for i in group] for group in groups]
     if workers == 1:
-        outcomes = [_execute_run(task, provider) for task in tasks]
+        results = [_execute_group(group, provider) for group in members]
     else:
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(provider,)
         ) as pool:
-            outcomes = list(pool.map(_execute_run, tasks))
+            results = list(pool.map(_execute_group, members))
+    outcomes = [None] * len(tasks)
+    for group, result in zip(groups, results):
+        for i, outcome in zip(group, result):
+            outcomes[i] = outcome
 
     run_rows = [row for row, _, _ in outcomes]
     if wall_times is not None:
@@ -327,7 +374,7 @@ def write_run_csv(path, run_rows):
 
 
 def write_timings_csv(path, run_rows, wall_times):
-    """One row per run: its grid point, rep, seed, status and wall seconds."""
+    """One row per run: grid point, rep, seed, status, resumed epochs and wall seconds."""
     _write_table(
         path,
         TIMING_COLUMNS,

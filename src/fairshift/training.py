@@ -19,12 +19,22 @@ reciprocal-mean constraint low-variance).  ``ours`` and
 stage; the importance-weighting baselines apply the matching term from
 epoch 0; ``erm`` and ``zsa`` never adapt.  Epochs that do not adapt run
 no target pass, no ascent and no matching.
+
+``erm``, ``ours`` and ``unweighted_entropy`` train their first
+``pretrain_epochs`` epochs alike: source risk on the source's own
+features, no row weights, no target.  A :class:`PretrainCache` passed to
+:func:`train` lets the runs of a sweep train those epochs once: the first
+run stores its state at the end of them, and a later run with the same
+source and the same config (but for the fields only adaptation reads)
+resumes from a copy of it, bit for bit where its own epochs would have
+left it.
 """
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -57,6 +67,14 @@ from .nets import (
 )
 
 METHODS = ("ours", "erm", "kliep_iw", "lsif_iw", "zsa", "unweighted_entropy")
+# the methods whose runs share their first ``pretrain_epochs`` epochs
+SHARES_PRETRAINING = ("erm", "ours", "unweighted_entropy")
+# the TrainConfig fields that only the adaptation stage reads; every other
+# field, including any added later, keys the pretraining cache
+_ADAPT_ONLY_FIELDS = frozenset(
+    ("method", "lambda1", "lambda2", "c1", "c2", "m_cap")
+    + ("weight_lr_multiplier", "weight_hidden_dim")
+)
 RATIO_FLOOR = 1e-3
 
 
@@ -84,6 +102,12 @@ class TrainConfig:
     dropout_rate: float = 0.25
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type in ("float", float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ValueError(f"dropout_rate must lie in [0, 1), got {self.dropout_rate!r}")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
         if self.batch_size < 1 or self.adapt_train_batch_size < 1:
@@ -121,6 +145,8 @@ class TrainedModel:
     param_digests: list = field(default_factory=list)
     weight_net: WeightNetwork | None = None
     input_stats: NormalizationStats | None = None
+    # epochs taken from a PretrainCache instead of trained by this run
+    resumed_epochs: int = 0
 
     def predict_proba(self, features) -> np.ndarray:
         features = np.asarray(features, dtype=np.float64)
@@ -142,6 +168,84 @@ def _streams(seed):
         "subsample": np.random.default_rng(kids[4]),
         "ratio": kids[5],
     }
+
+
+def _pretrain_key(cfg):
+    return tuple(
+        (f.name, getattr(cfg, f.name)) for f in fields(cfg) if f.name not in _ADAPT_ONLY_FIELDS
+    )
+
+
+@dataclass(frozen=True)
+class _Pretrained:
+    """Copies of one run's state at the end of its pretraining epochs, and its key."""
+
+    features: np.ndarray
+    labels: np.ndarray
+    config_key: tuple
+    values: list
+    adam_m: np.ndarray
+    adam_v: np.ndarray
+    adam_t: int
+    batches: dict
+    dropout: dict
+    step: int
+    history: list
+    digests: list
+
+
+@dataclass
+class PretrainCache:
+    """The pretraining epochs of the last run that trained them, to resume from.
+
+    A run of a ``SHARES_PRETRAINING`` method given the cache resumes from
+    copies of the stored state when its source features and labels equal
+    the stored ones by value and its config equals the stored one in every
+    field but those only adaptation reads.  Otherwise it trains those
+    epochs itself and, at their end, stores copies of its predictor
+    values, Adam's moments and step count, its batch and dropout generator
+    states, its step count, history and digests.  The other methods
+    neither read nor write the cache.
+    """
+
+    state: _Pretrained | None = None
+
+    def store(self, source, cfg, model, opt, streams, step, history, digests):
+        self.state = _Pretrained(
+            features=source.features.copy(),
+            labels=source.labels.copy(),
+            config_key=_pretrain_key(cfg),
+            values=[p.value.copy() for p in model.parameters],
+            adam_m=opt.m.copy(),
+            adam_v=opt.v.copy(),
+            adam_t=opt.t,
+            batches=streams["batches"].bit_generator.state,
+            dropout=streams["dropout"].bit_generator.state,
+            step=step,
+            history=list(history),
+            digests=list(digests),
+        )
+
+    def resume(self, source, cfg, model, opt, streams):
+        """Load copies of a matching state; its ``(step, history, digests)``, or None."""
+        state = self.state
+        if not (
+            state is not None
+            and state.config_key == _pretrain_key(cfg)
+            and np.array_equal(state.features, source.features)
+            and np.array_equal(state.labels, source.labels)
+        ):
+            return None
+        for p, value in zip(model.parameters, state.values):
+            p.value = value.copy()
+        # field by field, never a deep copy of the optimizer: that would cut
+        # its _g_parts/_a_parts views off _g/_a, and the norm would read stale arrays
+        np.copyto(opt.m, state.adam_m)
+        np.copyto(opt.v, state.adam_v)
+        opt.t = state.adam_t
+        streams["batches"].bit_generator.state = state.batches
+        streams["dropout"].bit_generator.state = state.dropout
+        return state.step, list(state.history), list(state.digests)
 
 
 def _epoch_batch_sizes(cfg):
@@ -201,6 +305,7 @@ def _train(
     adapt_from=0,
     entropy=None,
     row_weights=None,
+    cache: PretrainCache | None = None,
 ) -> TrainedModel:
     """The one epoch loop: source risk, then target entropy and matching.
 
@@ -217,7 +322,10 @@ def _train(
     coupling solve starts from the last optimal simplex basis.
 
     Each epoch logs the row-weighted mean risk, the step means of the
-    other terms and the epoch's wall time.
+    other terms and the epoch's wall time.  With a ``cache`` (only for
+    runs whose first ``pretrain_epochs`` epochs use the source features,
+    no row weights and no target), the run resumes from a matching stored
+    state or stores its own at the end of those epochs.
     """
     features = source.features if features is None else features
     labels = source.labels.astype(np.float64)
@@ -244,9 +352,14 @@ def _train(
         idx1 = np.flatnonzero(target_sample.groups == 1)
     plans = PlanCache()
     history, digests = [], []
-    step = 0
+    step = start = 0
+    if cache is not None:
+        resumed = cache.resume(source, cfg, model, opt, streams)
+        if resumed is not None:
+            step, history, digests = resumed
+            start = cfg.pretrain_epochs
 
-    for epoch, batch_size in enumerate(_epoch_batch_sizes(cfg)):
+    for epoch, batch_size in enumerate(_epoch_batch_sizes(cfg)[start:], start):
         started = time.perf_counter()
         adapting = target_sample is not None and epoch >= adapt_from
         entropy_on = adapting and use_entropy
@@ -329,6 +442,8 @@ def _train(
         _check_finite(breakdown.total, epoch, "loss")
         history.append(breakdown)
         digests.append(parameter_digest(model.parameters))
+        if cache is not None and epoch + 1 == cfg.pretrain_epochs:
+            cache.store(source, cfg, model, opt, streams, step, history, digests)
     return TrainedModel(
         method=method,
         predictor=model,
@@ -336,16 +451,17 @@ def _train(
         history=history,
         param_digests=digests,
         weight_net=weight_net,
+        resumed_epochs=start,
     )
 
 
-def train_erm(source: LabeledDataset, cfg: TrainConfig) -> TrainedModel:
+def train_erm(source: LabeledDataset, cfg: TrainConfig, cache=None) -> TrainedModel:
     """Cross-entropy minimization only; the reference trajectory."""
-    return _train("erm", source, cfg, _streams(cfg.seed))
+    return _train("erm", source, cfg, _streams(cfg.seed), cache=cache)
 
 
 def train_ours(
-    source: LabeledDataset, target: UnlabeledDataset, cfg: TrainConfig
+    source: LabeledDataset, target: UnlabeledDataset, cfg: TrainConfig, cache=None
 ) -> TrainedModel:
     """Two-stage min-max training of the composite objective.
 
@@ -365,11 +481,12 @@ def train_ours(
         target_sample=target_sub,
         adapt_from=cfg.pretrain_epochs,
         entropy="learned",
+        cache=cache,
     )
 
 
 def train_unweighted_entropy(
-    source: LabeledDataset, target: UnlabeledDataset, cfg: TrainConfig
+    source: LabeledDataset, target: UnlabeledDataset, cfg: TrainConfig, cache=None
 ) -> TrainedModel:
     """Ablation of :func:`train_ours`: every target point gets weight 1.
 
@@ -386,6 +503,7 @@ def train_unweighted_entropy(
         target_sample=target_sub,
         adapt_from=cfg.pretrain_epochs,
         entropy="uniform",
+        cache=cache,
     )
 
 
@@ -479,10 +597,17 @@ _TRAINERS = {
 }
 
 
-def train(source: LabeledDataset, target, cfg: TrainConfig) -> TrainedModel:
-    """Dispatch to the trainer selected by ``cfg.method``."""
+def train(
+    source: LabeledDataset, target, cfg: TrainConfig, cache: PretrainCache | None = None
+) -> TrainedModel:
+    """Dispatch to the trainer selected by ``cfg.method``.
+
+    ``cache`` reaches the ``SHARES_PRETRAINING`` trainers only.
+    """
     if cfg.method == "erm":
-        return train_erm(source, cfg)
+        return train_erm(source, cfg, cache)
     if target is None:
         raise ValueError(f"method {cfg.method!r} requires target data")
+    if cfg.method in SHARES_PRETRAINING:
+        return _TRAINERS[cfg.method](source, target, cfg, cache)
     return _TRAINERS[cfg.method](source, target, cfg)

@@ -206,6 +206,82 @@ class TestRunExperiment:
             run_experiment(_tiny_spec(), workers=workers)
 
 
+def _ungrouped(tasks, workers):
+    return [[i] for i in range(len(tasks))]
+
+
+class TestSharedPretraining:
+    # m = 500 exceeds the 120 target points, so those matching runs fail
+    # before training; erm, which draws no target sample, still runs
+    SPEC = dict(
+        methods=("ours", "erm", "zsa", "unweighted_entropy"),
+        lambda1s=(0.0, 0.1),
+        ms=(30, 500),
+        gammas=(2.0, 4.0),
+    )
+
+    @staticmethod
+    def _sweep(tmp_path, tag, spec, workers):
+        wall_times = []
+        runs, aggs = run_experiment(spec, workers=workers, wall_times=wall_times)
+        write_run_csv(tmp_path / f"runs_{tag}.csv", runs)
+        write_aggregate_csv(tmp_path / f"agg_{tag}.csv", aggs)
+        write_timings_csv(tmp_path / f"timings_{tag}.csv", runs, wall_times)
+        with open(tmp_path / f"timings_{tag}.csv") as fh:
+            timings = list(csv.DictReader(fh))
+        blobs = [(tmp_path / f"{kind}_{tag}.csv").read_bytes() for kind in ("runs", "agg")]
+        return blobs, runs, timings
+
+    def test_grouped_sweeps_equal_ungrouped_ones(self, tmp_path, monkeypatch):
+        spec = _tiny_spec(**self.SPEC)
+        grouped = {w: self._sweep(tmp_path, f"g{w}", spec, w) for w in (1, 2)}
+        monkeypatch.setattr(experiment_module, "_group_tasks", _ungrouped)
+        alone = {w: self._sweep(tmp_path, f"u{w}", spec, w) for w in (1, 2)}
+        assert grouped[1][0] == grouped[2][0] == alone[1][0] == alone[2][0]
+        runs = grouped[1][1]
+        # 2 gammas x 2 lambda1s x 2 reps of each matching method at m = 500
+        assert [r["status"] for r in runs].count("failed") == 3 * 8
+        for workers in (1, 2):
+            assert {t["resumed_epochs"] for t in alone[workers][2]} == {"0"}
+            resumed = {
+                (t["method"], t["gamma"], t["lambda1"], t["m"], t["rep"]): t["resumed_epochs"]
+                for t in grouped[workers][2]
+                if t["resumed_epochs"] != "0"
+            }
+            # per (gamma, rep), 8 runs of ours, erm and unweighted_entropy
+            # train: the first trains the shared epochs, the other 7 resume
+            assert len(resumed) == 7 * 4
+            assert set(resumed.values()) == {str(TINY_TRAIN.pretrain_epochs)}
+            assert ("ours", "2.0", "0.0", "30", "0") not in resumed
+            assert ("erm", "2.0", "0.0", "500", "0") in resumed
+
+    def test_groups_keep_grid_order(self):
+        spec = _tiny_spec(
+            methods=("kliep_iw", "erm", "zsa", "ours"), gammas=(1.0, 2.0), repetitions=2
+        )
+        tasks = [(point, rep) for point in spec.grid() for rep in range(spec.repetitions)]
+        # kliep_iw 0-3, erm 4-7, zsa 8-11, ours 12-15; gamma-major, rep-minor
+        groups = experiment_module._group_tasks(tasks, workers=2)
+        assert groups == [[0], [1], [2], [3], [4, 12], [5, 13], [6, 14], [7, 15]] + [
+            [i] for i in range(8, 12)
+        ]
+        assert sorted(i for group in groups for i in group) == list(range(16))
+
+    def test_methods_that_do_not_share_stay_alone(self):
+        spec = _tiny_spec(methods=("kliep_iw", "lsif_iw", "zsa"), repetitions=2)
+        tasks = [(point, rep) for point in spec.grid() for rep in range(spec.repetitions)]
+        assert experiment_module._group_tasks(tasks, workers=1) == [[i] for i in range(6)]
+
+    def test_too_few_groups_for_the_workers_ungroups(self):
+        spec = _tiny_spec(methods=("ours", "erm"), lambda1s=(0.0, 0.1), repetitions=1)
+        tasks = [(point, rep) for point in spec.grid() for rep in range(spec.repetitions)]
+        assert experiment_module._group_tasks(tasks, workers=1) == [[0, 1, 2, 3]]
+        assert experiment_module._group_tasks(tasks, workers=2) == [[0], [1], [2], [3]]
+        both = _tiny_spec(methods=("ours", "erm"), repetitions=2)
+        tasks = [(point, rep) for point in both.grid() for rep in range(both.repetitions)]
+        assert experiment_module._group_tasks(tasks, workers=2) == [[0, 2], [1, 3]]
+
+
 class TestCsvRoundTrips:
     def test_rerun_writes_identical_bytes(self, tmp_path):
         spec = _tiny_spec(repetitions=2)

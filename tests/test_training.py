@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from dataclasses import replace
+from dataclasses import fields, replace
 from scipy.stats import spearmanr
 
 from fairshift.data import (
@@ -22,7 +24,10 @@ from fairshift.metrics import evaluate_model
 from fairshift import nets
 from fairshift.nets import GRAD_CLIP_NORM, parameter_digest, zero_grads
 from fairshift.training import (
+    _ADAPT_ONLY_FIELDS,
     METHODS,
+    SHARES_PRETRAINING,
+    PretrainCache,
     TrainConfig,
     _check_finite,
     train,
@@ -201,6 +206,127 @@ def test_epoch_wall_time_is_logged_but_not_compared(small_task, method):
     assert len(a.history) == cfg.total_epochs
     assert all(isinstance(entry.epoch_s, float) and entry.epoch_s > 0 for entry in a.history)
     assert a.history == b.history
+
+
+class TestPretrainCache:
+    """A run that resumes from the cache is bit for bit its run on its own."""
+
+    GRID = [
+        replace(QUICK, method=method, lambda1=lam1, lambda2=lam2, m_cap=m)
+        for method in SHARES_PRETRAINING
+        for lam1 in (0.0, 0.1)
+        for lam2 in (0.0, 1.0)
+        for m in (40, 60)
+    ]
+
+    def test_cached_runs_equal_their_solo_runs(self, small_task):
+        source, target = small_task
+        cache = PretrainCache()
+        for i, cfg in enumerate(self.GRID):
+            cached = train(source, target, cfg, cache)
+            solo = train(source, target, cfg)
+            assert cached.resumed_epochs == (0 if i == 0 else cfg.pretrain_epochs)
+            assert solo.resumed_epochs == 0
+            assert cached.param_digests == solo.param_digests
+            assert cached.history == solo.history
+
+    def test_two_resumes_from_one_state_are_identical(self, small_task):
+        source, target = small_task
+        cache = PretrainCache()
+        train(source, target, replace(QUICK, method="erm"), cache)
+        stored = cache.state
+        cfg = replace(QUICK, method="ours")
+        a, b = train(source, target, cfg, cache), train(source, target, cfg, cache)
+        assert cache.state is stored
+        assert a.resumed_epochs == b.resumed_epochs == cfg.pretrain_epochs
+        assert a.param_digests == b.param_digests == train(source, target, cfg).param_digests
+        assert a.history == b.history
+
+    # one changed value for every field that keys the cache
+    KEY_CHANGES = {
+        "pretrain_epochs": 2,
+        "adapt_epochs": 3,
+        "batch_size": 16,
+        "adapt_train_batch_size": 128,
+        "seed": 6,
+        "weight_decay": 1e-4,
+        "learning_rate": 2e-3,
+        "hidden_dim": 16,
+        "rep_dim": 16,
+        "clf_hidden_dim": 8,
+        "dropout_rate": 0.1,
+    }
+
+    def test_every_field_but_the_adaptation_ones_keys_the_cache(self):
+        names = {f.name for f in fields(TrainConfig)}
+        assert set(self.KEY_CHANGES) == names - _ADAPT_ONLY_FIELDS
+
+    @pytest.mark.parametrize("name", sorted(KEY_CHANGES))
+    def test_a_changed_key_field_misses(self, small_task, name):
+        source, _ = small_task
+        cfg = replace(QUICK, method="erm")
+        cache = PretrainCache()
+        train(source, None, cfg, cache)
+        changed = replace(cfg, **{name: self.KEY_CHANGES[name]})
+        assert train(source, None, changed, cache).resumed_epochs == 0
+
+    def test_a_changed_source_value_misses(self, small_task):
+        source, _ = small_task
+        cfg = replace(QUICK, method="erm")
+        cache = PretrainCache()
+        train(source, None, cfg, cache)
+        for column in ("features", "labels"):
+            values = getattr(source, column).copy()
+            values[7] = 1 - values[7] if column == "labels" else values[7] + 1e-9
+            kwargs = {"features": source.features, "labels": source.labels, column: values}
+            changed = LabeledDataset(
+                kwargs["features"], source.groups, kwargs["labels"], source.feature_kinds
+            )
+            model = train(changed, None, cfg, cache)
+            assert model.resumed_epochs == 0
+            assert model.param_digests == train(changed, None, cfg).param_digests
+        # the source itself, rebuilt from equal values, still hits
+        rebuilt = LabeledDataset(
+            source.features.copy(), source.groups, source.labels.copy(), source.feature_kinds
+        )
+        train(source, None, cfg, cache)
+        assert train(rebuilt, None, cfg, cache).resumed_epochs == cfg.pretrain_epochs
+
+    @pytest.mark.parametrize("method", sorted(set(METHODS) - set(SHARES_PRETRAINING)))
+    def test_other_methods_never_touch_the_cache(self, small_task, method):
+        source, target = small_task
+        cache = PretrainCache()
+        cfg = replace(QUICK, method=method)
+        assert train(source, target, cfg, cache).resumed_epochs == 0
+        assert cache.state is None
+        train(source, target, replace(QUICK, method="erm"), cache)
+        stored = cache.state
+        model = train(source, target, cfg, cache)
+        assert cache.state is stored
+        assert model.resumed_epochs == 0
+        assert model.param_digests == train(source, target, cfg).param_digests
+
+    def test_a_member_failing_before_training_leaves_the_others_exact(self, small_task):
+        source, target = small_task
+        cache = PretrainCache()
+        with pytest.raises(ValueError, match="m_cap"):
+            train(source, target, replace(QUICK, method="ours", m_cap=target.m + 1), cache)
+        assert cache.state is None
+        for i, method in enumerate(("erm", "unweighted_entropy")):
+            cfg = replace(QUICK, method=method)
+            model = train(source, target, cfg, cache)
+            assert model.resumed_epochs == (0 if i == 0 else cfg.pretrain_epochs)
+            assert model.param_digests == train(source, target, cfg).param_digests
+
+    def test_a_run_without_adaptation_stores_and_resumes_whole(self, small_task):
+        source, target = small_task
+        cfg = replace(QUICK, adapt_epochs=0)
+        cache = PretrainCache()
+        train(source, target, replace(cfg, method="erm"), cache)
+        ours = replace(cfg, method="ours")
+        model = train(source, target, ours, cache)
+        assert model.resumed_epochs == cfg.pretrain_epochs == len(model.history)
+        assert model.param_digests == train(source, target, ours).param_digests
 
 
 class TestErm:
@@ -574,6 +700,40 @@ class TestDispatch:
 def test_nonfinite_loss_aborts_with_diagnostic():
     with pytest.raises(RuntimeError, match="non-finite"):
         _check_finite(float("nan"), epoch=3, what="loss")
+
+
+FLOAT_FIELDS = [f.name for f in fields(TrainConfig) if f.type == "float"]
+
+
+def test_float_fields_are_known():
+    assert FLOAT_FIELDS == [
+        "lambda1",
+        "lambda2",
+        "c1",
+        "c2",
+        "weight_decay",
+        "learning_rate",
+        "weight_lr_multiplier",
+        "dropout_rate",
+    ]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+def test_nonfinite_float_field_rejected(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        TrainConfig(**{name: value})
+
+
+@pytest.mark.parametrize("rate", [1.0, 1.5, -0.1, -1e-300])
+def test_dropout_rate_outside_unit_interval_rejected(rate):
+    with pytest.raises(ValueError, match=r"dropout_rate must lie in \[0, 1\)"):
+        TrainConfig(dropout_rate=rate)
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.5, math.nextafter(1.0, 0.0)])
+def test_dropout_rate_inside_unit_interval_accepted(rate):
+    assert TrainConfig(dropout_rate=rate).dropout_rate == rate
 
 
 def test_config_validation():
