@@ -8,19 +8,22 @@ Graphs are built per step and discarded; the only global state is the
 creation counter, so independent models can train concurrently in
 separate threads.
 
-The layers of a network are fused nodes: :func:`dense` is one node for a
-product, bias, ReLU and dropout mask (a one-output last layer returns its
-column), and :func:`clamped_sigmoid` and :func:`clamped_exp` squash and
-clamp in one node, each with a closed-form vector-Jacobian product that
-repeats the unfused graph's operations in the same order, so fusing
-changes no bit of a gradient.  The losses, W2 included, fuse the same
-way (see :mod:`fairshift.losses`); the ``Tensor`` operators, :func:`exp`,
-:func:`log` and :func:`take_rows` remain for the terms that combine
-them.  No backward closure holds its own output ``Tensor``: it captures
-the value array instead, so a dropped graph is freed at once, without
-the cyclic GC.  No gradient is ever written in place, so a node
-stores the first gradient it receives as is, without a copy; it may be a
-read-only broadcast view.
+Every node is fused: :func:`dense` is one node for a product, bias,
+ReLU and dropout mask (a one-output last layer returns its column),
+:func:`clamped_sigmoid` and :func:`clamped_exp` squash and clamp,
+:func:`take_rows` gathers rows and :func:`weighted_sum` adds the scaled
+terms of an objective.  Each has a closed-form vector-Jacobian product
+that repeats the unfused operator graph's operations in the same order,
+so fusing changes no bit of a gradient; every loss is one node the same
+way (see :mod:`fairshift.losses`).  ``Tensor`` has no operators: the
+broadcasting operator graph is the tests' oracle, in
+``tests/reference_tape.py``.
+
+No backward closure holds its own output ``Tensor``: it captures the
+value array instead, so a dropped graph is freed at once, without the
+cyclic GC.  No gradient is ever written in place, so a node stores the
+first gradient it receives as is, without a copy; it may be a read-only
+broadcast view.
 """
 
 from __future__ import annotations
@@ -35,24 +38,13 @@ __all__ = [
     "clamped_exp",
     "clamped_sigmoid",
     "dense",
-    "exp",
-    "log",
     "take_rows",
+    "weighted_sum",
 ]
 
 
 # creation stamps: a node's stamp is larger than each of its parents'
 _creation = itertools.count()
-
-
-def _unbroadcast(grad, shape):
-    """Sum a gradient back down to ``shape`` after numpy broadcasting."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, dim in enumerate(shape):
-        if dim == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad
 
 
 class Tensor:
@@ -104,97 +96,10 @@ class Tensor:
         # no gradient is ever written in place, so the first one is stored as is
         self.grad = grad if self.grad is None else self.grad + grad
 
-    # -- arithmetic ------------------------------------------------------
-
-    def __add__(self, other):
-        other = as_tensor(other)
-        out = Tensor(self.value + other.value, (self, other))
-
-        def backward_fn(g):
-            self._accumulate(_unbroadcast(g, self.value.shape))
-            other._accumulate(_unbroadcast(g, other.value.shape))
-
-        out._backward_fn = backward_fn
-        return out
-
-    def __mul__(self, other):
-        other = as_tensor(other)
-        out = Tensor(self.value * other.value, (self, other))
-
-        def backward_fn(g):
-            self._accumulate(_unbroadcast(g * other.value, self.value.shape))
-            other._accumulate(_unbroadcast(g * self.value, other.value.shape))
-
-        out._backward_fn = backward_fn
-        return out
-
-    def __truediv__(self, other):
-        other = as_tensor(other)
-        out = Tensor(self.value / other.value, (self, other))
-
-        def backward_fn(g):
-            self._accumulate(_unbroadcast(g / other.value, self.value.shape))
-            other._accumulate(
-                _unbroadcast(-g * self.value / other.value**2, other.value.shape)
-            )
-
-        out._backward_fn = backward_fn
-        return out
-
-    def __rtruediv__(self, other):
-        return as_tensor(other) / self
-
-    def __neg__(self):
-        out = Tensor(-self.value, (self,))
-        out._backward_fn = lambda g: self._accumulate(-g)
-        return out
-
-    def __sub__(self, other):
-        return self + (-as_tensor(other))
-
-    def __rsub__(self, other):
-        return as_tensor(other) + (-self)
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-    # -- reductions ------------------------------------------------------
-
-    def sum(self, axis=None, keepdims=False):
-        out = Tensor(self.value.sum(axis=axis, keepdims=keepdims), (self,))
-
-        def backward_fn(g):
-            g = np.asarray(g)
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            self._accumulate(np.broadcast_to(g, self.value.shape))
-
-        out._backward_fn = backward_fn
-        return out
-
-    def mean(self, axis=None):
-        n = self.value.size if axis is None else self.value.shape[axis]
-        return self.sum(axis=axis) * (1.0 / n)
-
 
 def as_tensor(x) -> Tensor:
     """Wrap ``x`` as a constant Tensor unless it already is one."""
     return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def exp(t) -> Tensor:
-    t = as_tensor(t)
-    value = np.exp(t.value)
-    out = Tensor(value, (t,))
-    out._backward_fn = lambda g: t._accumulate(g * value)
-    return out
-
-
-def log(t) -> Tensor:
-    t = as_tensor(t)
-    out = Tensor(np.log(t.value), (t,))
-    out._backward_fn = lambda g: t._accumulate(g / t.value)
-    return out
 
 
 def dense(x, w, b, relu=False, mask=None, column=False) -> Tensor:
@@ -265,6 +170,30 @@ def take_rows(t, index) -> Tensor:
         full = np.zeros_like(t.value)
         np.add.at(full, index, g)
         t._accumulate(full)
+
+    out._backward_fn = backward_fn
+    return out
+
+
+def weighted_sum(terms) -> Tensor:
+    """``c0 t0 + c1 t1 + ...`` over ``(coef, tensor)`` pairs, as one node.
+
+    Adds left to right and hands each term ``g * coef``, so it equals the
+    operator chain ``t0 + c1 * t1 + ...`` bit for bit when ``c0`` is 1
+    (``1.0 * x == x``), and ``t0 - c1 * t1`` when ``c1`` is negated.  A
+    lone term of coefficient 1 is returned as is.
+    """
+    terms = [(coef, as_tensor(t)) for coef, t in terms]
+    if len(terms) == 1 and terms[0][0] == 1.0:
+        return terms[0][1]
+    value = terms[0][0] * terms[0][1].value
+    for coef, t in terms[1:]:
+        value = value + coef * t.value
+    out = Tensor(value, tuple(t for _, t in terms))
+
+    def backward_fn(g):
+        for coef, t in terms:
+            t._accumulate(g * coef)
 
     out._backward_fn = backward_fn
     return out

@@ -2,11 +2,10 @@
 
 Every loss accepts plain arrays or autodiff tensors and returns an
 autodiff tensor, so the same formula serves both evaluation
-(``float(loss)``) and gradient-based training.  The risk, the entropy,
-the damped entropy, the constraint penalty and W2 are one tape node
-each, whose vector-Jacobian product repeats the operations of the
-unfused operator graph in its order, so fusing changes no bit.  All
-logarithms are natural.
+(``float(loss)``) and gradient-based training.  Every loss is one tape
+node, whose vector-Jacobian product repeats the operations of the
+unfused operator graph (``tests/reference_tape.py``) in its order, so
+fusing changes no bit.  All logarithms are natural.
 
 The Wasserstein-2 distance is ``sqrt(<P, C>)`` for an exact optimal
 coupling ``P``, found by a network simplex on integer flows for clouds
@@ -28,7 +27,6 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import Tensor, as_tensor
 
 # reduced costs down to -this x max(1, max cost) prove a simplex basis optimal
@@ -169,23 +167,51 @@ def constraint_penalty(fw_test, fw_train, c1=1.0, c2=1.0) -> Tensor:
     return out
 
 
-def kliep_loss(s_test, s_train) -> Tensor:
-    """Log-likelihood ratio-fitting loss with a unit-mean penalty on train."""
-    st = as_tensor(s_test)
-    ss = as_tensor(s_train)
+def _ratio_pair(s_test, s_train):
+    st, ss = as_tensor(s_test), as_tensor(s_train)
     if (st.value <= 0).any() or (ss.value <= 0).any():
         raise ValueError("ratio estimates must be strictly positive")
-    d = ss.mean() - 1.0
-    return (-ad.log(st)).mean() + d * d
+    return st, ss
+
+
+def kliep_loss(s_test, s_train) -> Tensor:
+    """Log-likelihood ratio-fitting loss with a unit-mean penalty on train.
+
+    One tape node: ``mean(-log s_test) + d^2`` with ``d = mean(s_train) - 1``;
+    each mean is ``sum * (1 / n)``, and the gradients repeat the unfused
+    graph's operations in its order.
+    """
+    st, ss = _ratio_pair(s_test, s_train)
+    d = ss.value.sum() * (1.0 / ss.value.size) - 1.0
+    out = Tensor((-np.log(st.value)).sum() * (1.0 / st.value.size) + d * d, (st, ss))
+
+    def backward_fn(g):
+        # d(d^2) = g d + g d, as the product node summed its two operands
+        r = (g * d + g * d) * (1.0 / ss.value.size)
+        ss._accumulate(np.broadcast_to(r, ss.value.shape))
+        st._accumulate(-(g * (1.0 / st.value.size)) / st.value)
+
+    out._backward_fn = backward_fn
+    return out
 
 
 def lsif_loss(s_test, s_train) -> Tensor:
-    """Least-squares ratio-fitting loss."""
-    st = as_tensor(s_test)
-    ss = as_tensor(s_train)
-    if (st.value <= 0).any() or (ss.value <= 0).any():
-        raise ValueError("ratio estimates must be strictly positive")
-    return (-st).mean() + 0.5 * (ss * ss).mean()
+    """Least-squares ratio-fitting loss ``mean(-s_test) + 0.5 mean(s_train^2)``.
+
+    One tape node; each mean is ``sum * (1 / n)``, the ``0.5`` scales the
+    second mean, and ``s^2`` hands ``g s + g s`` back, as the unfused graph.
+    """
+    st, ss = _ratio_pair(s_test, s_train)
+    half_sq = (ss.value * ss.value).sum() * (1.0 / ss.value.size) * 0.5
+    out = Tensor((-st.value).sum() * (1.0 / st.value.size) + half_sq, (st, ss))
+
+    def backward_fn(g):
+        r = (g * 0.5) * (1.0 / ss.value.size)
+        ss._accumulate(r * ss.value + r * ss.value)
+        st._accumulate(np.broadcast_to(-(g * (1.0 / st.value.size)), st.value.shape))
+
+    out._backward_fn = backward_fn
+    return out
 
 
 # -- optimal transport ------------------------------------------------------

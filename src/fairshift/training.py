@@ -18,7 +18,10 @@ reciprocal-mean constraint low-variance).  ``ours`` and
 ``unweighted_entropy`` minimize the source risk alone during the first
 stage; the importance-weighting baselines apply the matching term from
 epoch 0; ``erm`` and ``zsa`` never adapt.  Epochs that do not adapt run
-no target pass, no ascent and no matching.
+no target pass, no ascent and no matching.  Each step sums its switched-on
+terms in one :func:`fairshift.autodiff.weighted_sum` node, so every
+backward pass runs over fused nodes only.  A source that holds one label
+only raises ``ValueError`` before any epoch.
 
 ``erm``, ``ours`` and ``unweighted_entropy`` train their first
 ``pretrain_epochs`` epochs alike: source risk on the source's own
@@ -120,6 +123,17 @@ class TrainConfig:
             raise ValueError("penalty coefficients must be > 0")
         if self.m_cap < 1:
             raise ValueError("m_cap must be >= 1")
+        for name, bad, rule in (
+            ("hidden_dim", self.hidden_dim < 1, ">= 1"),
+            ("rep_dim", self.rep_dim < 1, ">= 1"),
+            ("clf_hidden_dim", self.clf_hidden_dim < 1, ">= 1"),
+            ("weight_hidden_dim", self.weight_hidden_dim < 1, ">= 1"),
+            ("learning_rate", self.learning_rate <= 0, "> 0"),
+            ("weight_lr_multiplier", self.weight_lr_multiplier <= 0, "> 0"),
+            ("weight_decay", self.weight_decay < 0, ">= 0"),
+        ):
+            if bad:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
     @property
     def total_epochs(self):
@@ -327,6 +341,11 @@ def _train(
     no row weights and no target), the run resumes from a matching stored
     state or stores its own at the end of those epochs.
     """
+    present = np.unique(source.labels)
+    if len(present) < 2:
+        raise ValueError(
+            f"the source holds only label {present[0]}; training needs both labels 0 and 1"
+        )
     features = source.features if features is None else features
     labels = source.labels.astype(np.float64)
     model = PredictorModel(cfg.net_config(source.d), streams["predictor"])
@@ -383,8 +402,7 @@ def _train(
                 fw_s = weight_net.forward(rep_s)
                 we = weighted_entropy_term(fw_t, entropies.value)
                 penalty = constraint_penalty(fw_t, fw_s, cfg.c1, cfg.c2)
-                w_loss = penalty - cfg.lambda1 * we
-                w_loss.backward()
+                ad.weighted_sum([(1.0, penalty), (-cfg.lambda1, we)]).backward()
                 w_norms.append(w_opt.step(step))
                 # the penalty's inputs, as it saw them before the step
                 t_mean = fw_t.value.mean()
@@ -399,18 +417,19 @@ def _train(
             zero_grads(model.parameters)
             _, probs = model.forward(features[batch_idx], dropout_rng=streams["dropout"])
             weights = None if row_weights is None else row_weights[batch_idx]
-            loss = cross_entropy_risk(probs, labels[batch_idx], weights)
-            sums[0] += float(loss) * len(batch_idx)
+            risk = cross_entropy_risk(probs, labels[batch_idx], weights)
+            sums[0] += float(risk) * len(batch_idx)
+            terms = [(1.0, risk)]
             if entropy_on:
                 fw_now = 0.0 if weight_net is None else weight_net.ratios(rep_t.value)
                 ent_term = weighted_entropy_term(fw_now, entropies)
                 sums[1] += float(ent_term)
-                loss = loss + cfg.lambda1 * ent_term
+                terms.append((cfg.lambda1, ent_term))
             if matching:
                 w2 = wasserstein2(ad.take_rows(rep_t, idx0), ad.take_rows(rep_t, idx1), plans)
                 sums[2] += float(w2)
-                loss = loss + cfg.lambda2 * w2
-            loss.backward()
+                terms.append((cfg.lambda2, w2))
+            ad.weighted_sum(terms).backward()
             theta_norms.append(opt.step(step))
             step += 1
 

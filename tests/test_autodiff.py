@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import reference_tape as ref
 from fairshift import autodiff as ad
 from fairshift.autodiff import Tensor
 from fairshift.data import make_synthetic_asymmetric
@@ -14,11 +15,13 @@ from fairshift.losses import (
     conditional_entropy,
     constraint_penalty,
     cross_entropy_risk,
+    kliep_loss,
+    lsif_loss,
     wasserstein2,
     weighted_entropy_term,
 )
 from fairshift.nets import NetConfig, PredictorModel, WeightNetwork
-from fairshift.training import TrainConfig, train_ours
+from fairshift.training import TrainConfig, train, train_ours
 
 
 def _numeric_grad(f, x, h=1e-6):
@@ -44,7 +47,7 @@ def test_add_mul_chain_matches_finite_differences():
         return float(((x * x + 2.0 * x) * 0.5).sum())
 
     t = Tensor(xv.copy())
-    loss = ((t * t + 2.0 * t) * 0.5).sum()
+    loss = ref.sum(ref.mul(ref.add(ref.mul(t, t), ref.mul(2.0, t)), 0.5))
     loss.backward()
     np.testing.assert_allclose(t.grad, _numeric_grad(f, xv.copy()), atol=1e-6)
 
@@ -59,7 +62,7 @@ def test_matmul_log_sigmoid_composite():
 
     w = Tensor(wv.copy())
     logits = ad.dense(xv, w, Tensor(np.zeros(2)))
-    loss = -(ad.log(ad.clamped_sigmoid(logits, 1e-7, 1.0 - 1e-7))).mean()
+    loss = ref.neg(ref.mean(ref.log(ad.clamped_sigmoid(logits, 1e-7, 1.0 - 1e-7))))
     loss.backward()
     np.testing.assert_allclose(w.grad, _numeric_grad(f, wv.copy()), atol=1e-6)
 
@@ -67,30 +70,30 @@ def test_matmul_log_sigmoid_composite():
 def test_broadcast_add_gradient_sums_over_expanded_axes():
     b = Tensor(np.zeros(3))
     x = Tensor(np.ones((4, 3)))
-    (x + b).sum().backward()
+    ref.sum(ref.add(x, b)).backward()
     np.testing.assert_array_equal(b.grad, np.full(3, 4.0))
 
 
 def test_division_gradients():
     a = Tensor(np.array([2.0, 4.0]))
     b = Tensor(np.array([1.0, 2.0]))
-    (a / b).sum().backward()
+    ref.sum(ref.div(a, b)).backward()
     np.testing.assert_allclose(a.grad, [1.0, 0.5])
     np.testing.assert_allclose(b.grad, [-2.0, -1.0])
 
 
 def test_relu_blocks_negative_side():
     t = Tensor(np.array([[-1.0, 2.0]]))
-    ad.dense(t, Tensor(np.eye(2)), Tensor(np.zeros(2)), relu=True).sum().backward()
+    ref.sum(ad.dense(t, Tensor(np.eye(2)), Tensor(np.zeros(2)), relu=True)).backward()
     np.testing.assert_array_equal(t.grad, [[0.0, 1.0]])
 
 
 def test_clip_gradient_only_inside():
     t = Tensor(np.array([-2.0, 0.5, 2.0]))
-    ad.clamped_exp(t, 0.0, 1.0).sum().backward()
+    ref.sum(ad.clamped_exp(t, 0.0, 1.0)).backward()
     np.testing.assert_array_equal(t.grad, [0.0, np.exp(0.5), 0.0])
     t = Tensor(np.array([-30.0, 0.0, 30.0]))
-    ad.clamped_sigmoid(t, 1e-7, 1.0 - 1e-7).sum().backward()
+    ref.sum(ad.clamped_sigmoid(t, 1e-7, 1.0 - 1e-7)).backward()
     np.testing.assert_array_equal(t.grad, [0.0, 0.25, 0.0])
 
 
@@ -98,7 +101,7 @@ def test_dense_gives_no_gradient_to_an_array_batch():
     w, b = Tensor(np.ones((2, 3))), Tensor(np.zeros(3))
     out = ad.dense(np.array([[1.0, 2.0]]), w, b)
     assert out._parents == (w, b)
-    out.sum().backward()
+    ref.sum(out).backward()
     np.testing.assert_array_equal(w.grad, [[1.0] * 3, [2.0] * 3])
     np.testing.assert_array_equal(b.grad, [1.0] * 3)
 
@@ -106,7 +109,7 @@ def test_dense_gives_no_gradient_to_an_array_batch():
 def test_take_rows_accumulates_repeats():
     t = Tensor(np.arange(6.0).reshape(3, 2))
     sel = ad.take_rows(t, np.array([1, 1, 2]))
-    sel.sum().backward()
+    ref.sum(sel).backward()
     np.testing.assert_array_equal(t.grad, [[0, 0], [2, 2], [1, 1]])
 
 
@@ -120,22 +123,22 @@ def test_gradient_linearity_doubling_loss_doubles_grads():
     rng = np.random.default_rng(2)
     xv = rng.normal(size=(3, 3))
     t1 = Tensor(xv.copy())
-    (ad.exp(t1) * 0.5).sum().backward()
+    ref.sum(ref.mul(ref.exp(t1), 0.5)).backward()
     t2 = Tensor(xv.copy())
-    (ad.exp(t2) * 1.0).sum().backward()
+    ref.sum(ref.mul(ref.exp(t2), 1.0)).backward()
     np.testing.assert_allclose(2.0 * t1.grad, t2.grad)
 
 
 def test_unused_parameter_gets_no_gradient():
     used = Tensor(np.ones(2))
     unused = Tensor(np.ones(2))
-    (used * 3.0).sum().backward()
+    ref.sum(ref.mul(used, 3.0)).backward()
     assert unused.grad is None
 
 
 def test_grad_accumulates_across_shared_subexpressions():
     x = Tensor(np.array(2.0))
-    y = x * x + x * 3.0
+    y = ref.add(ref.mul(x, x), ref.mul(x, 3.0))
     y.backward()
     np.testing.assert_allclose(x.grad, 2 * 2.0 + 3.0)
 
@@ -152,7 +155,7 @@ def _check_vjp(build, inputs, seed, h=1e-6):
     tensors = [Tensor(x.copy()) for x in inputs]
     out = build(*tensors)
     cot = np.random.default_rng(seed).normal(size=out.value.shape)
-    (out * Tensor(cot)).sum().backward()
+    ref.sum(ref.mul(out, cot)).backward()
     for k, x in enumerate(inputs):
 
         def f(xk, k=k):
@@ -243,20 +246,30 @@ def test_column_head_vjp(rows, fan_in, head, past_clamp, seed):
     _check_vjp(lambda x, w, b: squash(ad.dense(x, w, b, column=True), lo, hi), [x, w, b], seed)
 
 
-# -- Tensor operators and the plain nodes, against central differences -----
+@settings(max_examples=60, deadline=None)
+@given(SHAPES, SHAPES, st.sampled_from(["kliep", "lsif"]), SEEDS)
+def test_ratio_loss_vjp(rows_t, rows_s, name, seed):
+    rng = np.random.default_rng(seed)
+    s_test, s_train = rng.uniform(0.2, 3.0, rows_t), rng.uniform(0.2, 3.0, rows_s)
+    _check_vjp(kliep_loss if name == "kliep" else lsif_loss, [s_test, s_train], seed)
 
-OPERATORS = {
-    "+": lambda x, y: x + y,
-    "-": lambda x, y: x - y,
-    "*": lambda x, y: x * y,
-    "/": lambda x, y: x / y,
-}
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4), SEEDS)
+def test_weighted_sum_vjp(coefs, seed):
+    terms = list(np.random.default_rng(seed).normal(size=len(coefs)))
+    _check_vjp(lambda *ts: ad.weighted_sum(zip(coefs, ts)), terms, seed)
+
+
+# -- the reference operators and take_rows, against central differences ---
+
+OPERATORS = {"+": ref.add, "-": ref.sub, "*": ref.mul, "/": ref.div}
 UNARY = {
-    "neg": lambda t: -t,
-    "rsub": lambda t: 1.5 - t,
-    "rtruediv": lambda t: 1.5 / t,
-    "exp": ad.exp,
-    "log": ad.log,
+    "neg": ref.neg,
+    "rsub": lambda t: ref.sub(1.5, t),
+    "rtruediv": lambda t: ref.div(1.5, t),
+    "exp": ref.exp,
+    "log": ref.log,
 }
 
 
@@ -288,8 +301,8 @@ def test_unary_node_vjp(shape, op, seed):
 def test_sum_and_mean_vjp(shape, data, keepdims, seed):
     axis = data.draw(st.sampled_from([None, *range(-len(shape), len(shape))]))
     x = np.random.default_rng(seed).normal(size=shape)
-    _check_vjp(lambda t: t.sum(axis=axis, keepdims=keepdims), [x], seed)
-    _check_vjp(lambda t: t.mean(axis=axis), [x], seed)
+    _check_vjp(lambda t: ref.sum(t, axis=axis, keepdims=keepdims), [x], seed)
+    _check_vjp(lambda t: ref.mean(t, axis=axis), [x], seed)
 
 
 @settings(max_examples=60, deadline=None)
@@ -302,13 +315,15 @@ def test_take_rows_vjp(rows, cols, picks, seed):
 
 
 def _unfused_cross_entropy(p, y, row_weights):
-    per_row = -(Tensor(y) * ad.log(p) + Tensor(1.0 - y) * ad.log(1.0 - p))
-    return (per_row if row_weights is None else Tensor(row_weights) * per_row).mean()
+    per_row = ref.neg(
+        ref.add(ref.mul(y, ref.log(p)), ref.mul(1.0 - y, ref.log(ref.sub(1.0, p))))
+    )
+    return ref.mean(per_row if row_weights is None else ref.mul(row_weights, per_row))
 
 
 def _unfused_entropy(p):
-    q = 1.0 - p
-    return -(p * ad.log(p)) - (q * ad.log(q))
+    q = ref.sub(1.0, p)
+    return ref.sub(ref.neg(ref.mul(p, ref.log(p))), ref.mul(q, ref.log(q)))
 
 
 @pytest.mark.parametrize("weighted", [False, True])
@@ -325,8 +340,8 @@ def test_fused_losses_equal_the_unfused_graph_bit_for_bit(weighted):
                 lambda p: _unfused_cross_entropy(p, y, weights),
             ),
             (
-                lambda p: (conditional_entropy(p) * cot).sum(),
-                lambda p: (_unfused_entropy(p) * cot).sum(),
+                lambda p: ref.sum(ref.mul(conditional_entropy(p), cot)),
+                lambda p: ref.sum(ref.mul(_unfused_entropy(p), cot)),
             ),
         ):
             a, b = Tensor(pv.copy()), Tensor(pv.copy())
@@ -338,13 +353,13 @@ def test_fused_losses_equal_the_unfused_graph_bit_for_bit(weighted):
 
 
 def _unfused_weighted_entropy(fw, h):
-    return (ad.exp(-fw) * h).mean()
+    return ref.mean(ref.mul(ref.exp(ref.neg(fw)), h))
 
 
 def _unfused_penalty(ft, fs, c1, c2):
-    d1 = ft.mean() - 1.0
-    d2 = (1.0 / fs).mean() - 1.0
-    return c1 * (d1 * d1) + c2 * (d2 * d2)
+    d1 = ref.sub(ref.mean(ft), 1.0)
+    d2 = ref.sub(ref.mean(ref.div(1.0, fs)), 1.0)
+    return ref.add(ref.mul(c1, ref.mul(d1, d1)), ref.mul(c2, ref.mul(d2, d2)))
 
 
 @pytest.mark.parametrize("n_t,n_s", [(1, 1), (7, 3), (50, 256)])
@@ -362,8 +377,8 @@ def test_ascent_nodes_equal_the_unfused_graph_bit_for_bit(n_t, n_s):
             (_unfused_weighted_entropy, _unfused_penalty),
         ):
             leaf_t, fs, h = Tensor(ftv.copy()), Tensor(fsv.copy()), Tensor(hv.copy())
-            ft = leaf_t * 1.0  # a non-leaf, like the weight net's output
-            loss = penalty_fn(ft, fs, c1, c2) - lam * we_fn(ft, h)
+            ft = ref.mul(leaf_t, 1.0)  # a non-leaf, like the weight net's output
+            loss = ref.sub(penalty_fn(ft, fs, c1, c2), ref.mul(lam, we_fn(ft, h)))
             loss.backward()
             grads.append([float(loss), leaf_t.grad, fs.grad, h.grad])
         (va, *ga), (vb, *gb) = grads
@@ -377,11 +392,87 @@ def test_weight_zero_entropy_term_equals_the_plain_mean_bit_for_bit():
     for n in (1, 5, 50):
         hv = rng.uniform(0.0, 0.7, n)
         a, b = Tensor(hv.copy()), Tensor(hv.copy())
-        la, lb = weighted_entropy_term(0.0, a) * 0.3, b.mean() * 0.3
+        la, lb = ref.mul(weighted_entropy_term(0.0, a), 0.3), ref.mul(ref.mean(b), 0.3)
         la.backward()
         lb.backward()
         assert float(la) == float(lb)
         np.testing.assert_array_equal(a.grad, b.grad)
+
+
+def _unfused_kliep(s_test, s_train):
+    d = ref.sub(ref.mean(s_train), 1.0)
+    return ref.add(ref.mean(ref.neg(ref.log(s_test))), ref.mul(d, d))
+
+
+def _unfused_lsif(s_test, s_train):
+    return ref.add(ref.mean(ref.neg(s_test)), ref.mul(0.5, ref.mean(ref.mul(s_train, s_train))))
+
+
+@pytest.mark.parametrize("n_t,n_s", [(1, 1), (7, 3), (50, 256)])
+def test_ratio_losses_equal_the_unfused_graph_bit_for_bit(n_t, n_s):
+    # one ratio-fit step: both sides come from one network, as in the fit
+    rng = np.random.default_rng(n_t * n_s)
+    for fused, unfused in ((kliep_loss, _unfused_kliep), (lsif_loss, _unfused_lsif)):
+        for _ in range(10):
+            xt, xs = rng.normal(size=(n_t, 3)), rng.normal(size=(n_s, 3))
+            scale, seed = rng.normal(), int(rng.integers(2**32))
+            results = []
+            for loss_fn in (fused, unfused):
+                net = WeightNetwork(3, seed, hidden_dim=5)
+                loss = ref.mul(loss_fn(net.forward(xt), net.forward(xs)), scale)
+                loss.backward()
+                results.append([loss.value] + [p.grad for p in net.parameters])
+            for a, b in zip(*results):
+                np.testing.assert_array_equal(a, b)
+
+
+def _objective_step(lambda1, lambda2, rows, fused):
+    """One ascent and one descent of the epoch loop: values and parameter grads.
+
+    ``fused`` sums the terms by ``weighted_sum``, as the loop does; otherwise
+    by the operator chains ``penalty - l1 we`` and ``risk + l1 ent + l2 w2``.
+    """
+    rng = np.random.default_rng(rows)
+    cfg = NetConfig(input_dim=3, hidden_dim=8, rep_dim=4, clf_hidden_dim=4)
+    model, wnet = PredictorModel(cfg, seed=0), WeightNetwork(4, seed=1, hidden_dim=4)
+    xs, ys = rng.normal(size=(rows, 3)), (rng.random(rows) < 0.5).astype(np.float64)
+    xt, groups = rng.normal(size=(6, 3)), np.array([0, 1, 0, 1, 1, 0])
+    rep_t, probs_t = model.forward(xt)
+    entropies = conditional_entropy(probs_t)
+    fw_t, fw_s = wnet.forward(rep_t.value), wnet.forward(model.representations(xs))
+    we = weighted_entropy_term(fw_t, entropies.value)
+    penalty = constraint_penalty(fw_t, fw_s, 1.0, 2.0)
+    if fused:
+        ascent = ad.weighted_sum([(1.0, penalty), (-lambda1, we)])
+    else:
+        ascent = ref.sub(penalty, ref.mul(lambda1, we))
+    ascent.backward()
+    _, probs = model.forward(xs, dropout_rng=np.random.default_rng(2))
+    # the chain's nodes are built either way, in the loop's order; the
+    # fused sum does not reach them
+    terms = [(1.0, cross_entropy_risk(probs, ys))]
+    descent = terms[0][1]
+    if lambda1 > 0:
+        terms.append((lambda1, weighted_entropy_term(wnet.ratios(rep_t.value), entropies)))
+        descent = ref.add(descent, ref.mul(*terms[-1]))
+    if lambda2 > 0:
+        rep0, rep1 = (ad.take_rows(rep_t, np.flatnonzero(groups == g)) for g in (0, 1))
+        terms.append((lambda2, wasserstein2(rep0, rep1)))
+        descent = ref.add(descent, ref.mul(*terms[-1]))
+    if fused:
+        descent = ad.weighted_sum(terms)
+    descent.backward()
+    return [ascent.value, descent.value] + [p.grad for p in model.parameters + wnet.parameters]
+
+
+@pytest.mark.parametrize("rows", [1, 9])
+@pytest.mark.parametrize("lambda2", [0.0, 1.3])
+@pytest.mark.parametrize("lambda1", [0.0, 0.4])
+def test_objective_sums_equal_the_operator_chains_bit_for_bit(lambda1, lambda2, rows):
+    fused = _objective_step(lambda1, lambda2, rows, fused=True)
+    unfused = _objective_step(lambda1, lambda2, rows, fused=False)
+    for a, b in zip(fused, unfused, strict=True):
+        np.testing.assert_array_equal(a, b)
 
 
 @pytest.mark.parametrize("masked", [False, True])
@@ -397,8 +488,8 @@ def test_column_heads_equal_the_unfused_graph_bit_for_bit(masked):
             for column in (True, False):
                 x, w, b = Tensor(xv.copy()), Tensor(wv.copy()), Tensor(bv.copy())
                 pre = ad.dense(x, w, b, mask=mask, column=column)
-                out = squash(pre if column else pre.sum(axis=1), lo, hi)
-                (out * Tensor(cot)).sum().backward()
+                out = squash(pre if column else ref.sum(pre, axis=1), lo, hi)
+                ref.sum(ref.mul(out, cot)).backward()
                 results.append([out.value, x.grad, w.grad, b.grad])
             for a, b in zip(*results):
                 np.testing.assert_array_equal(a, b)
@@ -425,6 +516,42 @@ def test_training_never_writes_a_stored_gradient(monkeypatch):
     assert model.param_digests == expected
 
 
+def _tape_sizes(monkeypatch, cfg):
+    """Nodes each backward pass of a run reaches, by perfbench's ``_tape_size`` walk."""
+    sizes = []
+    real = Tensor.backward
+
+    def counted(self):
+        sizes.append(ref.tape_size(self))
+        real(self)
+
+    monkeypatch.setattr(Tensor, "backward", counted)
+    source, target = make_synthetic_asymmetric(seed=4, n_per_group=40)
+    train(source, target, cfg)
+    return sizes
+
+
+def test_tape_size_of_ratio_fit_and_weighted_training_steps(monkeypatch):
+    # 80 rows in batches of 32: three ratio-fit steps, then three training steps.
+    # A fit step: the loss node, two weight-net forwards of three nodes, four
+    # parameters.  A training step: the weighted sum, the risk, W2 and its two
+    # gathers, a source forward of five nodes, a target encoder of two, and
+    # eight parameters.
+    cfg = TrainConfig(pretrain_epochs=1, adapt_epochs=0, m_cap=30, seed=2, method="kliep_iw")
+    assert _tape_sizes(monkeypatch, cfg) == [11] * 3 + [20] * 3
+
+
+def test_tape_size_of_an_ours_adaptation_step(monkeypatch):
+    # the ascent: the weighted sum, the penalty, the damped entropy and its
+    # constant entropies, two weight-net forwards of three nodes, four
+    # parameters; the descent: the weighted sum, the risk, a source forward
+    # of five nodes, the damped entropy and its constant weights, the
+    # entropy, a target forward of five nodes, W2 and its two gathers, and
+    # eight parameters
+    cfg = TrainConfig(pretrain_epochs=0, adapt_epochs=1, m_cap=30, seed=2)
+    assert _tape_sizes(monkeypatch, cfg) == [14, 26]
+
+
 # -- no reference cycles: a dropped graph is freed without the cyclic GC -----
 
 
@@ -446,26 +573,41 @@ def _leaf():
     return Tensor(np.random.default_rng(0).uniform(0.1, 0.9, size=(4, 3)))
 
 
+def _scaled(scale):
+    return ref.mul(_leaf(), scale)  # a non-leaf input
+
+
 NODES = {
-    "add_mul_div_neg": lambda: (-(_leaf() * 2.0 + 1.0) / 3.0).sum(),
-    "exp": lambda: ad.exp(_leaf()).sum(),
-    "log": lambda: ad.log(_leaf()).sum(),
-    "take_rows": lambda: ad.take_rows(_leaf(), np.array([0, 2])).sum(),
-    "dense": lambda: ad.dense(_leaf(), Tensor(np.ones((3, 2))), Tensor(np.zeros(2)), True).sum(),
-    "clamped_sigmoid": lambda: ad.clamped_sigmoid(_leaf(), 0.2, 0.8).sum(),
-    "clamped_exp": lambda: ad.clamped_exp(_leaf(), -1.0, 1.0).sum(),
-    "cross_entropy": lambda: cross_entropy_risk(_leaf().sum(axis=1) * (1.0 / 3.0), [0, 1, 1, 0]),
-    "entropy": lambda: conditional_entropy(_leaf()).sum(),
-    "weighted_entropy": lambda: weighted_entropy_term(_leaf() * 1.0, _leaf()),
-    "constraint_penalty": lambda: constraint_penalty(_leaf() * 1.0, _leaf(), 2.0, 0.5),
-    "dense_column": lambda: ad.dense(
-        _leaf(), Tensor(np.ones((3, 1))), Tensor(np.zeros(1)), column=True
-    ).sum(),
-    "wasserstein2": lambda: wasserstein2(_leaf(), _leaf() * 2.0),
+    "add_mul_div_neg": lambda: ref.sum(ref.div(ref.neg(ref.add(_scaled(2.0), 1.0)), 3.0)),
+    "exp": lambda: ref.sum(ref.exp(_leaf())),
+    "log": lambda: ref.sum(ref.log(_leaf())),
+    "take_rows": lambda: ref.sum(ad.take_rows(_leaf(), np.array([0, 2]))),
+    "dense": lambda: ref.sum(
+        ad.dense(_leaf(), Tensor(np.ones((3, 2))), Tensor(np.zeros(2)), True)
+    ),
+    "clamped_sigmoid": lambda: ref.sum(ad.clamped_sigmoid(_leaf(), 0.2, 0.8)),
+    "clamped_exp": lambda: ref.sum(ad.clamped_exp(_leaf(), -1.0, 1.0)),
+    "cross_entropy": lambda: cross_entropy_risk(
+        ref.mul(ref.sum(_leaf(), axis=1), 1.0 / 3.0), [0, 1, 1, 0]
+    ),
+    "entropy": lambda: ref.sum(conditional_entropy(_leaf())),
+    "weighted_entropy": lambda: weighted_entropy_term(_scaled(1.0), _leaf()),
+    "constraint_penalty": lambda: constraint_penalty(_scaled(1.0), _leaf(), 2.0, 0.5),
+    "dense_column": lambda: ref.sum(
+        ad.dense(_leaf(), Tensor(np.ones((3, 1))), Tensor(np.zeros(1)), column=True)
+    ),
+    "wasserstein2": lambda: wasserstein2(_leaf(), _scaled(2.0)),
     # the W2 node's sqrt at its zero subgradient, between coincident clouds
-    "sqrt": lambda: wasserstein2(_leaf(), _leaf() * 1.0),
+    "sqrt": lambda: wasserstein2(_leaf(), _scaled(1.0)),
     # the W2 node's plan cost under a fractional plan, 4 points against 2
-    "transport_cost": lambda: wasserstein2(_leaf(), ad.take_rows(_leaf(), np.array([0, 2])) * 2.0),
+    "transport_cost": lambda: wasserstein2(
+        _leaf(), ref.mul(ad.take_rows(_leaf(), np.array([0, 2])), 2.0)
+    ),
+    "kliep": lambda: kliep_loss(_scaled(1.0), _scaled(2.0)),
+    "lsif": lambda: lsif_loss(_scaled(1.0), _scaled(2.0)),
+    "weighted_sum": lambda: ad.weighted_sum(
+        [(1.0, ref.sum(_leaf())), (-0.5, ref.sum(_scaled(2.0)))]
+    ),
 }
 
 
@@ -495,13 +637,18 @@ def test_training_step_graph_is_freed_without_the_cyclic_gc():
         probs = model.forward(source.features, dropout_rng=rng)[1]
         fw = weight_net.forward(rep_t.value)
         groups = target.groups
-        loss = (
-            cross_entropy_risk(probs, source.labels)
-            + weighted_entropy_term(fw, conditional_entropy(probs_t))
-            + wasserstein2(
-                ad.take_rows(rep_t, np.flatnonzero(groups == 0)),
-                ad.take_rows(rep_t, np.flatnonzero(groups == 1)),
-            )
+        loss = ad.weighted_sum(
+            [
+                (1.0, cross_entropy_risk(probs, source.labels)),
+                (0.1, weighted_entropy_term(fw, conditional_entropy(probs_t))),
+                (
+                    1.0,
+                    wasserstein2(
+                        ad.take_rows(rep_t, np.flatnonzero(groups == 0)),
+                        ad.take_rows(rep_t, np.flatnonzero(groups == 1)),
+                    ),
+                ),
+            ]
         )
         loss.backward()
         refs = _node_values(loss)

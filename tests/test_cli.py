@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -206,6 +207,17 @@ def test_train_rejects_non_finite_cell(source_and_target_csv, tmp_path, capsys):
     assert code == 1
     column = lines[0].split(",")[0]
     assert f"non-finite cell 'inf' at row 2, column '{column}'" in capsys.readouterr().err
+
+
+def test_train_rejects_a_one_label_source(source_and_target_csv, tmp_path, capsys):
+    source_path, target_path, _ = source_and_target_csv
+    source = load_csv(source_path)
+    one_label = tmp_path / "one_label.csv"
+    write_csv(one_label, replace(source, labels=np.zeros(source.n, dtype=np.int64)))
+    argv = ["train", "--data", str(one_label), "--target", str(target_path)]
+    code = main(argv + ["--method", "erm", "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert "the source holds only label 0" in capsys.readouterr().err
 
 
 def test_variance_study_command(tmp_path):
