@@ -66,11 +66,6 @@ from .training import (
     TrainConfig,
     TrainedModel,
     train,
-    train_erm,
-    train_importance_weighted,
-    train_ours,
-    train_unweighted_entropy,
-    train_zsa,
 )
 
 __version__ = "0.1.0"

@@ -88,7 +88,7 @@ def _cmd_train(args):
     model = train(source, target, cfg)
     out = _ensure_out(args.out)
     extra = {
-        "method": model.method,
+        "method": model.config.method,
         "seed": cfg.seed,
         "config": dataclasses.asdict(cfg),
         "train_data_sha256": _data_digest(source),
@@ -108,16 +108,15 @@ def _cmd_train(args):
         for epoch, entry in enumerate(model.history):
             record = {"epoch": epoch, **entry.to_dict()}
             fh.write(json.dumps(record) + "\n")
-    print(f"trained {model.method} for {len(model.history)} epochs -> {out}")
+    print(f"trained {model.config.method} for {len(model.history)} epochs -> {out}")
     return 0
 
 
 def _load_trained(path):
     """Return ``(TrainedModel, extra)`` from a checkpoint file."""
     predictor, weight_net, extra = load_checkpoint(path)
-    method = extra.get("method", "erm")
     # checkpoints written before the config was stored record the method only
-    config = train_config_from_dict(extra.get("config", {"method": method}))
+    config = train_config_from_dict(extra.get("config", {"method": extra.get("method", "erm")}))
     stats = None
     if "input_stats" in extra:
         stats = NormalizationStats(
@@ -125,7 +124,6 @@ def _load_trained(path):
             np.array(extra["input_stats"]["stds"]),
         )
     model = TrainedModel(
-        method=method,
         predictor=predictor,
         config=config,
         weight_net=weight_net,
@@ -141,7 +139,7 @@ def _cmd_evaluate(args):
     print(f"trained on data sha256={extra.get('train_data_sha256', 'unrecorded')}")
     metrics = evaluate_model(model, data)
     row = {
-        "method": model.method,
+        "method": model.config.method,
         "seed": args.seed if args.seed is not None else "",
         "gamma": args.gamma if args.gamma is not None else "",
         "error_pct": metrics.error_pct,

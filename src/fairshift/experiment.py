@@ -107,6 +107,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be >= 0, got {self.base_seed!r}")
         for name in ("methods", "gammas", "lambda1s", "lambda2s", "ms"):
             if not getattr(self, name):
                 raise ValueError(f"grid list {name} must be non-empty")

@@ -37,6 +37,8 @@ class ShiftConfig:
             raise ValueError("val_fraction_of_train must be in (0, 1)")
         if self.asymmetric_group not in (None, 0, 1):
             raise ValueError("asymmetric_group must be None, 0 or 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,15 @@
-"""Training loops: the weighted-entropy min-max method and its baselines.
+"""Training: the weighted-entropy min-max method and its baselines.
 
-Every trainer is a pure function of ``(data, config.seed)``.  Randomness
-is split into independent streams (model init, weight-net init, batch
-shuffling, dropout, target subsampling, ratio fitting), so trainers that
+:func:`train` is the one way to train; ``cfg.method`` picks the method.
+Every run is a pure function of ``(data, config.seed)``.  Randomness is
+split into independent streams (model init, weight-net init, batch
+shuffling, dropout, target subsampling, ratio fitting), so methods that
 share a seed consume identical randomness on the classifier path.  In
-particular ``train_ours`` with both regularizers at zero reproduces the
-``train_erm`` parameter trajectory bit for bit.
+particular ``ours`` with both regularizers at zero reproduces the ``erm``
+parameter trajectory bit for bit.
 
-Every trainer is the paper's one objective with some terms switched
-off, and runs the one epoch loop of :func:`_train`: source risk, plus the
+Every method is the paper's one objective with some terms switched off,
+and runs the one epoch loop of :func:`_train`: source risk, plus the
 ``exp(-F_w)``-damped target entropy, plus exact W2 between the target
 representation's two group clouds.  It runs ``pretrain_epochs +
 adapt_epochs`` epochs over the source data, using ``batch_size`` during
@@ -21,7 +22,7 @@ epoch 0; ``erm`` and ``zsa`` never adapt.  Epochs that do not adapt run
 no target pass, no ascent and no matching.  Each step sums its switched-on
 terms in one :func:`fairshift.autodiff.weighted_sum` node, so every
 backward pass runs over fused nodes only.  A source that holds one label
-only raises ``ValueError`` before any epoch.
+only raises ``ValueError`` before any work.
 
 ``erm``, ``ours`` and ``unweighted_entropy`` train their first
 ``pretrain_epochs`` epochs alike: source risk on the source's own
@@ -117,6 +118,8 @@ class TrainConfig:
             raise ValueError("batch sizes must be >= 1")
         if self.pretrain_epochs < 0 or self.adapt_epochs < 0:
             raise ValueError("epoch counts must be >= 0")
+        if self.pretrain_epochs + self.adapt_epochs == 0:
+            raise ValueError("pretrain_epochs + adapt_epochs must be >= 1, got 0 + 0")
         if self.lambda1 < 0 or self.lambda2 < 0:
             raise ValueError("lambda coefficients must be >= 0")
         if self.c1 <= 0 or self.c2 <= 0:
@@ -131,6 +134,7 @@ class TrainConfig:
             ("learning_rate", self.learning_rate <= 0, "> 0"),
             ("weight_lr_multiplier", self.weight_lr_multiplier <= 0, "> 0"),
             ("weight_decay", self.weight_decay < 0, ">= 0"),
+            ("seed", self.seed < 0, ">= 0"),
         ):
             if bad:
                 raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
@@ -152,7 +156,6 @@ class TrainConfig:
 
 @dataclass
 class TrainedModel:
-    method: str
     predictor: PredictorModel
     config: TrainConfig
     history: list = field(default_factory=list)
@@ -212,14 +215,15 @@ class _Pretrained:
 class PretrainCache:
     """The pretraining epochs of the last run that trained them, to resume from.
 
-    A run of a ``SHARES_PRETRAINING`` method given the cache resumes from
-    copies of the stored state when its source features and labels equal
-    the stored ones by value and its config equals the stored one in every
-    field but those only adaptation reads.  Otherwise it trains those
-    epochs itself and, at their end, stores copies of its predictor
-    values, Adam's moments and step count, its batch and dropout generator
-    states, its step count, history and digests.  The other methods
-    neither read nor write the cache.
+    :func:`train` hands the cache to runs of the ``SHARES_PRETRAINING``
+    methods only; runs of the other methods neither read nor write it.
+    Such a run resumes from copies of the stored state when its source
+    features and labels equal the stored ones by value and its config
+    equals the stored one in every field but those only adaptation reads.
+    Otherwise it trains those epochs itself and, at their end, stores
+    copies of its predictor values, Adam's moments and step count, its
+    batch and dropout generator states, its step count, history and
+    digests.
     """
 
     state: _Pretrained | None = None
@@ -310,7 +314,6 @@ def _subsample_target(target: UnlabeledDataset, cfg, rng, matching=True) -> Unla
 
 
 def _train(
-    method,
     source: LabeledDataset,
     cfg: TrainConfig,
     streams,
@@ -341,11 +344,6 @@ def _train(
     no row weights and no target), the run resumes from a matching stored
     state or stores its own at the end of those epochs.
     """
-    present = np.unique(source.labels)
-    if len(present) < 2:
-        raise ValueError(
-            f"the source holds only label {present[0]}; training needs both labels 0 and 1"
-        )
     features = source.features if features is None else features
     labels = source.labels.astype(np.float64)
     model = PredictorModel(cfg.net_config(source.d), streams["predictor"])
@@ -464,7 +462,6 @@ def _train(
         if cache is not None and epoch + 1 == cfg.pretrain_epochs:
             cache.store(source, cfg, model, opt, streams, step, history, digests)
     return TrainedModel(
-        method=method,
         predictor=model,
         config=cfg,
         history=history,
@@ -474,61 +471,8 @@ def _train(
     )
 
 
-def train_erm(source: LabeledDataset, cfg: TrainConfig, cache=None) -> TrainedModel:
-    """Cross-entropy minimization only; the reference trajectory."""
-    return _train("erm", source, cfg, _streams(cfg.seed), cache=cache)
-
-
-def train_ours(
-    source: LabeledDataset, target: UnlabeledDataset, cfg: TrainConfig, cache=None
-) -> TrainedModel:
-    """Two-stage min-max training of the composite objective.
-
-    Stage 1 minimizes the source risk alone.  Stage 2 alternates per
-    batch: the weight network ascends the entropy term minus the
-    squared-error constraint penalties, then the predictor descends the
-    source risk plus the (gradient-stopped) weighted entropy plus the
-    group-level Wasserstein matching term.
-    """
-    streams = _streams(cfg.seed)
-    target_sub = _subsample_target(target, cfg, streams["subsample"])
-    return _train(
-        "ours",
-        source,
-        cfg,
-        streams,
-        target_sample=target_sub,
-        adapt_from=cfg.pretrain_epochs,
-        entropy="learned",
-        cache=cache,
-    )
-
-
-def train_unweighted_entropy(
-    source: LabeledDataset, target: UnlabeledDataset, cfg: TrainConfig, cache=None
-) -> TrainedModel:
-    """Ablation of :func:`train_ours`: every target point gets weight 1.
-
-    No weight network and no constraints; otherwise the two-stage
-    schedule is identical.
-    """
-    streams = _streams(cfg.seed)
-    target_sub = _subsample_target(target, cfg, streams["subsample"])
-    return _train(
-        "unweighted_entropy",
-        source,
-        cfg,
-        streams,
-        target_sample=target_sub,
-        adapt_from=cfg.pretrain_epochs,
-        entropy="uniform",
-        cache=cache,
-    )
-
-
-def _fit_ratio_net(source, target_x, cfg, init_seed, batch_seed):
-    """Fit s(x) on raw features by the configured density-ratio loss."""
-    loss_fn = kliep_loss if cfg.method == "kliep_iw" else lsif_loss
+def _fit_ratio_net(source, target_x, cfg, loss_fn, init_seed, batch_seed):
+    """Fit s(x) on raw features by the density-ratio loss ``loss_fn``."""
     net = WeightNetwork(source.d, init_seed, hidden_dim=cfg.weight_hidden_dim)
     rng = np.random.default_rng(batch_seed)
     steps_per_epoch = -(-source.n // cfg.batch_size)
@@ -550,83 +494,85 @@ def _fit_ratio_net(source, target_x, cfg, init_seed, batch_seed):
     return net
 
 
-def train_importance_weighted(
+def train(
     source: LabeledDataset,
-    target: UnlabeledDataset,
+    target: UnlabeledDataset | None,
     cfg: TrainConfig,
+    cache: PretrainCache | None = None,
     ratio_override=None,
 ) -> TrainedModel:
-    """Density-ratio baseline: fit s(x), then minimize s-weighted risk.
+    """Train ``cfg.method`` on the labeled ``source`` and the unlabeled ``target``.
 
-    Phase 1 fits the ratio network by the KLIEP or LSIF loss over the
-    available target points and source batches.  Phase 2 trains the
-    classifier on the s-weighted cross entropy plus the Wasserstein
-    matching term, from the first epoch on.  ``ratio_override``
-    (length-n array) skips phase 1, which is how exact-ratio studies and
-    the unit-weight degenerate case are run.
+    Every method but ``erm``, which needs no target, draws its ``m_cap``
+    target points once; every method but ``zsa`` matches their group
+    clouds, so they must hold points of both groups.
+
+    - ``erm`` minimizes the source risk alone; the reference trajectory.
+    - ``ours`` minimizes the source risk alone for ``pretrain_epochs``,
+      then alternates per batch: the weight network ascends the entropy
+      term minus the squared-error constraint penalties, then the
+      predictor descends the source risk plus the (gradient-stopped)
+      weighted entropy plus the group-level Wasserstein matching term.
+    - ``unweighted_entropy``, the ablation of ``ours``, weights every
+      target point 1: no weight network and no constraints.
+    - ``kliep_iw`` and ``lsif_iw`` fit a density ratio s(x) on raw
+      features by the KLIEP or LSIF loss over the target points and
+      source batches, then minimize the s-weighted risk plus the matching
+      term from the first epoch on.  ``ratio_override`` (one weight per
+      source row) replaces the fit, which is how exact-ratio studies and
+      the unit-weight degenerate case are run.
+    - ``zsa`` retrains nothing at adaptation time: the classifier trains
+      on source features standardized by source statistics, and the
+      returned model standardizes by statistics recomputed from the
+      target points.
+
+    ``cache`` reaches the ``SHARES_PRETRAINING`` methods only.
     """
-    if cfg.method not in ("kliep_iw", "lsif_iw"):
-        raise ValueError(f"method must be kliep_iw or lsif_iw, got {cfg.method!r}")
+    method = cfg.method
+    present = np.unique(source.labels)
+    if len(present) < 2:
+        raise ValueError(
+            f"the source holds only label {present[0]}; training needs both labels 0 and 1"
+        )
+    if ratio_override is not None and method not in ("kliep_iw", "lsif_iw"):
+        raise ValueError(f"ratio_override needs method kliep_iw or lsif_iw, got {method!r}")
+    if method != "erm" and target is None:
+        raise ValueError(f"method {method!r} requires target data")
     streams = _streams(cfg.seed)
-    target_sub = _subsample_target(target, cfg, streams["subsample"])
+    if method == "erm":
+        return _train(source, cfg, streams, cache=cache)
+    target_sub = _subsample_target(target, cfg, streams["subsample"], matching=method != "zsa")
 
+    if method == "zsa":
+        adapted = fit_zscore(target_sub, source.feature_kinds)
+        train_stats = fit_zscore(source)
+        standardized = (source.features - train_stats.means) / train_stats.stds
+        model = _train(source, cfg, streams, features=standardized)
+        return replace(model, input_stats=adapted)
+    if method in SHARES_PRETRAINING:  # ours and unweighted_entropy; erm returned above
+        return _train(
+            source,
+            cfg,
+            streams,
+            target_sample=target_sub,
+            adapt_from=cfg.pretrain_epochs,
+            entropy="learned" if method == "ours" else "uniform",
+            cache=cache,
+        )
     ratio_net = None
     if ratio_override is not None:
         weights = np.asarray(ratio_override, dtype=np.float64)
         if weights.shape != (source.n,):
             raise ValueError("ratio_override must have one weight per source row")
     else:
+        loss_fn = kliep_loss if method == "kliep_iw" else lsif_loss
         ratio_net = _fit_ratio_net(
-            source, target_sub.features, cfg, streams["weight_net"], streams["ratio"]
+            source, target_sub.features, cfg, loss_fn, streams["weight_net"], streams["ratio"]
         )
         weights = ratio_net.ratios(source.features)
         # the squared-penalty fit overshoots the constrained optimum by a
         # constant factor; rescale so the source mean is exactly one
         weights = weights / weights.mean()
     weights = np.maximum(weights, RATIO_FLOOR)
-
-    model = _train(cfg.method, source, cfg, streams, target_sample=target_sub, row_weights=weights)
+    model = _train(source, cfg, streams, target_sample=target_sub, row_weights=weights)
     return replace(model, weight_net=ratio_net)
-
-
-def train_zsa(
-    source: LabeledDataset, target: UnlabeledDataset, cfg: TrainConfig
-) -> TrainedModel:
-    """Z-score adaptation: retrain nothing, re-estimate input statistics.
-
-    The classifier trains on source features standardized by source
-    statistics; at adaptation time the standardization layer switches to
-    statistics recomputed from the available unlabeled target points.
-    """
-    streams = _streams(cfg.seed)
-    target_sub = _subsample_target(target, cfg, streams["subsample"], matching=False)
-    adapted = fit_zscore(target_sub, source.feature_kinds)
-    train_stats = fit_zscore(source)
-    standardized = (source.features - train_stats.means) / train_stats.stds
-    model = _train("zsa", source, cfg, streams, features=standardized)
-    return replace(model, input_stats=adapted)
-
-
-_TRAINERS = {
-    "ours": train_ours,
-    "unweighted_entropy": train_unweighted_entropy,
-    "kliep_iw": train_importance_weighted,
-    "lsif_iw": train_importance_weighted,
-    "zsa": train_zsa,
-}
-
-
-def train(
-    source: LabeledDataset, target, cfg: TrainConfig, cache: PretrainCache | None = None
-) -> TrainedModel:
-    """Dispatch to the trainer selected by ``cfg.method``.
-
-    ``cache`` reaches the ``SHARES_PRETRAINING`` trainers only.
-    """
-    if cfg.method == "erm":
-        return train_erm(source, cfg, cache)
-    if target is None:
-        raise ValueError(f"method {cfg.method!r} requires target data")
-    if cfg.method in SHARES_PRETRAINING:
-        return _TRAINERS[cfg.method](source, target, cfg, cache)
-    return _TRAINERS[cfg.method](source, target, cfg)

@@ -37,12 +37,7 @@ from fairshift.losses import (
 from fairshift.metrics import evaluate_model
 from fairshift.nets import NetConfig, PredictorModel, WeightNetwork
 from fairshift.splitter import ShiftConfig, first_principal_projection, split
-from fairshift.training import (
-    TrainConfig,
-    train_erm,
-    train_importance_weighted,
-    train_ours,
-)
+from fairshift.training import TrainConfig, train
 
 ADULT_CSV = os.path.join(os.path.dirname(__file__), "..", "data", "adult.csv")
 
@@ -214,8 +209,8 @@ def test_criterion_3_zero_lambda_bitwise_erm():
     cfg = TrainConfig(
         pretrain_epochs=4, adapt_epochs=5, lambda1=0.0, lambda2=0.0, m_cap=60, seed=3
     )
-    ours = train_ours(source, test.without_labels(), cfg)
-    erm = train_erm(source, cfg)
+    ours = train(source, test.without_labels(), replace(cfg, method="ours"))
+    erm = train(source, None, replace(cfg, method="erm"))
     ok = ours.param_digests == erm.param_digests and len(ours.param_digests) == 9
     assert _verdict(3, ok, "per-epoch parameter checksums identical to the risk-only run")
 
@@ -229,7 +224,7 @@ def test_criterion_4_weighted_entropy_bound_nonnegative_slack():
     for seed in range(50):
         source = task.sample_source(400, np.random.SeedSequence((seed, 77)).spawn(1)[0])
         cfg = TrainConfig(method="erm", pretrain_epochs=10, adapt_epochs=0, seed=seed)
-        model = train_erm(source, cfg)
+        model = train(source, None, cfg)
         gaps.append(bound_gap_estimate(model, task, n_mc=5000, seed=seed + 999, epsilon=5.0))
     gaps = np.array(gaps)
     ok = bool(np.all(gaps >= -0.01))
@@ -292,8 +287,8 @@ def test_criterion_6_fairness_gain_on_asymmetric_shift():
         source, test = _normalize_pool(source, test)
         target = test.without_labels()
         cfg = TrainConfig(seed=seed)
-        ours = evaluate_model(train_ours(source, target, cfg), test)
-        erm = evaluate_model(train_erm(source, cfg), test)
+        ours = evaluate_model(train(source, target, replace(cfg, method="ours")), test)
+        erm = evaluate_model(train(source, None, replace(cfg, method="erm")), test)
         ours_eo.append(ours.eodds)
         erm_eo.append(erm.eodds)
         ours_err.append(ours.error_pct)
@@ -323,9 +318,10 @@ def test_criterion_7_variance_contrast():
         source, test = _normalize_pool(source, test)
         target = test.without_labels()
         cfg = TrainConfig(seed=seed, m_cap=20)
-        iw = train_importance_weighted(source, target, replace(cfg, method="kliep_iw"))
+        iw = train(source, target, replace(cfg, method="kliep_iw"))
         err_iw.append(evaluate_model(iw, test).error_pct)
-        err_ours.append(evaluate_model(train_ours(source, target, cfg), test).error_pct)
+        ours = train(source, target, replace(cfg, method="ours"))
+        err_ours.append(evaluate_model(ours, test).error_pct)
     trainer_ok = np.std(err_iw) > np.std(err_ours)
     ok = bool(study_ok and trainer_ok)
     assert _verdict(

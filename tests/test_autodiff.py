@@ -21,7 +21,7 @@ from fairshift.losses import (
     weighted_entropy_term,
 )
 from fairshift.nets import NetConfig, PredictorModel, WeightNetwork
-from fairshift.training import TrainConfig, train, train_ours
+from fairshift.training import TrainConfig, train
 
 
 def _numeric_grad(f, x, h=1e-6):
@@ -499,8 +499,8 @@ def test_training_never_writes_a_stored_gradient(monkeypatch):
     # every gradient an accumulation stores is made read-only: an in-place
     # write to one (by a later accumulation, a VJP or Adam) would raise
     source, target = make_synthetic_asymmetric(seed=4, n_per_group=40)
-    cfg = TrainConfig(pretrain_epochs=0, adapt_epochs=1, m_cap=30, seed=2)
-    expected = train_ours(source, target, cfg).param_digests
+    cfg = TrainConfig(method="ours", pretrain_epochs=0, adapt_epochs=1, m_cap=30, seed=2)
+    expected = train(source, target, cfg).param_digests
     real = Tensor._accumulate
     stored = []
 
@@ -511,7 +511,7 @@ def test_training_never_writes_a_stored_gradient(monkeypatch):
             stored.append(self.grad)
 
     monkeypatch.setattr(Tensor, "_accumulate", frozen)
-    model = train_ours(source, target, cfg)
+    model = train(source, target, cfg)
     assert len(stored) > 20
     assert model.param_digests == expected
 

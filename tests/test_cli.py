@@ -1,6 +1,8 @@
+import ast
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -10,8 +12,13 @@ import pytest
 
 import fairshift
 from fairshift.cli import _load_trained, main
-from fairshift.data import load_csv, make_synthetic_asymmetric_labeled, write_csv
-from fairshift.training import TrainConfig
+from fairshift.data import (
+    load_csv,
+    load_unlabeled_csv,
+    make_synthetic_asymmetric_labeled,
+    write_csv,
+)
+from fairshift.training import METHODS, TrainConfig
 
 
 @pytest.fixture()
@@ -197,27 +204,87 @@ def test_usage_errors_reported_cleanly(source_and_target_csv, tmp_path, capsys):
     assert "requires target" in capsys.readouterr().err
 
 
-def test_train_rejects_non_finite_cell(source_and_target_csv, tmp_path, capsys):
-    source_path, _, _ = source_and_target_csv
-    lines = source_path.read_text().splitlines()
-    lines[2] = "inf," + lines[2].split(",", 1)[1]
-    bad = tmp_path / "bad.csv"
-    bad.write_text("\n".join(lines) + "\n")
-    code = main(["train", "--data", str(bad), "--method", "erm", "--out", str(tmp_path / "x")])
-    assert code == 1
-    column = lines[0].split(",")[0]
-    assert f"non-finite cell 'inf' at row 2, column '{column}'" in capsys.readouterr().err
+# each hostile input through the CLI: (id, argv, exit code, the text that names
+# the cause); {name} is a file of the hostile_files fixture, {out} a fresh directory,
+# and a case may repeat an option of TRAIN: argparse keeps its last value
+TRAIN = ["train", "--target", "{target}", "--config", "{quick}", "--out", "{out}"]
+HOSTILE_INPUTS = [
+    ("text-cell", TRAIN + ["--data", "{text_cell}", "--method", "erm"], 1,
+     "non-numeric cell 'abc' at row 2, column 'f0'"),
+    ("nan-cell", TRAIN + ["--data", "{nan_cell}", "--method", "erm"], 1,
+     "non-finite cell 'nan' at row 2, column 'f0'"),
+    ("inf-cell", TRAIN + ["--data", "{inf_cell}", "--method", "erm"], 1,
+     "non-finite cell 'inf' at row 2, column 'f0'"),
+    ("constant-column", TRAIN + ["--data", "{constant}", "--method", "ours"], 0,
+     "trained ours for 4 epochs"),
+    *(
+        (f"one-label-{method}", TRAIN + ["--data", "{one_label}", "--method", method], 1,
+         "the source holds only label 0; training needs both labels")
+        for method in METHODS
+    ),
+    ("evaluate-one-label", ["evaluate", "--checkpoint", "{checkpoint}", "--data", "{one_label}"],
+     1, "empty cell: group=0, label=1"),
+    ("ours-one-group-target",
+     TRAIN + ["--data", "{source}", "--target", "{one_group}", "--method", "ours"], 1,
+     "target must contain both groups"),
+    ("zsa-one-group-target",
+     TRAIN + ["--data", "{source}", "--target", "{one_group}", "--method", "zsa"], 0,
+     "trained zsa for 4 epochs"),
+    ("m-cap-above-target", TRAIN + ["--data", "{source}", "--config", "{big_m}"], 1,
+     "m_cap=1000 exceeds available target points (160)"),
+    ("zero-epochs", TRAIN + ["--data", "{source}", "--config", "{no_epochs}"], 1,
+     "pretrain_epochs + adapt_epochs must be >= 1, got 0 + 0"),
+    ("negative-seed", TRAIN + ["--data", "{source}", "--seed", "-1"], 1,
+     "seed must be >= 0, got -1"),
+]
 
 
-def test_train_rejects_a_one_label_source(source_and_target_csv, tmp_path, capsys):
+@pytest.fixture()
+def hostile_files(source_and_target_csv, tmp_path):
     source_path, target_path, _ = source_and_target_csv
     source = load_csv(source_path)
-    one_label = tmp_path / "one_label.csv"
-    write_csv(one_label, replace(source, labels=np.zeros(source.n, dtype=np.int64)))
-    argv = ["train", "--data", str(one_label), "--target", str(target_path)]
-    code = main(argv + ["--method", "erm", "--out", str(tmp_path / "x")])
-    assert code == 1
-    assert "the source holds only label 0" in capsys.readouterr().err
+    files = {"source": source_path, "target": target_path}
+    lines = source_path.read_text().splitlines()
+    for name, cell in (("text_cell", "abc"), ("nan_cell", "nan"), ("inf_cell", "inf")):
+        bad = lines[:2] + [cell + "," + lines[2].split(",", 1)[1]] + lines[3:]
+        files[name] = tmp_path / f"{name}.csv"
+        files[name].write_text("\n".join(bad) + "\n")
+    constant = source.features.copy()
+    constant[:, 0] = 3.0
+    for name, data in (
+        ("constant", replace(source, features=constant)),
+        ("one_label", replace(source, labels=np.zeros(source.n, dtype=np.int64))),
+    ):
+        files[name] = tmp_path / f"{name}.csv"
+        write_csv(files[name], data)
+    target = load_unlabeled_csv(target_path)
+    files["one_group"] = tmp_path / "one_group.csv"
+    write_csv(files["one_group"], target.subset(np.flatnonzero(target.groups == 0)))
+    for name, text in (
+        ("quick", "pretrain_epochs = 2\nadapt_epochs = 2\nm_cap = 30\n"),
+        ("big_m", "pretrain_epochs = 2\nadapt_epochs = 2\nm_cap = 1000\n"),
+        ("no_epochs", "pretrain_epochs = 0\nadapt_epochs = 0\n"),
+    ):
+        files[name] = tmp_path / f"{name}.cfg"
+        files[name].write_text(text)
+    files["checkpoint"] = tmp_path / "erm" / "checkpoint.json"
+    main(["train", "--data", str(source_path), "--method", "erm", "--config",
+          str(files["quick"]), "--out", str(files["checkpoint"].parent)])
+    return files
+
+
+@pytest.mark.parametrize(
+    "argv,code,cause", [case[1:] for case in HOSTILE_INPUTS], ids=[c[0] for c in HOSTILE_INPUTS]
+)
+def test_hostile_input(hostile_files, tmp_path, capsys, argv, code, cause):
+    capsys.readouterr()
+    values = {**hostile_files, "out": tmp_path / "out"}
+    with np.errstate(all="raise"):
+        assert main([arg.format(**values) for arg in argv]) == code
+    printed = capsys.readouterr()
+    assert cause in (printed.err if code else printed.out)
+    if code:
+        assert printed.err.startswith("error: ") and "Traceback" not in printed.err
 
 
 def test_variance_study_command(tmp_path):
@@ -252,3 +319,20 @@ def test_importing_the_package_loads_no_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_readme_python_compiles_and_imports_public_names_only():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        blocks = re.findall(r"```python\n(.*?)```", fh.read(), re.S)
+    imported = []
+    for block in blocks:
+        compile(block, "README.md", "exec")
+        imported += [
+            alias.name
+            for node in ast.walk(ast.parse(block))
+            if isinstance(node, ast.ImportFrom) and node.module == "fairshift"
+            for alias in node.names
+        ]
+    assert imported
+    assert [name for name in imported if not hasattr(fairshift, name)] == []

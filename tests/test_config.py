@@ -109,8 +109,9 @@ NONNEGATIVE = st.floats(0.0, 1e6)
 POSITIVE = st.floats(1e-9, 1e6)
 UNIT_OPEN = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 
+# every value TrainConfig accepts: each field in its domain, and at least one epoch
 TRAIN_CONFIGS = st.builds(
-    TrainConfig,
+    dict,
     pretrain_epochs=COUNTS,
     adapt_epochs=COUNTS,
     batch_size=SIZES,
@@ -130,7 +131,7 @@ TRAIN_CONFIGS = st.builds(
     clf_hidden_dim=SIZES,
     weight_hidden_dim=SIZES,
     dropout_rate=st.floats(0.0, 1.0, exclude_max=True),
-)
+).filter(lambda v: v["pretrain_epochs"] + v["adapt_epochs"] > 0).map(lambda v: TrainConfig(**v))
 SHIFT_CONFIGS = st.builds(
     ShiftConfig,
     gamma=NONNEGATIVE,

@@ -396,3 +396,5 @@ def test_spec_validation():
         _tiny_spec(repetitions=0)
     with pytest.raises(ValueError, match="non-empty"):
         _tiny_spec(methods=())
+    with pytest.raises(ValueError, match="^base_seed must be >= 0, got -1"):
+        _tiny_spec(base_seed=-1)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from fairshift.metrics import (
     probability_ratio_diagnostic,
 )
 from fairshift.nets import WeightNetwork
-from fairshift.training import TrainConfig, train_erm, train_ours
+from fairshift.training import TrainConfig, train
 
 
 def _eval_set(preds, labels, groups):
@@ -136,7 +138,7 @@ class TestProbabilityRatioDiagnostic:
     def test_identical_models_give_unit_ratios(self):
         data = self._toy()
         cfg = TrainConfig(method="erm", pretrain_epochs=3, adapt_epochs=0, seed=0)
-        model = train_erm(data, cfg)
+        model = train(data, None, cfg)
         report = probability_ratio_diagnostic(model, model, data)
         np.testing.assert_allclose(report.ratios, 1.0)
         assert report.count_above == 0
@@ -150,8 +152,8 @@ class TestProbabilityRatioDiagnostic:
         for seed in range(runs):
             kids = np.random.SeedSequence((seed, 17)).spawn(3)
             cfg = TrainConfig(method="erm", pretrain_epochs=12, adapt_epochs=0, seed=seed)
-            model_a = train_erm(task.sample_source(300, kids[0]), cfg)
-            model_b = train_erm(task.sample_source(300, kids[1]), cfg)
+            model_a = train(task.sample_source(300, kids[0]), None, cfg)
+            model_b = train(task.sample_source(300, kids[1]), None, cfg)
             report = probability_ratio_diagnostic(
                 model_a, model_b, task.sample_source(200, kids[2])
             )
@@ -162,8 +164,8 @@ class TestProbabilityRatioDiagnostic:
     def test_threshold_summaries(self):
         data = self._toy(seed=1)
         cfg = TrainConfig(method="erm", pretrain_epochs=2, adapt_epochs=0, seed=0)
-        model_a = train_erm(data, cfg)
-        model_b = train_erm(data, TrainConfig(method="erm", pretrain_epochs=2, adapt_epochs=0, seed=9))
+        model_a = train(data, None, cfg)
+        model_b = train(data, None, replace(cfg, seed=9))
         report = probability_ratio_diagnostic(model_a, model_b, data, threshold=1.0)
         assert report.fraction_above == pytest.approx(
             (report.ratios > 1.0).mean()
@@ -176,7 +178,7 @@ class TestFwRatioHistogram:
         source = task.sample_source(50, 0)
         target = task.sample_target(50, 1)
         cfg = TrainConfig(method="erm", pretrain_epochs=1, adapt_epochs=0, seed=0)
-        model = train_erm(source, cfg)
+        model = train(source, None, cfg)
         wnet = WeightNetwork(model.predictor.config.rep_dim, seed=0)
         wnet.w1.value = np.zeros_like(wnet.w1.value)
         wnet.w2.value = np.zeros_like(wnet.w2.value)
@@ -191,8 +193,8 @@ class TestFwRatioHistogram:
         kids = np.random.SeedSequence(4).spawn(2)
         source = task.sample_source(400, kids[0])
         target = task.sample_target(400, kids[1]).without_labels()
-        cfg = TrainConfig(seed=4, lambda1=1.0, lambda2=0.05, c1=5.0, c2=5.0)
-        model = train_ours(source, target, cfg)
+        cfg = TrainConfig(method="ours", seed=4, lambda1=1.0, lambda2=0.05, c1=5.0, c2=5.0)
+        model = train(source, target, cfg)
         adaptation_set = _subsample_target(target, cfg, _streams(cfg.seed)["subsample"])
         report = fw_ratio_histogram(model.weight_net, model.predictor, source, adaptation_set)
         assert report.target_mean == pytest.approx(1.0, abs=0.1)

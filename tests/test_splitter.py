@@ -188,6 +188,10 @@ class TestShiftConfigValidation:
         with pytest.raises(ValueError):
             ShiftConfig(percentile=100.0)
 
+    def test_negative_seed(self):
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1"):
+            ShiftConfig(seed=-1)
+
 
 FRACTIONS = st.floats(0.01, 0.99)
 

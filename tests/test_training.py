@@ -32,11 +32,6 @@ from fairshift.training import (
     TrainConfig,
     _check_finite,
     train,
-    train_erm,
-    train_importance_weighted,
-    train_ours,
-    train_unweighted_entropy,
-    train_zsa,
 )
 
 QUICK = TrainConfig(pretrain_epochs=3, adapt_epochs=4, m_cap=40, seed=5)
@@ -52,32 +47,30 @@ class TestDegenerateEquivalences:
     def test_zero_lambdas_reproduce_erm_bitwise(self, small_task):
         source, target = small_task
         cfg = replace(QUICK, lambda1=0.0, lambda2=0.0)
-        ours = train_ours(source, target, cfg)
-        erm = train_erm(source, cfg)
+        ours = train(source, target, replace(cfg, method="ours"))
+        erm = train(source, None, replace(cfg, method="erm"))
         assert ours.param_digests == erm.param_digests
 
     def test_no_adapt_stage_equals_erm_prefix(self, small_task):
         source, target = small_task
         cfg = replace(QUICK, pretrain_epochs=7, adapt_epochs=0)
-        ours = train_ours(source, target, cfg)
-        erm = train_erm(source, cfg)
+        ours = train(source, target, replace(cfg, method="ours"))
+        erm = train(source, None, replace(cfg, method="erm"))
         assert ours.param_digests == erm.param_digests
         assert len(ours.history) == 7
 
     def test_unit_ratio_importance_weighting_equals_erm(self, small_task):
         source, target = small_task
         cfg = replace(QUICK, method="kliep_iw", lambda2=0.0)
-        iw = train_importance_weighted(
-            source, target, cfg, ratio_override=np.ones(source.n)
-        )
-        erm = train_erm(source, cfg)
+        iw = train(source, target, cfg, ratio_override=np.ones(source.n))
+        erm = train(source, None, replace(cfg, method="erm"))
         assert iw.param_digests == erm.param_digests
 
     def test_unweighted_entropy_with_zero_lambdas_equals_erm(self, small_task):
         source, target = small_task
         cfg = replace(QUICK, method="unweighted_entropy", lambda1=0.0, lambda2=0.0)
-        unweighted = train_unweighted_entropy(source, target, cfg)
-        erm = train_erm(source, cfg)
+        unweighted = train(source, target, cfg)
+        erm = train(source, None, replace(cfg, method="erm"))
         assert unweighted.param_digests == erm.param_digests
 
     def test_zero_entropy_weight_reduces_ours_to_risk_plus_matching(self, small_task):
@@ -85,10 +78,8 @@ class TestDegenerateEquivalences:
         # same risk + matching objective and march in lockstep
         source, target = small_task
         cfg = replace(QUICK, lambda1=0.0, lambda2=0.3)
-        ours = train_ours(source, target, cfg)
-        unweighted = train_unweighted_entropy(
-            source, target, replace(cfg, method="unweighted_entropy")
-        )
+        ours = train(source, target, replace(cfg, method="ours"))
+        unweighted = train(source, target, replace(cfg, method="unweighted_entropy"))
         assert ours.param_digests == unweighted.param_digests
 
     def test_unit_ratio_importance_weighting_matches_adaptive_trainers(self, small_task):
@@ -96,29 +87,27 @@ class TestDegenerateEquivalences:
         # trainers run risk + matching from epoch 0 on identical batches
         source, target = small_task
         cfg = replace(QUICK, pretrain_epochs=0, lambda1=0.0, lambda2=0.3)
-        iw = train_importance_weighted(
+        iw = train(
             source, target, replace(cfg, method="kliep_iw"), ratio_override=np.ones(source.n)
         )
-        ours = train_ours(source, target, cfg)
-        unweighted = train_unweighted_entropy(
-            source, target, replace(cfg, method="unweighted_entropy")
-        )
+        ours = train(source, target, replace(cfg, method="ours"))
+        unweighted = train(source, target, replace(cfg, method="unweighted_entropy"))
         assert iw.param_digests == ours.param_digests == unweighted.param_digests
 
 
 class TestDeterminism:
     def test_same_seed_same_trajectory(self, small_task):
         source, target = small_task
-        cfg = replace(QUICK, lambda1=0.5, lambda2=0.2)
-        a = train_ours(source, target, cfg)
-        b = train_ours(source, target, cfg)
+        cfg = replace(QUICK, method="ours", lambda1=0.5, lambda2=0.2)
+        a = train(source, target, cfg)
+        b = train(source, target, cfg)
         assert a.param_digests == b.param_digests
         assert [h.total for h in a.history] == [h.total for h in b.history]
 
     def test_different_seed_different_trajectory(self, small_task):
         source, target = small_task
-        a = train_erm(source, replace(QUICK, seed=1))
-        b = train_erm(source, replace(QUICK, seed=2))
+        a = train(source, None, replace(QUICK, method="erm", seed=1))
+        b = train(source, None, replace(QUICK, method="erm", seed=2))
         assert a.param_digests[-1] != b.param_digests[-1]
 
 
@@ -189,7 +178,8 @@ GOLDEN_OURS_HISTORY = {
 
 def test_ours_history_matches_the_recorded_epoch_log(small_task):
     source, target = small_task
-    history = [entry.to_dict() for entry in train_ours(source, target, QUICK).history]
+    model = train(source, target, replace(QUICK, method="ours"))
+    history = [entry.to_dict() for entry in model.history]
     for field, expected in GOLDEN_OURS_HISTORY.items():
         logged = tuple(
             entry[field].hex() if isinstance(expected[0], str) else entry[field]
@@ -339,13 +329,13 @@ class TestErm:
         x += np.where(y[:, None] == 1, 0.6, -0.6)  # margin, separable by x0+x1=0
         data = LabeledDataset(x, rng.integers(0, 2, n), y, (CONTINUOUS,) * 2)
         cfg = TrainConfig(method="erm", pretrain_epochs=50, adapt_epochs=0, seed=0)
-        model = train_erm(data, cfg)
+        model = train(data, None, cfg)
         train_error = (model.predict(data.features) != data.labels).mean()
         assert train_error < 0.02
 
     def test_history_covers_all_epochs(self, small_task):
         source, _ = small_task
-        model = train_erm(source, QUICK)
+        model = train(source, None, replace(QUICK, method="erm"))
         assert len(model.history) == QUICK.total_epochs
         assert len(model.param_digests) == QUICK.total_epochs
 
@@ -353,8 +343,8 @@ class TestErm:
 class TestOurs:
     def test_history_and_breakdown(self, small_task):
         source, target = small_task
-        cfg = replace(QUICK, lambda1=0.5, lambda2=0.2)
-        model = train_ours(source, target, cfg)
+        cfg = replace(QUICK, method="ours", lambda1=0.5, lambda2=0.2)
+        model = train(source, target, cfg)
         assert len(model.history) == cfg.total_epochs
         adapt = model.history[cfg.pretrain_epochs :]
         for entry in adapt:
@@ -366,8 +356,8 @@ class TestOurs:
     @pytest.mark.parametrize(
         "trainer",
         [
-            lambda source, target: train_ours(source, target, QUICK),
-            lambda source, target: train_importance_weighted(
+            lambda source, target: train(source, target, replace(QUICK, method="ours")),
+            lambda source, target: train(
                 source,
                 target,
                 replace(QUICK, method="kliep_iw"),
@@ -386,7 +376,7 @@ class TestOurs:
     def test_m_cap_capped_by_target_size(self, small_task):
         source, target = small_task
         with pytest.raises(ValueError, match="m_cap"):
-            train_ours(source, target, replace(QUICK, m_cap=target.m + 1))
+            train(source, target, replace(QUICK, method="ours", m_cap=target.m + 1))
 
     @staticmethod
     def _starved_target(target):
@@ -431,14 +421,14 @@ class TestOurs:
             return out
 
         monkeypatch.setattr(training_module, "wasserstein2", checked_w2)
-        cfg = replace(QUICK, m_cap=50, adapt_train_batch_size=32)
-        train_ours(source, self._unequal_target(target), cfg)
+        cfg = replace(QUICK, method="ours", m_cap=50, adapt_train_batch_size=32)
+        train(source, self._unequal_target(target), cfg)
         assert len(checked) > 0 and all(checked)
 
     def test_epoch_log_accounts_for_every_matching_step(self, small_task):
         source, target = small_task
-        cfg = replace(QUICK, m_cap=50, adapt_train_batch_size=64)
-        model = train_ours(source, self._unequal_target(target), cfg)
+        cfg = replace(QUICK, method="ours", m_cap=50, adapt_train_batch_size=64)
+        model = train(source, self._unequal_target(target), cfg)
         steps_per_epoch = -(-source.n // cfg.adapt_train_batch_size)
         for entry in model.history[: cfg.pretrain_epochs]:
             assert entry.coupling_solves == entry.coupling_reuses == 0
@@ -458,8 +448,8 @@ class TestOurs:
             return real_penalty(fw_t, fw_s, c1, c2)
 
         monkeypatch.setattr(training_module, "constraint_penalty", recording_penalty)
-        cfg = replace(QUICK, adapt_train_batch_size=64)
-        model = train_ours(source, target, cfg)
+        cfg = replace(QUICK, method="ours", adapt_train_batch_size=64)
+        model = train(source, target, cfg)
         steps = -(-source.n // cfg.adapt_train_batch_size)
         assert len(seen) == cfg.adapt_epochs * steps
         for entry in model.history[: cfg.pretrain_epochs]:
@@ -482,7 +472,7 @@ class TestOurs:
     def test_weight_statistics_are_zero_without_a_weight_net(self, small_task):
         source, target = small_task
         cfg = replace(QUICK, method="unweighted_entropy")
-        for entry in train_unweighted_entropy(source, target, cfg).history:
+        for entry in train(source, target, cfg).history:
             logged = entry.to_dict()
             assert [logged[k] for k in ("fw_target_mean", "fw_source_recip_mean")] == [0.0, 0.0]
             assert [logged[k] for k in ("fw_min", "fw_max")] == [0.0, 0.0]
@@ -499,8 +489,8 @@ class TestOurs:
 
         monkeypatch.setattr(nets.AdamOptimizer, "step", logged_step)
         # a large learning rate makes both networks clip
-        cfg = replace(QUICK, learning_rate=0.05)
-        model = train_ours(source, target, cfg)
+        cfg = replace(QUICK, method="ours", learning_rate=0.05)
+        model = train(source, target, cfg)
         theta_steps = [-(-source.n // cfg.batch_size)] * cfg.pretrain_epochs + [
             -(-source.n // cfg.adapt_train_batch_size)
         ] * cfg.adapt_epochs
@@ -520,7 +510,7 @@ class TestOurs:
 
     def test_weight_and_classifier_parameters_disjoint(self, small_task):
         source, target = small_task
-        model = train_ours(source, target, replace(QUICK, lambda1=0.5))
+        model = train(source, target, replace(QUICK, method="ours", lambda1=0.5))
         classifier_ids = {id(p) for p in model.predictor.parameters}
         weight_ids = {id(p) for p in model.weight_net.parameters}
         assert classifier_ids.isdisjoint(weight_ids)
@@ -529,7 +519,8 @@ class TestOurs:
         # replicate one ascent step of the weight player: representations
         # enter as constants, so no gradient can reach the classifier
         source, target = small_task
-        model = train_ours(source, target, replace(QUICK, adapt_epochs=1, lambda1=0.5))
+        cfg = replace(QUICK, method="ours", adapt_epochs=1, lambda1=0.5)
+        model = train(source, target, cfg)
         predictor, wnet = model.predictor, model.weight_net
         before = parameter_digest(predictor.parameters)
         zero_grads(wnet.parameters)
@@ -555,7 +546,7 @@ class TestImportanceWeighted:
             method="kliep_iw", pretrain_epochs=10, adapt_epochs=10, m_cap=80, seed=0,
             lambda2=0.0,
         )
-        model = train_importance_weighted(source, target, cfg)
+        model = train(source, target, cfg)
         raw = model.weight_net.ratios(source.features)
         fitted_on_target = model.weight_net.ratios(target.features) / raw.mean()
         assert 0.8 <= fitted_on_target.mean() <= 1.2
@@ -563,17 +554,13 @@ class TestImportanceWeighted:
     def test_ratio_override_shape_checked(self, small_task):
         source, target = small_task
         with pytest.raises(ValueError, match="one weight per source row"):
-            train_importance_weighted(
-                source, target, replace(QUICK, method="lsif_iw"), ratio_override=np.ones(3)
-            )
+            train(source, target, replace(QUICK, method="lsif_iw"), ratio_override=np.ones(3))
 
     def test_history_length(self, small_task):
         source, target = small_task
-        model = train_importance_weighted(
-            source, target, replace(QUICK, method="lsif_iw", lambda2=0.1)
-        )
+        model = train(source, target, replace(QUICK, method="lsif_iw", lambda2=0.1))
         assert len(model.history) == QUICK.total_epochs
-        assert model.method == "lsif_iw"
+        assert model.config.method == "lsif_iw"
 
 
 class TestZsa:
@@ -591,8 +578,8 @@ class TestZsa:
     def test_no_shift_matches_erm_predictions(self):
         source, target = self._shifted_pair(offset=0.0)
         cfg = TrainConfig(method="zsa", pretrain_epochs=8, adapt_epochs=0, seed=0, m_cap=2000)
-        zsa = train_zsa(source, target, cfg)
-        erm = train_erm(source, replace(cfg, method="erm"))
+        zsa = train(source, target, cfg)
+        erm = train(source, None, replace(cfg, method="erm"))
         se = 1.0 / np.sqrt(target.m)
         assert np.all(np.abs(zsa.input_stats.means) < 3 * se)
         probe = np.random.default_rng(1).normal(size=(50, 2))
@@ -603,7 +590,7 @@ class TestZsa:
     def test_mean_shift_absorbed_into_stats(self):
         source, target = self._shifted_pair(offset=np.array([5.0, 0.0]))
         cfg = TrainConfig(method="zsa", pretrain_epochs=5, adapt_epochs=0, seed=0, m_cap=2000)
-        model = train_zsa(source, target, cfg)
+        model = train(source, target, cfg)
         assert model.input_stats.means[0] == pytest.approx(5.0, abs=0.1)
         assert model.input_stats.means[1] == pytest.approx(0.0, abs=0.1)
 
@@ -613,7 +600,7 @@ class TestZsa:
         frozen[:, 0] = 2.0
         target = UnlabeledDataset(frozen, target.groups)
         cfg = TrainConfig(method="zsa", pretrain_epochs=2, adapt_epochs=0, seed=0, m_cap=60)
-        model = train_zsa(source, target, cfg)
+        model = train(source, target, cfg)
         assert model.input_stats.stds[0] == 1.0
 
 
@@ -629,8 +616,8 @@ class TestAdversarialDynamics:
             kids = np.random.SeedSequence(seed).spawn(2)
             source = task.sample_source(400, kids[0])
             target = task.sample_target(400, kids[1])
-            cfg = TrainConfig(seed=seed, lambda1=1.0, lambda2=0.05)
-            model = train_ours(source, target.without_labels(), cfg)
+            cfg = TrainConfig(method="ours", seed=seed, lambda1=1.0, lambda2=0.05)
+            model = train(source, target.without_labels(), cfg)
             runs.append((task, target, cfg, model))
         return runs
 
@@ -659,28 +646,38 @@ def test_unweighted_entropy_is_less_stable_than_weighted():
         source, test = _normalize_pool(source, test)
         target = test.without_labels()
         cfg = TrainConfig(seed=seed, lambda1=1.0, lambda2=0.1)
-        err_ours.append(evaluate_model(train_ours(source, target, cfg), test).error_pct)
-        err_unweighted.append(
-            evaluate_model(
-                train_unweighted_entropy(
-                    source, target, replace(cfg, method="unweighted_entropy")
-                ),
-                test,
-            ).error_pct
-        )
+        ours = train(source, target, replace(cfg, method="ours"))
+        unweighted = train(source, target, replace(cfg, method="unweighted_entropy"))
+        err_ours.append(evaluate_model(ours, test).error_pct)
+        err_unweighted.append(evaluate_model(unweighted, test).error_pct)
     assert np.std(err_unweighted) > np.std(err_ours)
 
 
 class TestDispatch:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_train_runs_the_configured_method(self, small_task, method):
+        source, target = small_task
+        model = train(source, target, replace(QUICK, method=method, adapt_epochs=1))
+        assert model.config.method == method
+        assert (model.weight_net is not None) == (method in ("ours", "kliep_iw", "lsif_iw"))
+        assert (model.input_stats is not None) == (method == "zsa")
+
+    @pytest.mark.parametrize("method", sorted(set(METHODS) - {"kliep_iw", "lsif_iw"}))
+    def test_ratio_override_needs_an_importance_weighted_method(self, small_task, method):
+        source, target = small_task
+        with pytest.raises(ValueError, match=f"ratio_override needs .* got '{method}'"):
+            train(source, target, replace(QUICK, method=method), ratio_override=np.ones(source.n))
+
     def test_erm_needs_no_target(self, small_task):
         source, _ = small_task
         model = train(source, None, replace(QUICK, method="erm"))
-        assert model.method == "erm"
+        assert model.config.method == "erm"
 
     def test_target_required_otherwise(self, small_task):
         source, _ = small_task
-        with pytest.raises(ValueError, match="requires target"):
-            train(source, None, replace(QUICK, method="ours"))
+        for method in sorted(set(METHODS) - {"erm"}):
+            with pytest.raises(ValueError, match=f"method '{method}' requires target"):
+                train(source, None, replace(QUICK, method=method))
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown method"):
@@ -726,6 +723,11 @@ def test_dropout_rate_inside_unit_interval_accepted(rate):
     assert TrainConfig(dropout_rate=rate).dropout_rate == rate
 
 
+def test_zero_total_epochs_rejected():
+    with pytest.raises(ValueError, match=r"^pretrain_epochs \+ adapt_epochs must be >= 1"):
+        TrainConfig(pretrain_epochs=0, adapt_epochs=0)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
@@ -751,6 +753,7 @@ def test_config_validation():
         ("weight_lr_multiplier", -1.0),
         ("weight_decay", -1.0),
         ("weight_decay", -1e-300),
+        ("seed", -1),
     ],
 )
 def test_field_outside_its_domain_rejected(name, value):
@@ -760,7 +763,15 @@ def test_field_outside_its_domain_rejected(name, value):
 
 @pytest.mark.parametrize("label", [0, 1])
 @pytest.mark.parametrize("method", METHODS)
-def test_one_label_source_rejected(small_task, method, label):
+def test_one_label_source_rejected(small_task, monkeypatch, method, label):
+    # before any work: no stream is drawn and no density ratio is fitted
+    import fairshift.training as training_module
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a one-label source reached the work before training")
+
+    monkeypatch.setattr(training_module, "_streams", forbidden)
+    monkeypatch.setattr(training_module, "_fit_ratio_net", forbidden)
     source, target = small_task
     one_label = LabeledDataset(
         source.features, source.groups, np.full(source.n, label), source.feature_kinds
