@@ -19,7 +19,6 @@ from .data import (
     fit_zscore,
     load_csv,
     load_unlabeled_csv,
-    make_synthetic_asymmetric,
     make_synthetic_asymmetric_labeled,
     write_csv,
 )

@@ -290,7 +290,16 @@ def _sample_group1(rng, n, center):
     return rng.normal(scale=_GROUP1_STD, size=(n, 2)) + center
 
 
-def _generate_asymmetric(seed, n_per_group, shift_vector):
+def make_synthetic_asymmetric_labeled(seed, n_per_group, shift_vector=DEFAULT_ASYMMETRIC_SHIFT):
+    """2-D asymmetric-shift task, ``(train, test)``: group 0 is stationary, group 1 moves.
+
+    Group 0 is the same two-cluster Gaussian mixture in train and test;
+    group 1 is a single Gaussian whose test cluster sits ``shift_vector``
+    away from its train cluster.  Labels come from the module-level
+    logistic rule in both splits; the labeled test split is what
+    evaluation scores against, and ``test.without_labels()`` is the
+    unlabeled target.  Equal ``seed`` gives bit-identical draws.
+    """
     if n_per_group < 10:
         raise ValueError("n_per_group must be at least 10")
     shift = np.asarray(shift_vector, dtype=np.float64)
@@ -305,27 +314,6 @@ def _generate_asymmetric(seed, n_per_group, shift_vector):
         labels = _logistic_labels(rng, features)
         splits.append(LabeledDataset(features, groups, labels, kinds))
     return splits[0], splits[1]
-
-
-def make_synthetic_asymmetric(seed, n_per_group, shift_vector=DEFAULT_ASYMMETRIC_SHIFT):
-    """2-D asymmetric-shift task: group 0 is stationary, group 1 moves.
-
-    Group 0 is the same two-cluster Gaussian mixture in train and test;
-    group 1 is a single Gaussian whose test cluster sits ``shift_vector``
-    away from its train cluster.  Labels come from the module-level
-    logistic rule in both splits.
-    """
-    train, test = _generate_asymmetric(seed, n_per_group, shift_vector)
-    return train, test.without_labels()
-
-
-def make_synthetic_asymmetric_labeled(seed, n_per_group, shift_vector=DEFAULT_ASYMMETRIC_SHIFT):
-    """Same draws as :func:`make_synthetic_asymmetric`, keeping test labels.
-
-    Bit-identical features for equal ``seed``; the labeled test split is
-    what evaluation scripts score against.
-    """
-    return _generate_asymmetric(seed, n_per_group, shift_vector)
 
 
 @dataclass(frozen=True)

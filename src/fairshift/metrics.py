@@ -36,7 +36,10 @@ class GroupConfusion:
 
     def rate(self, group, label):
         if self.totals[group, label] == 0:
-            raise ValueError(f"empty cell: group={group}, label={label}")
+            raise ValueError(
+                f"the evaluation data has no rows with group={group}, label={label}; "
+                "equalized odds needs every (group, label) cell"
+            )
         return self.positives[group, label] / self.totals[group, label]
 
 

@@ -172,7 +172,10 @@ class AdamOptimizer:
     flat buffers, allocated once; each step updates all parameters at
     once, concatenated, into a fresh array and rebinds each parameter's
     ``value`` to its view of it.  No value is written in place, so
-    assigning a new array to a ``value`` between steps is safe.
+    assigning a new array to a ``value`` between steps is safe.  The
+    optimizer keeps plain offsets, not views, so ``copy.deepcopy`` of it
+    together with its parameters gives an independent optimizer that
+    steps bit for bit like the original.
     """
 
     def __init__(
@@ -195,34 +198,26 @@ class AdamOptimizer:
         self.v = np.zeros(size)
         # work buffers: the gradient and two temporaries
         self._g, self._a, self._b = (np.zeros(size) for _ in range(3))
-        self._g_parts = self._parts(self._g)
-        self._a_parts = self._parts(self._a)
-        # the last step's result and the views of it that it bound
-        self._flat, self._views = None, [None] * len(self.params)
+        # each parameter's (lo, hi, shape) in the flat vectors
+        ends = np.cumsum([p.value.size for p in self.params]).tolist()
+        self._layout = [
+            (hi - p.value.size, hi, p.value.shape) for p, hi in zip(self.params, ends)
+        ]
+        # the last step's result, whose views the parameters hold
+        self._flat = None
         self.t = 0
-
-    def _parts(self, flat):
-        """Views of ``flat`` shaped like each parameter, in order."""
-        parts, lo = [], 0
-        for p in self.params:
-            parts.append(flat[lo : lo + p.value.size].reshape(p.value.shape))
-            lo += p.value.size
-        return parts
 
     def step(self, step_index: int) -> float:
         g, a, b = self._g, self._a, self._b
-        for p, part in zip(self.params, self._g_parts):
-            if p.grad is None:
-                part.fill(0.0)
-            else:
-                np.copyto(part, p.grad)
+        for p, (lo, hi, _) in zip(self.params, self._layout):
+            g[lo:hi] = 0.0 if p.grad is None else p.grad.ravel()
         # squares summed per parameter, then over parameters: this order
         # fixes the last bits of the norm, and so of every trajectory.  A
         # finite gradient whose squares overflow has an infinite norm, and
         # clipping by it would zero the step
         with np.errstate(over="ignore"):
             np.multiply(g, g, out=a)
-            norm = math.sqrt(sum(float(part.sum()) for part in self._a_parts))
+            norm = math.sqrt(sum(float(a[lo:hi].sum()) for lo, hi, _ in self._layout))
         if not math.isfinite(norm):
             raise FloatingPointError("non-finite gradient norm")
         if norm > GRAD_CLIP_NORM:
@@ -246,18 +241,17 @@ class AdamOptimizer:
         np.add(b, self.eps, out=b)
         np.divide(a, b, out=a)
         # new = (flat - lr update) - (lr wd) flat; while every value is still
-        # the view the last step bound, the last result is the flat vector
+        # a view of the last result, that result is the flat vector
         flat = self._flat
-        if any(p.value is not view for p, view in zip(self.params, self._views)):
+        if flat is None or any(p.value.base is not flat for p in self.params):
             flat = np.concatenate([p.value.ravel() for p in self.params])
         np.multiply(a, lr, out=a)
         np.multiply(flat, lr * self.weight_decay, out=b)
         new = flat - a
         np.subtract(new, b, out=new)
         self._flat = new
-        self._views = self._parts(new)
-        for p, view in zip(self.params, self._views):
-            p.value = view
+        for p, (lo, hi, shape) in zip(self.params, self._layout):
+            p.value = new[lo:hi].reshape(shape)
             p.grad = None
         return norm
 

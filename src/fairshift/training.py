@@ -28,14 +28,15 @@ only raises ``ValueError`` before any work.
 ``pretrain_epochs`` epochs alike: source risk on the source's own
 features, no row weights, no target.  A :class:`PretrainCache` passed to
 :func:`train` lets the runs of a sweep train those epochs once: the first
-run stores its state at the end of them, and a later run with the same
-source and the same config (but for the fields only adaptation reads)
-resumes from a copy of it, bit for bit where its own epochs would have
-left it.
+run stores a deep copy of its progress, everything its epoch loop
+carries, at the end of them, and a later run with the same source and the
+same config (but for the fields only adaptation reads) resumes from a copy
+of it, bit for bit where its own epochs would have left it.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -193,22 +194,17 @@ def _pretrain_key(cfg):
     )
 
 
-@dataclass(frozen=True)
-class _Pretrained:
-    """Copies of one run's state at the end of its pretraining epochs, and its key."""
+@dataclass
+class _Progress:
+    """What one run carries from epoch to epoch; its epochs so far are ``len(history)``."""
 
-    features: np.ndarray
-    labels: np.ndarray
-    config_key: tuple
-    values: list
-    adam_m: np.ndarray
-    adam_v: np.ndarray
-    adam_t: int
-    batches: dict
-    dropout: dict
-    step: int
-    history: list
-    digests: list
+    model: PredictorModel
+    opt: AdamOptimizer
+    batches: np.random.Generator
+    dropout: np.random.Generator
+    step: int = 0
+    history: list = field(default_factory=list)
+    digests: list = field(default_factory=list)
 
 
 @dataclass
@@ -217,53 +213,33 @@ class PretrainCache:
 
     :func:`train` hands the cache to runs of the ``SHARES_PRETRAINING``
     methods only; runs of the other methods neither read nor write it.
-    Such a run resumes from copies of the stored state when its source
-    features and labels equal the stored ones by value and its config
-    equals the stored one in every field but those only adaptation reads.
-    Otherwise it trains those epochs itself and, at their end, stores
-    copies of its predictor values, Adam's moments and step count, its
-    batch and dropout generator states, its step count, history and
-    digests.
+    ``state`` is the storing run's source features and labels, its
+    config key and a deep copy of its progress at the end of those
+    epochs.  A run resumes from a fresh deep copy of that progress when
+    its source features and labels equal the stored ones by value and
+    its config equals the stored one in every field but those only
+    adaptation reads; otherwise it trains those epochs itself and stores
+    its own.
     """
 
-    state: _Pretrained | None = None
+    state: tuple | None = None
 
-    def store(self, source, cfg, model, opt, streams, step, history, digests):
-        self.state = _Pretrained(
-            features=source.features.copy(),
-            labels=source.labels.copy(),
-            config_key=_pretrain_key(cfg),
-            values=[p.value.copy() for p in model.parameters],
-            adam_m=opt.m.copy(),
-            adam_v=opt.v.copy(),
-            adam_t=opt.t,
-            batches=streams["batches"].bit_generator.state,
-            dropout=streams["dropout"].bit_generator.state,
-            step=step,
-            history=list(history),
-            digests=list(digests),
-        )
+    def store(self, source, cfg, progress):
+        features, labels = source.features.copy(), source.labels.copy()
+        self.state = features, labels, _pretrain_key(cfg), copy.deepcopy(progress)
 
-    def resume(self, source, cfg, model, opt, streams):
-        """Load copies of a matching state; its ``(step, history, digests)``, or None."""
-        state = self.state
+    def resume(self, source, cfg):
+        """A copy of the stored progress if it matches, else None."""
+        if self.state is None:
+            return None
+        features, labels, config_key, progress = self.state
         if not (
-            state is not None
-            and state.config_key == _pretrain_key(cfg)
-            and np.array_equal(state.features, source.features)
-            and np.array_equal(state.labels, source.labels)
+            config_key == _pretrain_key(cfg)
+            and np.array_equal(features, source.features)
+            and np.array_equal(labels, source.labels)
         ):
             return None
-        for p, value in zip(model.parameters, state.values):
-            p.value = value.copy()
-        # field by field, never a deep copy of the optimizer: that would cut
-        # its _g_parts/_a_parts views off _g/_a, and the norm would read stale arrays
-        np.copyto(opt.m, state.adam_m)
-        np.copyto(opt.v, state.adam_v)
-        opt.t = state.adam_t
-        streams["batches"].bit_generator.state = state.batches
-        streams["dropout"].bit_generator.state = state.dropout
-        return state.step, list(state.history), list(state.digests)
+        return copy.deepcopy(progress)
 
 
 def _epoch_batch_sizes(cfg):
@@ -339,18 +315,24 @@ def _train(
     coupling solve starts from the last optimal simplex basis.
 
     Each epoch logs the row-weighted mean risk, the step means of the
-    other terms and the epoch's wall time.  With a ``cache`` (only for
-    runs whose first ``pretrain_epochs`` epochs use the source features,
-    no row weights and no target), the run resumes from a matching stored
-    state or stores its own at the end of those epochs.
+    other terms and the epoch's wall time.  Everything the loop carries
+    from epoch to epoch is one :class:`_Progress`.  With a ``cache``
+    (only for runs whose first ``pretrain_epochs`` epochs use the source
+    features, no row weights and no target), the run resumes from a copy
+    of a matching stored progress, and so builds no predictor and no
+    optimizer, or stores a copy of its own at the end of those epochs.
     """
     features = source.features if features is None else features
     labels = source.labels.astype(np.float64)
-    model = PredictorModel(cfg.net_config(source.d), streams["predictor"])
     total_steps = _total_steps(cfg, source.n)
-    opt = AdamOptimizer(
-        model.parameters, total_steps, base_lr=cfg.learning_rate, weight_decay=cfg.weight_decay
-    )
+    run = None if cache is None else cache.resume(source, cfg)
+    if run is None:
+        model = PredictorModel(cfg.net_config(source.d), streams["predictor"])
+        opt = AdamOptimizer(
+            model.parameters, total_steps, base_lr=cfg.learning_rate, weight_decay=cfg.weight_decay
+        )
+        run = _Progress(model, opt, streams["batches"], streams["dropout"])
+    model, opt = run.model, run.opt
     weight_net = None
     if entropy == "learned":
         weight_net = WeightNetwork(
@@ -368,14 +350,7 @@ def _train(
         idx0 = np.flatnonzero(target_sample.groups == 0)
         idx1 = np.flatnonzero(target_sample.groups == 1)
     plans = PlanCache()
-    history, digests = [], []
-    step = start = 0
-    if cache is not None:
-        resumed = cache.resume(source, cfg, model, opt, streams)
-        if resumed is not None:
-            step, history, digests = resumed
-            start = cfg.pretrain_epochs
-
+    start = len(run.history)
     for epoch, batch_size in enumerate(_epoch_batch_sizes(cfg)[start:], start):
         started = time.perf_counter()
         adapting = target_sample is not None and epoch >= adapt_from
@@ -387,7 +362,7 @@ def _train(
         fw_lo, fw_hi = np.inf, -np.inf
         plans.solves = plans.reuses = 0
         theta_norms, w_norms = [], []
-        for batch_idx in _batches(streams["batches"].permutation(source.n), batch_size):
+        for batch_idx in _batches(run.batches.permutation(source.n), batch_size):
             if entropy_on or matching:
                 rep_t, probs_t = model.forward(target_x)
             if entropy_on:
@@ -401,7 +376,7 @@ def _train(
                 we = weighted_entropy_term(fw_t, entropies.value)
                 penalty = constraint_penalty(fw_t, fw_s, cfg.c1, cfg.c2)
                 ad.weighted_sum([(1.0, penalty), (-cfg.lambda1, we)]).backward()
-                w_norms.append(w_opt.step(step))
+                w_norms.append(w_opt.step(run.step))
                 # the penalty's inputs, as it saw them before the step
                 t_mean = fw_t.value.mean()
                 recip_mean = (1.0 / fw_s.value).mean()
@@ -413,7 +388,7 @@ def _train(
 
             # -- classifier descent ------------------------------------
             zero_grads(model.parameters)
-            _, probs = model.forward(features[batch_idx], dropout_rng=streams["dropout"])
+            _, probs = model.forward(features[batch_idx], dropout_rng=run.dropout)
             weights = None if row_weights is None else row_weights[batch_idx]
             risk = cross_entropy_risk(probs, labels[batch_idx], weights)
             sums[0] += float(risk) * len(batch_idx)
@@ -428,8 +403,8 @@ def _train(
                 sums[2] += float(w2)
                 terms.append((cfg.lambda2, w2))
             ad.weighted_sum(terms).backward()
-            theta_norms.append(opt.step(step))
-            step += 1
+            theta_norms.append(opt.step(run.step))
+            run.step += 1
 
         erm = sums[0] / source.n
         avg = sums / len(theta_norms)
@@ -457,15 +432,15 @@ def _train(
             epoch_s=time.perf_counter() - started,
         )
         _check_finite(breakdown.total, epoch, "loss")
-        history.append(breakdown)
-        digests.append(parameter_digest(model.parameters))
+        run.history.append(breakdown)
+        run.digests.append(parameter_digest(model.parameters))
         if cache is not None and epoch + 1 == cfg.pretrain_epochs:
-            cache.store(source, cfg, model, opt, streams, step, history, digests)
+            cache.store(source, cfg, run)
     return TrainedModel(
         predictor=model,
         config=cfg,
-        history=history,
-        param_digests=digests,
+        history=run.history,
+        param_digests=run.digests,
         weight_net=weight_net,
         resumed_epochs=start,
     )

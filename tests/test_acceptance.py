@@ -37,7 +37,7 @@ from fairshift.losses import (
 from fairshift.metrics import evaluate_model
 from fairshift.nets import NetConfig, PredictorModel, WeightNetwork
 from fairshift.splitter import ShiftConfig, first_principal_projection, split
-from fairshift.training import TrainConfig, train
+from fairshift.training import PretrainCache, TrainConfig, train
 
 ADULT_CSV = os.path.join(os.path.dirname(__file__), "..", "data", "adult.csv")
 
@@ -287,8 +287,15 @@ def test_criterion_6_fairness_gain_on_asymmetric_shift():
         source, test = _normalize_pool(source, test)
         target = test.without_labels()
         cfg = TrainConfig(seed=seed)
-        ours = evaluate_model(train(source, target, replace(cfg, method="ours")), test)
-        erm = evaluate_model(train(source, None, replace(cfg, method="erm")), test)
+        # erm resumes from the pretraining epochs ours stored
+        cache = PretrainCache()
+        ours = evaluate_model(train(source, target, replace(cfg, method="ours"), cache), test)
+        erm_model = train(source, None, replace(cfg, method="erm"), cache)
+        if seed == 0:
+            solo = train(source, None, replace(cfg, method="erm"))
+            assert erm_model.resumed_epochs == cfg.pretrain_epochs
+            assert erm_model.param_digests == solo.param_digests
+        erm = evaluate_model(erm_model, test)
         ours_eo.append(ours.eodds)
         erm_eo.append(erm.eodds)
         ours_err.append(ours.error_pct)

@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 import reference_tape as ref
 from fairshift import autodiff as ad
 from fairshift.autodiff import Tensor
-from fairshift.data import make_synthetic_asymmetric
+from fairshift.data import make_synthetic_asymmetric_labeled
 from fairshift.losses import (
     conditional_entropy,
     constraint_penalty,
@@ -498,7 +498,8 @@ def test_column_heads_equal_the_unfused_graph_bit_for_bit(masked):
 def test_training_never_writes_a_stored_gradient(monkeypatch):
     # every gradient an accumulation stores is made read-only: an in-place
     # write to one (by a later accumulation, a VJP or Adam) would raise
-    source, target = make_synthetic_asymmetric(seed=4, n_per_group=40)
+    source, test = make_synthetic_asymmetric_labeled(seed=4, n_per_group=40)
+    target = test.without_labels()
     cfg = TrainConfig(method="ours", pretrain_epochs=0, adapt_epochs=1, m_cap=30, seed=2)
     expected = train(source, target, cfg).param_digests
     real = Tensor._accumulate
@@ -526,7 +527,8 @@ def _tape_sizes(monkeypatch, cfg):
         real(self)
 
     monkeypatch.setattr(Tensor, "backward", counted)
-    source, target = make_synthetic_asymmetric(seed=4, n_per_group=40)
+    source, test = make_synthetic_asymmetric_labeled(seed=4, n_per_group=40)
+    target = test.without_labels()
     train(source, target, cfg)
     return sizes
 
@@ -626,7 +628,8 @@ def test_dropped_graph_is_freed_without_the_cyclic_gc(name):
 
 
 def test_training_step_graph_is_freed_without_the_cyclic_gc():
-    source, target = make_synthetic_asymmetric(seed=3, n_per_group=20)
+    source, test = make_synthetic_asymmetric_labeled(seed=3, n_per_group=20)
+    target = test.without_labels()
     model = PredictorModel(NetConfig(input_dim=2), seed=0)
     weight_net = WeightNetwork(64, seed=1)
     rng = np.random.default_rng(2)

@@ -223,7 +223,8 @@ HOSTILE_INPUTS = [
         for method in METHODS
     ),
     ("evaluate-one-label", ["evaluate", "--checkpoint", "{checkpoint}", "--data", "{one_label}"],
-     1, "empty cell: group=0, label=1"),
+     1, "the evaluation data has no rows with group=0, label=1; "
+     "equalized odds needs every (group, label) cell"),
     ("ours-one-group-target",
      TRAIN + ["--data", "{source}", "--target", "{one_group}", "--method", "ours"], 1,
      "target must contain both groups"),

@@ -17,7 +17,6 @@ from fairshift.data import (
     infer_feature_kinds,
     load_csv,
     load_unlabeled_csv,
-    make_synthetic_asymmetric,
     make_synthetic_asymmetric_labeled,
     write_csv,
 )
@@ -226,14 +225,14 @@ class TestZScore:
 
 class TestSyntheticAsymmetric:
     def test_no_shift_keeps_group1_mean(self):
-        train, test = make_synthetic_asymmetric(0, 2000, (0.0, 0.0))
+        train, test = make_synthetic_asymmetric_labeled(0, 2000, (0.0, 0.0))
         mean_train = train.features[train.groups == 1].mean(axis=0)
         mean_test = test.features[test.groups == 1].mean(axis=0)
         se = 0.6 / math.sqrt(2000)
         assert np.all(np.abs(mean_train - mean_test) < 3 * math.sqrt(2) * se)
 
     def test_shift_vector_moves_group1_mean(self):
-        train, test = make_synthetic_asymmetric(1, 4000, (5.0, 0.0))
+        train, test = make_synthetic_asymmetric_labeled(1, 4000, (5.0, 0.0))
         diff = (
             test.features[test.groups == 1].mean(axis=0)
             - train.features[train.groups == 1].mean(axis=0)
@@ -243,28 +242,21 @@ class TestSyntheticAsymmetric:
         assert abs(diff[1]) < 4 * se
 
     def test_group0_distribution_unchanged(self):
-        train, test = make_synthetic_asymmetric(2, 4000, (5.0, -5.0))
+        train, test = make_synthetic_asymmetric_labeled(2, 4000, (5.0, -5.0))
         mean_train = train.features[train.groups == 0].mean(axis=0)
         mean_test = test.features[test.groups == 0].mean(axis=0)
         assert np.all(np.abs(mean_train - mean_test) < 0.2)
 
     def test_same_seed_bit_identical(self):
-        a = make_synthetic_asymmetric(3, 50)
-        b = make_synthetic_asymmetric(3, 50)
+        a = make_synthetic_asymmetric_labeled(3, 50)
+        b = make_synthetic_asymmetric_labeled(3, 50)
         np.testing.assert_array_equal(a[0].features, b[0].features)
         np.testing.assert_array_equal(a[1].features, b[1].features)
         np.testing.assert_array_equal(a[0].labels, b[0].labels)
 
-    def test_labeled_variant_shares_features(self):
-        train_u, test_u = make_synthetic_asymmetric(4, 60)
-        train_l, test_l = make_synthetic_asymmetric_labeled(4, 60)
-        np.testing.assert_array_equal(train_u.features, train_l.features)
-        np.testing.assert_array_equal(test_u.features, test_l.features)
-        assert test_l.labels.shape == (120,)
-
     def test_minimum_size_enforced(self):
         with pytest.raises(ValueError, match="at least 10"):
-            make_synthetic_asymmetric(0, 5)
+            make_synthetic_asymmetric_labeled(0, 5)
 
     def test_label_rule_shared_across_splits(self):
         # with no covariate shift the label rates must agree closely

@@ -1,3 +1,4 @@
+import copy
 import math
 import warnings
 
@@ -247,6 +248,34 @@ class TestAdam:
                 np.testing.assert_array_equal(value, copy)
         assert not np.array_equal(model.w1.value, expected_w1)
         assert np.abs(model.w1.value - expected_w1).max() < 0.1
+
+    def test_a_deep_copy_steps_bit_for_bit_like_the_original(self):
+        model = PredictorModel(CFG, seed=8)
+        opt = AdamOptimizer(model.parameters, total_steps=8, weight_decay=1e-2)
+        rng = np.random.default_rng(9)
+
+        def step(params, opt, grads, index):
+            for p, g in zip(params, grads):
+                p.grad = g.copy()
+            opt.step(index)
+
+        for index in range(2):
+            grads = [rng.normal(size=p.value.shape) for p in model.parameters]
+            step(model.parameters, opt, grads, index)
+        twin, twin_opt = copy.deepcopy((model, opt))
+        assert twin_opt.params == twin.parameters
+        for index in range(2, 7):
+            if index in (2, 4):  # an in-place edit of a value is honoured, copied or not
+                for params in (model.parameters, twin.parameters):
+                    params[0].value += 1.0
+            grads = [rng.normal(size=p.value.shape) for p in model.parameters]
+            step(model.parameters, opt, grads, index)
+            step(twin.parameters, twin_opt, grads, index)
+            for p, q in zip(model.parameters, twin.parameters):
+                assert not np.shares_memory(p.value, q.value)
+            assert parameter_digest(twin.parameters) == parameter_digest(model.parameters)
+        np.testing.assert_array_equal(twin_opt.m, opt.m)
+        np.testing.assert_array_equal(twin_opt.v, opt.v)
 
     def test_weight_decay_shrinks_parameters(self):
         params = self._params()

@@ -11,7 +11,6 @@ from fairshift.data import (
     GaussianShiftTask,
     LabeledDataset,
     UnlabeledDataset,
-    make_synthetic_asymmetric,
     make_synthetic_asymmetric_labeled,
 )
 from fairshift.experiment import _normalize_pool
@@ -22,7 +21,7 @@ from fairshift.losses import (
     weighted_entropy_term,
 )
 from fairshift.metrics import evaluate_model
-from fairshift import nets
+from fairshift import nets, training
 from fairshift.nets import GRAD_CLIP_NORM, parameter_digest, zero_grads
 from fairshift.training import (
     _ADAPT_ONLY_FIELDS,
@@ -39,8 +38,8 @@ QUICK = TrainConfig(pretrain_epochs=3, adapt_epochs=4, m_cap=40, seed=5)
 
 @pytest.fixture(scope="module")
 def small_task():
-    source, target = make_synthetic_asymmetric(seed=11, n_per_group=100)
-    return source, target
+    source, test = make_synthetic_asymmetric_labeled(seed=11, n_per_group=100)
+    return source, test.without_labels()
 
 
 class TestDegenerateEquivalences:
@@ -308,6 +307,46 @@ class TestPretrainCache:
             model = train(source, target, cfg, cache)
             assert model.resumed_epochs == (0 if i == 0 else cfg.pretrain_epochs)
             assert model.param_digests == train(source, target, cfg).param_digests
+
+    def test_a_resumed_run_builds_no_predictor_and_no_optimizer(self, small_task, monkeypatch):
+        source, target = small_task
+        cache = PretrainCache()
+        train(source, target, replace(QUICK, method="erm"), cache)
+        built = []
+
+        def counting(name):
+            real = getattr(training, name)
+
+            def build(*args, **kwargs):
+                built.append(name)
+                return real(*args, **kwargs)
+
+            return build
+
+        for name in ("PredictorModel", "AdamOptimizer"):
+            monkeypatch.setattr(training, name, counting(name))
+        for method, expected in (
+            ("erm", []),
+            ("unweighted_entropy", []),
+            ("ours", ["AdamOptimizer"]),  # its weight network's
+        ):
+            built.clear()
+            model = train(source, target, replace(QUICK, method=method), cache)
+            assert model.resumed_epochs == QUICK.pretrain_epochs
+            assert built == expected
+
+    def test_training_a_resumed_run_leaves_the_stored_progress_alone(self, small_task):
+        source, target = small_task
+        cache = PretrainCache()
+        train(source, target, replace(QUICK, method="erm"), cache)
+        stored = cache.state[-1]
+        digest = parameter_digest(stored.model.parameters)
+        assert stored.digests[-1] == digest
+        for method in SHARES_PRETRAINING:
+            model = train(source, target, replace(QUICK, method=method), cache)
+            assert model.resumed_epochs == QUICK.pretrain_epochs
+            assert parameter_digest(stored.model.parameters) == digest
+            assert len(stored.history) == len(stored.digests) == QUICK.pretrain_epochs
 
     def test_a_run_without_adaptation_stores_and_resumes_whole(self, small_task):
         source, target = small_task
@@ -646,8 +685,14 @@ def test_unweighted_entropy_is_less_stable_than_weighted():
         source, test = _normalize_pool(source, test)
         target = test.without_labels()
         cfg = TrainConfig(seed=seed, lambda1=1.0, lambda2=0.1)
-        ours = train(source, target, replace(cfg, method="ours"))
-        unweighted = train(source, target, replace(cfg, method="unweighted_entropy"))
+        # unweighted_entropy resumes from the pretraining epochs ours stored
+        cache = PretrainCache()
+        ours = train(source, target, replace(cfg, method="ours"), cache)
+        unweighted = train(source, target, replace(cfg, method="unweighted_entropy"), cache)
+        if seed == 0:
+            solo = train(source, target, replace(cfg, method="unweighted_entropy"))
+            assert unweighted.resumed_epochs == cfg.pretrain_epochs
+            assert unweighted.param_digests == solo.param_digests
         err_ours.append(evaluate_model(ours, test).error_pct)
         err_unweighted.append(evaluate_model(unweighted, test).error_pct)
     assert np.std(err_unweighted) > np.std(err_ours)
