@@ -178,10 +178,9 @@ def _cmd_experiment(args):
     write_failures_jsonl(failures_path, run_rows)
     failed = [r for r in run_rows if r["status"] != "ok"]
     for row in failed:
-        reason = row["_traceback"].strip().splitlines()[-1]
         sys.stderr.write(
             f"run failed: method={row['method']} gamma={row['gamma']} rep={row['rep']}: "
-            f"{reason}\n"
+            f"{row['_exception']}: {row['_message']}\n"
         )
     if failed:
         sys.stderr.write(f"tracebacks of failed runs: {failures_path}\n")

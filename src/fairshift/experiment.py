@@ -253,6 +253,7 @@ def _execute_run(task, provider=None, cache=None):
         for name in _METRIC_FIELDS:
             row[name] = ""
         row["_exception"] = type(exc).__name__
+        row["_message"] = str(exc)
         row["_traceback"] = traceback.format_exc()
         return row, None, time.perf_counter() - start
     row["status"] = "ok"
@@ -385,7 +386,11 @@ def write_timings_csv(path, run_rows, wall_times):
 
 
 def write_failures_jsonl(path, run_rows):
-    """One JSON object per failed run: grid point, rep, seed, exception type, traceback."""
+    """One JSON object per failed run: grid point, rep, seed, exception type, message, traceback.
+
+    The traceback holds the checkout's paths and line numbers; the type and
+    message do not, so they are what two commits or checkouts can compare.
+    """
     with open(path, "w", encoding="utf-8") as fh:
         for row in run_rows:
             if row["status"] == "failed":
@@ -393,6 +398,7 @@ def write_failures_jsonl(path, run_rows):
                     c: row[c] for c in ("method", "gamma", "lambda1", "lambda2", "m", "rep", "seed")
                 }
                 record["exception"] = row["_exception"]
+                record["message"] = row["_message"]
                 record["traceback"] = row["_traceback"]
                 fh.write(json.dumps(record) + "\n")
 

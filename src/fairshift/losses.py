@@ -61,6 +61,9 @@ class LossBreakdown:
     fw_max: float = 0.0
     # wall time of the epoch; two runs of one seed differ here only
     epoch_s: float = field(default=0.0, compare=False)
+    # minor page faults of the whole process during the epoch, so runs that
+    # train at once in one process share the count; None without ``resource``
+    minor_faults: int = field(default=0, compare=False)
 
     def to_dict(self):
         return asdict(self)

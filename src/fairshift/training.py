@@ -32,12 +32,25 @@ run stores a deep copy of its progress, everything its epoch loop
 carries, at the end of them, and a later run with the same source and the
 same config (but for the fields only adaptation reads) resumes from a copy
 of it, bit for bit where its own epochs would have left it.
+
+The first :func:`train` call of a process pins glibc's allocator: it sets
+the mmap threshold to glibc's own ceiling for its sliding threshold and
+the trim threshold to twice that, glibc's own rule.  The sliding threshold
+follows the largest mapped chunk freed so far, which lands on the sizes of
+a step's dropout masks and temporaries (128-320 KiB at the 256-row
+adaptation batch), so each step mapped fresh pages or grew and trimmed the
+heap top.  Pinned, those arrays come from the heap and the step takes no
+page faults; each epoch logs the process's minor faults.  The setting
+holds for the whole process and cannot be undone: glibc never turns its
+sliding threshold back on.  Other C libraries are left as they are.
 """
 
 from __future__ import annotations
 
 import copy
+import ctypes
 import math
+import platform
 import time
 from dataclasses import dataclass, field, fields, replace
 
@@ -81,6 +94,40 @@ _ADAPT_ONLY_FIELDS = frozenset(
     + ("weight_lr_multiplier", "weight_hidden_dim")
 )
 RATIO_FLOOR = 1e-3
+
+try:
+    import resource
+except ImportError:  # no resource module (Windows): epochs log no fault count
+    resource = None
+
+# glibc's mallopt parameters and its ceiling for the sliding mmap threshold,
+# DEFAULT_MMAP_THRESHOLD_MAX = 4 MiB * sizeof(long)
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD_MAX = 4 * 1024 * 1024 * ctypes.sizeof(ctypes.c_long)
+# the allocator is one per process, and so is this flag
+_allocator_pinned = False
+
+
+def _pin_allocator():
+    """Once per process, set glibc's mmap and trim thresholds (see the module docstring).
+
+    A ``0`` return from ``mallopt`` (refused) leaves that setting as it was.
+    """
+    global _allocator_pinned
+    if _allocator_pinned:
+        return
+    _allocator_pinned = True
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX)
+    mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_MAX)
+
+
+def _minor_faults():
+    """The process's minor page faults so far, or None without ``resource``."""
+    return None if resource is None else resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
 @dataclass(frozen=True)
@@ -353,6 +400,7 @@ def _train(
     start = len(run.history)
     for epoch, batch_size in enumerate(_epoch_batch_sizes(cfg)[start:], start):
         started = time.perf_counter()
+        faults_at_start = _minor_faults()
         adapting = target_sample is not None and epoch >= adapt_from
         entropy_on = adapting and use_entropy
         matching = adapting and cfg.lambda2 > 0
@@ -430,6 +478,7 @@ def _train(
             fw_min=float(fw_lo),
             fw_max=float(fw_hi),
             epoch_s=time.perf_counter() - started,
+            minor_faults=None if faults_at_start is None else _minor_faults() - faults_at_start,
         )
         _check_finite(breakdown.total, epoch, "loss")
         run.history.append(breakdown)
@@ -501,8 +550,10 @@ def train(
       returned model standardizes by statistics recomputed from the
       target points.
 
-    ``cache`` reaches the ``SHARES_PRETRAINING`` methods only.
+    ``cache`` reaches the ``SHARES_PRETRAINING`` methods only.  The first
+    call in a process pins glibc's allocator (see the module docstring).
     """
+    _pin_allocator()
     method = cfg.method
     present = np.unique(source.labels)
     if len(present) < 2:

@@ -1,5 +1,6 @@
 import csv
 import ctypes
+import json
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from fairshift.experiment import (
     run_experiment,
     run_variance_study,
     write_aggregate_csv,
+    write_failures_jsonl,
     write_run_csv,
     write_timings_csv,
     write_variance_csv,
@@ -204,6 +206,19 @@ class TestRunExperiment:
     def test_workers_below_one_rejected(self, workers):
         with pytest.raises(ValueError, match="workers"):
             run_experiment(_tiny_spec(), workers=workers)
+
+
+def test_failure_records_carry_the_exception_message(tmp_path):
+    # the tiny spec's target holds 120 points, so m = 500 fails every run
+    runs, _ = run_experiment(_tiny_spec(methods=("ours", "zsa"), ms=(500,)), workers=1)
+    path = tmp_path / "failures.jsonl"
+    write_failures_jsonl(path, runs)
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    assert len(records) == 4
+    for record in records:
+        assert list(record)[-3:] == ["exception", "message", "traceback"]
+        assert record["exception"] == "ValueError"
+        assert record["message"] == "m_cap=500 exceeds available target points (120)"
 
 
 def _ungrouped(tasks, workers):

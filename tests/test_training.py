@@ -1,10 +1,15 @@
 import math
+import os
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from dataclasses import fields, replace
 from scipy.stats import spearmanr
 
+import fairshift
 from fairshift import autodiff as ad
 from fairshift.data import (
     CONTINUOUS,
@@ -823,3 +828,77 @@ def test_one_label_source_rejected(small_task, monkeypatch, method, label):
     )
     with pytest.raises(ValueError, match=f"only label {label};"):
         train(one_label, target, replace(QUICK, method=method))
+
+
+# a fresh interpreter: one tiny train() call, then 256-row dropout forwards
+# of a 97-input predictor, whose masks (320 KiB) and temporaries (128 KiB)
+# sit at glibc's default sliding mmap threshold
+_FORWARD_FAULTS = """
+import resource
+import numpy as np
+from fairshift.data import make_synthetic_asymmetric_labeled
+from fairshift.nets import NetConfig, PredictorModel
+from fairshift.training import TrainConfig, train
+
+source, _ = make_synthetic_asymmetric_labeled(seed=1, n_per_group=30)
+train(source, None, TrainConfig(method="erm", pretrain_epochs=1, adapt_epochs=0))
+model = PredictorModel(NetConfig(input_dim=97), 0)
+x = np.random.default_rng(0).standard_normal((256, 97))
+rng = np.random.default_rng(1)
+for _ in range(5):
+    model.forward(x, dropout_rng=rng)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(50):
+    model.forward(x, dropout_rng=rng)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 50)
+"""
+
+
+class TestAllocatorPin:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="pins glibc only")
+    def test_dropout_forwards_take_no_page_faults_after_train(self):
+        src = os.path.dirname(os.path.dirname(fairshift.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        cmd = [sys.executable, "-c", _FORWARD_FAULTS]
+        out = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True)
+        assert float(out.stdout) < 1.0
+
+    @staticmethod
+    def _record_mallopt(monkeypatch, libc):
+        """Patch a fresh process's view: ``libc`` as the C library, mallopt recorded."""
+        calls = []
+
+        class FakeLibc:
+            def __init__(self, name):
+                self.mallopt = lambda param, value: calls.append((param, value)) or 1
+
+        monkeypatch.setattr(training, "_allocator_pinned", False)
+        monkeypatch.setattr(training.platform, "libc_ver", lambda *args, **kw: (libc, "1.0"))
+        monkeypatch.setattr(training.ctypes, "CDLL", FakeLibc)
+        return calls
+
+    def test_other_c_libraries_are_left_alone(self, small_task, monkeypatch):
+        calls = self._record_mallopt(monkeypatch, "musl")
+        train(small_task[0], None, replace(QUICK, method="erm", adapt_epochs=0))
+        assert calls == []
+
+    def test_pinned_once_per_process(self, small_task, monkeypatch):
+        calls = self._record_mallopt(monkeypatch, "glibc")
+        cfg = replace(QUICK, method="erm", adapt_epochs=0)
+        train(small_task[0], None, cfg)
+        ceiling = 4 * 1024 * 1024 * training.ctypes.sizeof(training.ctypes.c_long)
+        assert calls == [(-3, ceiling), (-1, 2 * ceiling)]
+        train(small_task[0], None, cfg)
+        assert len(calls) == 2
+
+
+@pytest.mark.skipif(training.resource is None, reason="no resource module")
+def test_a_warm_erm_run_logs_almost_no_page_faults():
+    # an asymmetric draw of the benchmark's size at the default schedule
+    source, _ = make_synthetic_asymmetric_labeled(seed=1, n_per_group=300)
+    cfg = TrainConfig(method="erm", seed=1)
+    train(source, None, cfg)
+    history = train(source, None, cfg).history
+    assert len(history) == 50
+    assert all(isinstance(entry.minor_faults, int) for entry in history)
+    assert sum(entry.minor_faults for entry in history) < 100
