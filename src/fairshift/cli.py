@@ -167,12 +167,11 @@ def _cmd_experiment(args):
         ms=args.m,
         methods=args.method or None,
     )
-    wall_times = []
-    run_rows, aggregates = run_experiment(spec, workers=args.workers, wall_times=wall_times)
+    run_rows, aggregates = run_experiment(spec, workers=args.workers)
     out = _ensure_out(args.out)
     write_run_csv(os.path.join(out, "runs.csv"), run_rows)
     write_aggregate_csv(os.path.join(out, "aggregate.csv"), aggregates)
-    write_timings_csv(os.path.join(out, "timings.csv"), run_rows, wall_times)
+    write_timings_csv(os.path.join(out, "timings.csv"), run_rows)
     # written on every sweep, so a stale file never outlives a clean rerun
     failures_path = os.path.join(out, "failures.jsonl")
     write_failures_jsonl(failures_path, run_rows)

@@ -14,7 +14,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import os
+import typing
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -37,6 +39,31 @@ def _binary(values, name):
         bad = values[~np.isin(values, (0.0, 1.0))][0]
         raise ValueError(f"{name} column must contain only 0 or 1, found {bad.item()}")
     return _freeze(values.astype(np.int64, copy=False))
+
+
+_NUMBERS = {int: numbers.Integral, float: numbers.Real}
+
+
+def check_field_types(obj):
+    """Raise one ``ValueError`` naming the first field of dataclass ``obj`` that
+    does not fit its annotation.
+
+    An int fits ``float``, a bool fits no field (none holds a bool), each
+    entry of a ``tuple[X, ...]`` field must fit ``X``, and a number must be
+    finite.
+    """
+    for name, hint in typing.get_type_hints(type(obj)).items():
+        values = [getattr(obj, name)]
+        if typing.get_origin(hint) is tuple:
+            if not isinstance(values[0], tuple):
+                raise ValueError(f"{name} must be a tuple, got {values[0]!r}")
+            name, hint, values = f"{name} entries", typing.get_args(hint)[0], values[0]
+        kinds = tuple(_NUMBERS.get(arm, arm) for arm in typing.get_args(hint) or (hint,))
+        for value in values:
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise ValueError(f"{name} must be {getattr(hint, '__name__', hint)}, got {value!r}")
+            if isinstance(value, numbers.Real) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ are those of a run on its own.
 from __future__ import annotations
 
 import csv
-import ctypes
 import json
 import time
 import traceback
@@ -30,6 +29,7 @@ from .data import (
     GaussianShiftTask,
     LabeledDataset,
     apply_zscore,
+    check_field_types,
     fit_zscore,
     load_csv,
     make_synthetic_asymmetric_labeled,
@@ -37,7 +37,7 @@ from .data import (
 from .losses import conditional_entropy, risk_bound_gap
 from .metrics import evaluate_model
 from .splitter import ShiftConfig, split
-from .training import SHARES_PRETRAINING, PretrainCache, TrainConfig, train
+from .training import SHARES_PRETRAINING, PretrainCache, TrainConfig, _setup_process, train
 
 SYNTHETIC_ASYMMETRIC = "synthetic:asymmetric"
 SYNTHETIC_GAUSSIAN = "synthetic:gaussian"
@@ -93,11 +93,11 @@ AGGREGATE_COLUMNS = (
 @dataclass(frozen=True)
 class ExperimentSpec:
     dataset: str
-    methods: tuple = ("ours",)
-    gammas: tuple = (10.0,)
-    lambda1s: tuple = (0.1,)
-    lambda2s: tuple = (1.0,)
-    ms: tuple = (50,)
+    methods: tuple[str, ...] = ("ours",)
+    gammas: tuple[float, ...] = (10.0,)
+    lambda1s: tuple[float, ...] = (0.1,)
+    lambda2s: tuple[float, ...] = (1.0,)
+    ms: tuple[int, ...] = (50,)
     repetitions: int = 50
     base_seed: int = 0
     n_per_group: int = 300
@@ -105,6 +105,7 @@ class ExperimentSpec:
     shift: ShiftConfig = field(default_factory=ShiftConfig)
 
     def __post_init__(self):
+        check_field_types(self)
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         if self.base_seed < 0:
@@ -193,36 +194,20 @@ class _DataProvider:
 # a pool worker's copy of the sweep's data, received once when the worker starts
 _worker_provider = None
 
-# OpenBLAS's thread-count setter under the names numpy's builds export
-_BLAS_SET_THREADS = (
-    "scipy_openblas_set_num_threads64_",
-    "scipy_openblas_set_num_threads",
-    "openblas_set_num_threads64_",
-    "openblas_set_num_threads",
-)
-
 
 def _init_worker(provider):
     global _worker_provider
     _worker_provider = provider
-    # a forked worker inherits OpenBLAS's pool of one thread per core; with
-    # every worker busy, those threads oversubscribe the cores and spin on
-    # the small matrices of a training step
-    blas = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    for name in _BLAS_SET_THREADS:
-        if hasattr(blas, name):
-            set_threads = getattr(blas, name)
-            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-            set_threads(1)
-            break
+    _setup_process()
 
 
 def _execute_run(task, provider=None, cache=None):
-    """One seeded run of a ``(point, rep)`` task; returns its CSV row and metrics (or None).
+    """One seeded run of a ``(point, rep)`` task; returns its row.
 
     ``provider`` defaults to the one the pool worker received at start-up;
-    ``cache`` goes to :func:`train`.  Also returns the run's wall seconds:
-    data, training (without any epochs resumed from the cache) and scoring.
+    ``cache`` goes to :func:`train`.  Beside the ``RUN_COLUMNS`` the row
+    holds ``resumed_epochs``, ``wall_s`` (data, training without resumed
+    epochs, and scoring) and, for a failed run, its exception.
     """
     (method, gamma, lam1, lam2, m), rep = task
     if provider is None:
@@ -255,11 +240,12 @@ def _execute_run(task, provider=None, cache=None):
         row["_exception"] = type(exc).__name__
         row["_message"] = str(exc)
         row["_traceback"] = traceback.format_exc()
-        return row, None, time.perf_counter() - start
-    row["status"] = "ok"
-    for name in _METRIC_FIELDS:
-        row[name] = getattr(metrics, name)
-    return row, metrics, time.perf_counter() - start
+    else:
+        row["status"] = "ok"
+        for name in _METRIC_FIELDS:
+            row[name] = getattr(metrics, name)
+    row["wall_s"] = time.perf_counter() - start
+    return row
 
 
 def _execute_group(tasks, provider=None):
@@ -290,19 +276,20 @@ def _group_tasks(tasks, workers):
     return groups
 
 
-def run_experiment(spec: ExperimentSpec, workers: int = 1, wall_times=None):
+def run_experiment(spec: ExperimentSpec, workers: int = 1):
     """Execute the sweep; returns ``(run_rows, aggregate_rows)``.
 
+    Each run row is one dict (see :func:`_execute_run`), in grid order.
     The dataset is loaded (and a CSV pool z-scored) once, in the calling
     process, so a bad dataset raises before any run starts.  Runs are
     independent, so ``workers > 1`` fans them out over a bounded process
-    pool whose workers each receive the loaded data once, at start-up, and
-    run BLAS on one thread.  The runs that share pretraining execute as
-    one task (see :func:`_group_tasks`), which the serial path reaches at
-    its first run's place; results are gathered in grid order either way,
-    and a run that raises is recorded with status ``failed`` without
-    stopping the sweep.  A ``wall_times`` list receives each run's wall
-    seconds, in the same order as the run rows.
+    pool, of no more processes than there are tasks, whose workers each
+    receive the loaded data once, at start-up, and set themselves up as
+    :func:`train` sets up any process that trains.  The runs that share
+    pretraining execute as one task (see :func:`_group_tasks`), which the
+    serial path reaches at its first run's place; results are gathered in
+    grid order either way, and a run that raises is recorded with status
+    ``failed`` without stopping the sweep.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -315,46 +302,30 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1, wall_times=None):
         results = [_execute_group(group, provider) for group in members]
     else:
         with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(provider,)
+            max_workers=min(workers, len(groups)), initializer=_init_worker, initargs=(provider,)
         ) as pool:
             results = list(pool.map(_execute_group, members))
-    outcomes = [None] * len(tasks)
+    run_rows = [None] * len(tasks)
     for group, result in zip(groups, results):
-        for i, outcome in zip(group, result):
-            outcomes[i] = outcome
+        for i, row in zip(group, result):
+            run_rows[i] = row
 
-    run_rows = [row for row, _, _ in outcomes]
-    if wall_times is not None:
-        wall_times.extend(seconds for _, _, seconds in outcomes)
-    aggregates = []
-    for i, (method, gamma, lam1, lam2, m) in enumerate(points):
-        chunk = outcomes[i * spec.repetitions : (i + 1) * spec.repetitions]
-        metrics_ok = [metrics for _, metrics, _ in chunk if metrics is not None]
-        aggregates.append(
-            _aggregate(method, gamma, lam1, lam2, m, spec.repetitions, metrics_ok)
-        )
+    reps = spec.repetitions
+    aggregates = [_aggregate(p, run_rows[i * reps : (i + 1) * reps]) for i, p in enumerate(points)]
     return run_rows, aggregates
 
 
-def _aggregate(method, gamma, lam1, lam2, m, repetitions, metrics_ok) -> AggregateRow:
+def _aggregate(point, rows) -> AggregateRow:
+    """A grid point's mean and population std of each metric over its ``ok`` rows."""
+    ok_rows = [row for row in rows if row["status"] == "ok"]
     means, stds = {}, {}
     for name in _METRIC_FIELDS:
-        values = np.array([getattr(r, name) for r in metrics_ok], dtype=np.float64)
+        values = np.array([row[name] for row in ok_rows], dtype=np.float64)
         means[name] = float(values.mean()) if len(values) else float("nan")
         # population std: a single repetition reports exactly 0 spread
         stds[name] = float(values.std()) if len(values) else float("nan")
-    return AggregateRow(
-        method=method,
-        gamma=gamma,
-        lambda1=lam1,
-        lambda2=lam2,
-        m=m,
-        repetitions=repetitions,
-        ok_runs=len(metrics_ok),
-        status="complete" if len(metrics_ok) == repetitions else "partial",
-        means=means,
-        stds=stds,
-    )
+    status = "complete" if len(ok_rows) == len(rows) else "partial"
+    return AggregateRow(*point, len(rows), len(ok_rows), status, means, stds)
 
 
 def _fmt(value):
@@ -376,13 +347,9 @@ def write_run_csv(path, run_rows):
     _write_table(path, RUN_COLUMNS, ([row[c] for c in RUN_COLUMNS] for row in run_rows))
 
 
-def write_timings_csv(path, run_rows, wall_times):
+def write_timings_csv(path, run_rows):
     """One row per run: grid point, rep, seed, status, resumed epochs and wall seconds."""
-    _write_table(
-        path,
-        TIMING_COLUMNS,
-        ([row[c] for c in TIMING_COLUMNS[:-1]] + [t] for row, t in zip(run_rows, wall_times)),
-    )
+    _write_table(path, TIMING_COLUMNS, ([row[c] for c in TIMING_COLUMNS] for row in run_rows))
 
 
 def write_failures_jsonl(path, run_rows):

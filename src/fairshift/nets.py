@@ -214,7 +214,9 @@ class AdamOptimizer:
         # squares summed per parameter, then over parameters: this order
         # fixes the last bits of the norm, and so of every trajectory.  A
         # finite gradient whose squares overflow has an infinite norm, and
-        # clipping by it would zero the step
+        # clipping by it would zero the step.  np.add.reduceat sums a segment
+        # in another order than a[lo:hi].sum() and differs in the last bits
+        # on segment lengths from 10 to 9000, so the per-parameter sums stay
         with np.errstate(over="ignore"):
             np.multiply(g, g, out=a)
             norm = math.sqrt(sum(float(a[lo:hi].sum()) for lo, hi, _ in self._layout))

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import check_field_types
+
 
 @dataclass(frozen=True)
 class ShiftConfig:
@@ -27,8 +29,9 @@ class ShiftConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not np.isfinite(self.gamma) or self.gamma < 0:
-            raise ValueError("gamma must be finite and >= 0")
+        check_field_types(self)
+        if self.gamma < 0:
+            raise ValueError("gamma must be >= 0")
         if not 0.0 < self.percentile < 100.0:
             raise ValueError("percentile must be in (0, 100)")
         if not 0.0 < self.test_fraction < 1.0:

@@ -33,23 +33,27 @@ carries, at the end of them, and a later run with the same source and the
 same config (but for the fields only adaptation reads) resumes from a copy
 of it, bit for bit where its own epochs would have left it.
 
-The first :func:`train` call of a process pins glibc's allocator: it sets
-the mmap threshold to glibc's own ceiling for its sliding threshold and
-the trim threshold to twice that, glibc's own rule.  The sliding threshold
+Every process that trains is set up once, by its first :func:`train` call
+or when a sweep's pool worker starts, so a run trains alike in-process or
+pooled.  numpy's OpenBLAS runs on one thread: a step's matrices are small,
+and a pool of one thread per core spins on them and, beside any other busy
+process, oversubscribes the cores.  glibc's allocator is pinned: the mmap
+threshold goes to glibc's own ceiling for its sliding threshold and the
+trim threshold to twice that, glibc's own rule.  The sliding threshold
 follows the largest mapped chunk freed so far, which lands on the sizes of
 a step's dropout masks and temporaries (128-320 KiB at the 256-row
 adaptation batch), so each step mapped fresh pages or grew and trimmed the
 heap top.  Pinned, those arrays come from the heap and the step takes no
-page faults; each epoch logs the process's minor faults.  The setting
-holds for the whole process and cannot be undone: glibc never turns its
-sliding threshold back on.  Other C libraries are left as they are.
+page faults; each epoch logs the process's minor faults.  Both settings
+hold for the whole process, and glibc never turns its sliding threshold
+back on.  Other C libraries are left as they are.
 """
 
 from __future__ import annotations
 
 import copy
 import ctypes
-import math
+import os
 import platform
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -61,6 +65,7 @@ from .data import (
     LabeledDataset,
     NormalizationStats,
     UnlabeledDataset,
+    check_field_types,
     fit_zscore,
 )
 from .losses import (
@@ -104,19 +109,31 @@ except ImportError:  # no resource module (Windows): epochs log no fault count
 # DEFAULT_MMAP_THRESHOLD_MAX = 4 MiB * sizeof(long)
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _MMAP_THRESHOLD_MAX = 4 * 1024 * 1024 * ctypes.sizeof(ctypes.c_long)
-# the allocator is one per process, and so is this flag
-_allocator_pinned = False
+# OpenBLAS's thread-count setter under the names numpy's builds export
+_BLAS_SET_THREADS = tuple(
+    f"{lib}openblas_set_num_threads{abi}" for lib in ("scipy_", "") for abi in ("64_", "")
+)
+# the process _setup_process last set up; a forked pool worker sets itself up
+_set_up_pid = None
 
 
-def _pin_allocator():
-    """Once per process, set glibc's mmap and trim thresholds (see the module docstring).
+def _setup_process():
+    """Once per process, one BLAS thread and glibc's pinned thresholds (see the module docstring).
 
-    A ``0`` return from ``mallopt`` (refused) leaves that setting as it was.
+    A BLAS other than OpenBLAS keeps its threads; a ``0`` return from
+    ``mallopt`` (refused) leaves that setting as it was.
     """
-    global _allocator_pinned
-    if _allocator_pinned:
+    global _set_up_pid
+    if _set_up_pid == os.getpid():
         return
-    _allocator_pinned = True
+    _set_up_pid = os.getpid()
+    blas = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    for name in _BLAS_SET_THREADS:
+        if hasattr(blas, name):
+            set_threads = getattr(blas, name)
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            set_threads(1)
+            break
     if platform.libc_ver()[0] != "glibc":
         return
     mallopt = ctypes.CDLL(None).mallopt
@@ -154,38 +171,23 @@ class TrainConfig:
     dropout_rate: float = 0.25
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type in ("float", float) and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError(f"dropout_rate must lie in [0, 1), got {self.dropout_rate!r}")
+        check_field_types(self)
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        if self.batch_size < 1 or self.adapt_train_batch_size < 1:
-            raise ValueError("batch sizes must be >= 1")
-        if self.pretrain_epochs < 0 or self.adapt_epochs < 0:
-            raise ValueError("epoch counts must be >= 0")
+        for rule, ok, names in (
+            (">= 1", lambda v: v >= 1, ("batch_size", "adapt_train_batch_size", "m_cap")
+             + ("hidden_dim", "rep_dim", "clf_hidden_dim", "weight_hidden_dim")),
+            (">= 0", lambda v: v >= 0, ("pretrain_epochs", "adapt_epochs", "seed")
+             + ("lambda1", "lambda2", "weight_decay")),
+            ("> 0", lambda v: v > 0, ("c1", "c2", "learning_rate", "weight_lr_multiplier")),
+        ):
+            for name in names:
+                if not ok(getattr(self, name)):
+                    raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ValueError(f"dropout_rate must lie in [0, 1), got {self.dropout_rate!r}")
         if self.pretrain_epochs + self.adapt_epochs == 0:
             raise ValueError("pretrain_epochs + adapt_epochs must be >= 1, got 0 + 0")
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ValueError("lambda coefficients must be >= 0")
-        if self.c1 <= 0 or self.c2 <= 0:
-            raise ValueError("penalty coefficients must be > 0")
-        if self.m_cap < 1:
-            raise ValueError("m_cap must be >= 1")
-        for name, bad, rule in (
-            ("hidden_dim", self.hidden_dim < 1, ">= 1"),
-            ("rep_dim", self.rep_dim < 1, ">= 1"),
-            ("clf_hidden_dim", self.clf_hidden_dim < 1, ">= 1"),
-            ("weight_hidden_dim", self.weight_hidden_dim < 1, ">= 1"),
-            ("learning_rate", self.learning_rate <= 0, "> 0"),
-            ("weight_lr_multiplier", self.weight_lr_multiplier <= 0, "> 0"),
-            ("weight_decay", self.weight_decay < 0, ">= 0"),
-            ("seed", self.seed < 0, ">= 0"),
-        ):
-            if bad:
-                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
     @property
     def total_epochs(self):
@@ -551,9 +553,9 @@ def train(
       target points.
 
     ``cache`` reaches the ``SHARES_PRETRAINING`` methods only.  The first
-    call in a process pins glibc's allocator (see the module docstring).
+    call in a process sets the process up (see the module docstring).
     """
-    _pin_allocator()
+    _setup_process()
     method = cfg.method
     present = np.unique(source.labels)
     if len(present) < 2:

@@ -237,6 +237,26 @@ HOSTILE_INPUTS = [
      "pretrain_epochs + adapt_epochs must be >= 1, got 0 + 0"),
     ("negative-seed", TRAIN + ["--data", "{source}", "--seed", "-1"], 1,
      "seed must be >= 0, got -1"),
+    # wrong-typed config values: one ValueError naming the field
+    ("none-lambda1", TRAIN + ["--data", "{source}", "--config", "{none_lambda1}"], 1,
+     "lambda1 must be float, got None"),
+    ("float-batch-size", TRAIN + ["--data", "{source}", "--config", "{float_batch}"], 1,
+     "batch_size must be int, got 3.5"),
+    ("float-m-cap", TRAIN + ["--data", "{source}", "--config", "{float_m_cap}"], 1,
+     "m_cap must be int, got 2.5"),
+    ("bool-lambda2", TRAIN + ["--data", "{source}", "--config", "{bool_lambda2}"], 1,
+     "lambda2 must be float, got True"),
+    ("float-split-seed", ["split", "--data", "{source}", "--config", "{float_seed}",
+                          "--out", "{out}"], 1, "seed must be int, got 1.5"),
+    *(
+        (f"experiment-{name}", ["experiment", "--data", "{source}", "--config", f"{{{name}}}",
+                                "--out", "{out}"], 1, cause)
+        for name, cause in (
+            ("text_ms", "ms entries must be int, got 'abc'"),
+            ("float_reps", "repetitions must be int, got 2.5"),
+            ("float_train_seed", "seed must be int, got 1.5"),
+        )
+    ),
 ]
 
 
@@ -265,6 +285,14 @@ def hostile_files(source_and_target_csv, tmp_path):
         ("quick", "pretrain_epochs = 2\nadapt_epochs = 2\nm_cap = 30\n"),
         ("big_m", "pretrain_epochs = 2\nadapt_epochs = 2\nm_cap = 1000\n"),
         ("no_epochs", "pretrain_epochs = 0\nadapt_epochs = 0\n"),
+        ("none_lambda1", "lambda1 = none\n"),
+        ("float_batch", "batch_size = 3.5\n"),
+        ("float_m_cap", "m_cap = 2.5\n"),
+        ("bool_lambda2", "lambda2 = true\n"),
+        ("float_seed", "seed = 1.5\n"),
+        ("text_ms", "ms = abc\n"),
+        ("float_reps", "repetitions = 2.5\n"),
+        ("float_train_seed", "train.seed = 1.5\n"),
     ):
         files[name] = tmp_path / f"{name}.cfg"
         files[name].write_text(text)

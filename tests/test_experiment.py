@@ -1,11 +1,13 @@
 import csv
 import ctypes
 import json
+import os
 
 import numpy as np
 import pytest
 
 import fairshift.experiment as experiment_module
+import fairshift.training as training_module
 from fairshift.experiment import (
     AggregateRow,
     ExperimentSpec,
@@ -110,7 +112,10 @@ class TestRunExperiment:
         spec = _tiny_spec(methods=("erm", "ours"), repetitions=2)
         sequential = run_experiment(spec, workers=1)
         parallel = run_experiment(spec, workers=2)
-        assert sequential[0] == parallel[0]
+        # every field of a run row but its wall time
+        untimed = [[{k: v for k, v in r.items() if k != "wall_s"} for r in rows[0]]
+                   for rows in (sequential, parallel)]
+        assert untimed[0] == untimed[1]
         assert sequential[1] == parallel[1]
 
     def test_gaussian_dataset_supported(self):
@@ -172,6 +177,8 @@ class TestRunExperiment:
             return real_train(*args, **kwargs)
 
         monkeypatch.setattr(experiment_module, "train", logged_train)
+        # a caller already set up: its forked workers must still set themselves up
+        monkeypatch.setattr(training_module, "_set_up_pid", os.getpid())
         before = _openblas("get")()
         # two threads in the caller, so forked workers would inherit more than one
         _openblas("set")(2)
@@ -183,17 +190,43 @@ class TestRunExperiment:
         assert [r["status"] for r in runs] == ["ok"] * 4
         assert log.read_text().splitlines() == ["1"] * 4
 
+    @pytest.mark.skipif(_openblas("get") is None, reason="numpy's BLAS is not OpenBLAS")
+    def test_in_process_training_runs_one_blas_thread(self, monkeypatch):
+        # a process not yet set up, with two threads: what the setup must change
+        monkeypatch.setattr(training_module, "_set_up_pid", None)
+        before = _openblas("get")()
+        _openblas("set")(2)
+        try:
+            runs, _ = run_experiment(_tiny_spec(repetitions=1), workers=1)
+            assert _openblas("get")() == 1
+        finally:
+            _openblas("set")(before)
+        assert [r["status"] for r in runs] == ["ok"]
+
+    @pytest.mark.parametrize("workers,runs,started", [(2, 1, 1), (4, 3, 3), (2, 3, 2)])
+    def test_pool_starts_no_more_processes_than_tasks(self, monkeypatch, workers, runs, started):
+        sizes = []
+
+        class RecordingPool(experiment_module.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(experiment_module, "ProcessPoolExecutor", RecordingPool)
+        rows, _ = run_experiment(_tiny_spec(repetitions=runs), workers=workers)
+        assert [r["status"] for r in rows] == ["ok"] * runs
+        assert sizes == [started]
+
     def test_runs_csv_bytes_do_not_depend_on_workers(self, tmp_path):
         spec = _tiny_spec(dataset=_write_pool_csv(tmp_path), methods=("erm", "ours"), ms=(20,))
         blobs = []
         for workers in (1, 2):
             path = tmp_path / f"runs_{workers}.csv"
-            wall_times = []
-            runs = run_experiment(spec, workers=workers, wall_times=wall_times)[0]
+            runs = run_experiment(spec, workers=workers)[0]
             write_run_csv(path, runs)
             blobs.append(path.read_bytes())
             timings = tmp_path / f"timings_{workers}.csv"
-            write_timings_csv(timings, runs, wall_times)
+            write_timings_csv(timings, runs)
             with open(timings) as fh:
                 rows = list(csv.DictReader(fh))
             assert [(r["method"], r["rep"], r["status"]) for r in rows] == [
@@ -237,11 +270,10 @@ class TestSharedPretraining:
 
     @staticmethod
     def _sweep(tmp_path, tag, spec, workers):
-        wall_times = []
-        runs, aggs = run_experiment(spec, workers=workers, wall_times=wall_times)
+        runs, aggs = run_experiment(spec, workers=workers)
         write_run_csv(tmp_path / f"runs_{tag}.csv", runs)
         write_aggregate_csv(tmp_path / f"agg_{tag}.csv", aggs)
-        write_timings_csv(tmp_path / f"timings_{tag}.csv", runs, wall_times)
+        write_timings_csv(tmp_path / f"timings_{tag}.csv", runs)
         with open(tmp_path / f"timings_{tag}.csv") as fh:
             timings = list(csv.DictReader(fh))
         blobs = [(tmp_path / f"{kind}_{tag}.csv").read_bytes() for kind in ("runs", "agg")]

@@ -872,7 +872,7 @@ class TestAllocatorPin:
             def __init__(self, name):
                 self.mallopt = lambda param, value: calls.append((param, value)) or 1
 
-        monkeypatch.setattr(training, "_allocator_pinned", False)
+        monkeypatch.setattr(training, "_set_up_pid", None)
         monkeypatch.setattr(training.platform, "libc_ver", lambda *args, **kw: (libc, "1.0"))
         monkeypatch.setattr(training.ctypes, "CDLL", FakeLibc)
         return calls
