@@ -25,6 +25,7 @@ from .data import (
 from .experiment import (
     AggregateRow,
     ExperimentSpec,
+    VarianceStudySpec,
     pareto_frontier,
     run_experiment,
     run_variance_study,

@@ -22,7 +22,7 @@ from .config import (
     parse_kv_file,
     shift_config_from_dict,
     train_config_from_dict,
-    variance_study_kwargs_from_dict,
+    variance_study_spec_from_dict,
 )
 from .data import NormalizationStats, load_csv, load_unlabeled_csv
 from .experiment import (
@@ -188,14 +188,14 @@ def _cmd_experiment(args):
 
 
 def _cmd_variance_study(args):
-    kwargs = variance_study_kwargs_from_dict(
+    spec = variance_study_spec_from_dict(
         _load_config(args.config),
         repetitions=args.reps,
         base_seed=args.seed,
         gammas=args.gamma,
         ms=args.m,
     )
-    rows = run_variance_study(**kwargs)
+    rows = run_variance_study(spec)
     out = _ensure_out(args.out)
     write_variance_csv(os.path.join(out, "variance.csv"), rows)
     print(f"{len(rows)} grid points -> {out}/variance.csv")

@@ -2,14 +2,14 @@
 
 Format: one ``key = value`` per line, ``#`` comments, blank lines
 ignored.  Values are parsed as int, float, bool, or string; commas make a
-list.  Unknown keys are rejected so typos fail loudly.
+list.  Unknown keys are rejected so typos fail loudly, and a missing
+required key is named.
 """
 
 from __future__ import annotations
 
-from dataclasses import fields
-
-from .experiment import ExperimentSpec
+from .data import build_from_dict
+from .experiment import ExperimentSpec, VarianceStudySpec
 from .splitter import ShiftConfig
 from .training import TrainConfig
 
@@ -56,17 +56,6 @@ def parse_kv_file(path: str) -> dict:
         return parse_kv_text(fh.read())
 
 
-def _check_keys(kind: str, values: dict, known):
-    rejected = set(values) - set(known)
-    if rejected:
-        raise ValueError(f"unknown {kind} keys: {sorted(rejected)}")
-
-
-def _build(cls, values: dict):
-    _check_keys(cls.__name__, values, {f.name for f in fields(cls)})
-    return cls(**values)
-
-
 def _merge(values: dict, overrides: dict) -> dict:
     """File values updated by the overrides that are not None."""
     merged = dict(values)
@@ -83,11 +72,11 @@ def _promote_grid(values: dict) -> dict:
 
 
 def train_config_from_dict(values: dict, **overrides) -> TrainConfig:
-    return _build(TrainConfig, _merge(values, overrides))
+    return build_from_dict(TrainConfig, _merge(values, overrides))
 
 
 def shift_config_from_dict(values: dict, **overrides) -> ShiftConfig:
-    return _build(ShiftConfig, _merge(values, overrides))
+    return build_from_dict(ShiftConfig, _merge(values, overrides))
 
 
 _TRAIN_PREFIX = "train."
@@ -108,16 +97,18 @@ def experiment_spec_from_dict(values: dict, **overrides) -> ExperimentSpec:
         else:
             spec_values[key] = value
     spec_values = _promote_grid(spec_values)
-    spec_values["train"] = _build(TrainConfig, train_values)
-    spec_values["shift"] = _build(ShiftConfig, shift_values)
-    return _build(ExperimentSpec, spec_values)
+    spec_values["train"] = build_from_dict(TrainConfig, train_values)
+    spec_values["shift"] = build_from_dict(ShiftConfig, shift_values)
+    return build_from_dict(ExperimentSpec, spec_values)
 
 
-def variance_study_kwargs_from_dict(values: dict, **overrides) -> dict:
-    """Keyword arguments for ``run_variance_study``.
+def variance_study_spec_from_dict(values: dict, **overrides) -> VarianceStudySpec:
+    """Build a VarianceStudySpec; scalar ``gammas`` and ``ms`` become tuples.
 
     Config files may set ``gammas``, ``ms`` and ``n`` only; the overrides
-    (command-line values) may set any of its parameters.
+    (command-line values) may set any of its fields.
     """
-    _check_keys("variance-study", values, ("gammas", "ms", "n"))
-    return _promote_grid(_merge(values, overrides))
+    rejected = set(values) - {"gammas", "ms", "n"}
+    if rejected:
+        raise ValueError(f"unknown variance-study keys: {sorted(rejected)}")
+    return build_from_dict(VarianceStudySpec, _promote_grid(_merge(values, overrides)))

@@ -17,7 +17,7 @@ import math
 import numbers
 import os
 import typing
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
@@ -64,6 +64,27 @@ def check_field_types(obj):
                 raise ValueError(f"{name} must be {getattr(hint, '__name__', hint)}, got {value!r}")
             if isinstance(value, numbers.Real) and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def build_from_dict(cls, values, kind=None):
+    """``cls(**values)``, or one ``ValueError`` naming the unknown or missing keys.
+
+    ``kind`` names the mapping in the message; it defaults to the class name.
+    """
+    kind = kind or cls.__name__
+    if not isinstance(values, dict):
+        raise ValueError(f"{kind} must be a mapping, got {values!r}")
+    rejected = set(values) - {f.name for f in fields(cls)}
+    if rejected:
+        raise ValueError(f"unknown {kind} keys: {sorted(rejected)}")
+    missing = [
+        f.name
+        for f in fields(cls)
+        if f.name not in values and f.default is MISSING and f.default_factory is MISSING
+    ]
+    if missing:
+        raise ValueError(f"missing {kind} keys: {missing}")
+    return cls(**values)
 
 
 @dataclass(frozen=True)

@@ -492,15 +492,38 @@ def bound_gap_estimate(
     return risk_bound_gap(source_risk, weighted_entropy, epsilon, test_risk)
 
 
-def run_variance_study(
-    gammas=(2.0, 2.5, 3.0),
-    ms=(10, 20, 50),
-    repetitions=20,
-    n=200,
-    base_seed=0,
-    entropy_coef=1.0,
-    train_cfg: TrainConfig | None = None,
-):
+@dataclass(frozen=True)
+class VarianceStudySpec:
+    """The grid and draws of :func:`run_variance_study`.
+
+    ``train`` configures the one pretrained model; ``None`` means ten
+    ``erm`` epochs seeded by ``base_seed``.
+    """
+
+    gammas: tuple[float, ...] = (2.0, 2.5, 3.0)
+    ms: tuple[int, ...] = (10, 20, 50)
+    repetitions: int = 20
+    n: int = 200
+    base_seed: int = 0
+    entropy_coef: float = 1.0
+    train: TrainConfig | None = None
+
+    def __post_init__(self):
+        check_field_types(self)
+        if not self.gammas or not self.ms:
+            raise ValueError("grid lists gammas and ms must be non-empty")
+        for name, value in (
+            ("ms entries", min(self.ms)),
+            ("repetitions", self.repetitions),
+            ("n", self.n),
+        ):
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value!r}")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be >= 0, got {self.base_seed!r}")
+
+
+def run_variance_study(spec: VarianceStudySpec = VarianceStudySpec()):
     """Spread of the two target-risk estimators for a fixed pretrained model.
 
     For each (gamma, m) the study redraws data ``repetitions`` times and
@@ -508,15 +531,16 @@ def run_variance_study(
     weighted risk over a source draw and (b) the weighted-entropy
     objective over a source and a target draw.
     """
-    cfg = train_cfg or TrainConfig(
+    n, base_seed, repetitions = spec.n, spec.base_seed, spec.repetitions
+    cfg = spec.train or TrainConfig(
         method="erm", pretrain_epochs=10, adapt_epochs=0, seed=base_seed
     )
-    base_task = GaussianShiftTask(gamma=float(gammas[0]))
+    base_task = GaussianShiftTask(gamma=float(spec.gammas[0]))
     model = train(base_task.sample_source(500, base_seed), None, replace(cfg, method="erm"))
     rows = []
-    for gamma in gammas:
+    for gamma in spec.gammas:
         task = GaussianShiftTask(gamma=float(gamma))
-        for m in ms:
+        for m in spec.ms:
             is_estimates = np.array(
                 [
                     importance_weighted_risk_estimate(
@@ -528,7 +552,7 @@ def run_variance_study(
             we_estimates = np.array(
                 [
                     weighted_entropy_objective_estimate(
-                        model, task, n, m, base_seed + 1000 + r, entropy_coef
+                        model, task, n, m, base_seed + 1000 + r, spec.entropy_coef
                     )
                     for r in range(repetitions)
                 ]

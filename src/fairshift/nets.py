@@ -19,6 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .data import build_from_dict, check_field_types
 
 PROB_CLAMP = 1e-7
 WEIGHT_NET_PREACT_LIMIT = 10.0
@@ -35,6 +36,9 @@ class NetConfig:
     clf_hidden_dim: int = 32
     weight_hidden_dim: int = 32
     dropout_rate: float = 0.25
+
+    def __post_init__(self):
+        check_field_types(self)
 
 
 def _glorot(rng, fan_in, fan_out):
@@ -285,10 +289,34 @@ def predictor_to_dict(model: PredictorModel) -> dict:
     }
 
 
-def predictor_from_dict(payload: dict) -> PredictorModel:
-    model = PredictorModel(NetConfig(**payload["config"]), seed=0)
-    for name in _PREDICTOR_SLOTS:
-        getattr(model, name).value = np.asarray(payload["params"][name], dtype=np.float64)
+def _entry(payload, key, where):
+    """``payload[key]``, or one ``ValueError`` naming ``where`` and the missing key."""
+    if not isinstance(payload, dict) or key not in payload:
+        raise ValueError(f"{where} has no {key!r}")
+    return payload[key]
+
+
+def _load_params(net, slots, payload, where):
+    """Set ``net``'s ``slots`` from ``payload["params"]``, each checked against its shape."""
+    params = _entry(payload, "params", where)
+    for name in slots:
+        tensor = getattr(net, name)
+        value = _entry(params, name, f"{where} params")
+        try:
+            value = np.asarray(value, dtype=np.float64)
+        except (TypeError, ValueError):  # not numbers, or ragged
+            value = None
+        if value is None or value.shape != tensor.value.shape:
+            raise ValueError(
+                f"{where} params {name!r} must be a {tensor.value.shape} array of numbers"
+            )
+        tensor.value = value
+
+
+def predictor_from_dict(payload: dict, where="checkpoint predictor") -> PredictorModel:
+    config = build_from_dict(NetConfig, _entry(payload, "config", where), f"{where} config")
+    model = PredictorModel(config, seed=0)
+    _load_params(model, _PREDICTOR_SLOTS, payload, where)
     return model
 
 
@@ -300,10 +328,12 @@ def weight_net_to_dict(net: WeightNetwork) -> dict:
     }
 
 
-def weight_net_from_dict(payload: dict) -> WeightNetwork:
-    net = WeightNetwork(payload["input_dim"], seed=0, hidden_dim=payload["hidden_dim"])
-    for name in _WEIGHT_NET_SLOTS:
-        getattr(net, name).value = np.asarray(payload["params"][name], dtype=np.float64)
+def weight_net_from_dict(payload: dict, where="checkpoint weight_net") -> WeightNetwork:
+    dims = [_entry(payload, key, where) for key in ("input_dim", "hidden_dim")]
+    if not all(type(v) is int and v >= 1 for v in dims):
+        raise ValueError(f"{where} input_dim and hidden_dim must be ints >= 1, got {dims}")
+    net = WeightNetwork(dims[0], seed=0, hidden_dim=dims[1])
+    _load_params(net, _WEIGHT_NET_SLOTS, payload, where)
     return net
 
 
@@ -322,12 +352,18 @@ def save_checkpoint(path, predictor: PredictorModel, weight_net=None, extra=None
 
 
 def load_checkpoint(path):
-    """Return ``(predictor, weight_net_or_None, extra_dict)``."""
+    """Return ``(predictor, weight_net_or_None, extra_dict)``.
+
+    A payload of the wrong structure (a missing key or slot, a config
+    field of the wrong type, a layer whose shape does not fit the config)
+    raises one ``ValueError`` naming what is wrong.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    if payload.get("format_version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version: {payload.get('format_version')}")
-    predictor = predictor_from_dict(payload["predictor"])
+    version = payload.get("format_version") if isinstance(payload, dict) else None
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version: {version}")
+    predictor = predictor_from_dict(_entry(payload, "predictor", "checkpoint"))
     weight_net = (
         weight_net_from_dict(payload["weight_net"]) if "weight_net" in payload else None
     )

@@ -20,7 +20,7 @@ from fairshift.data import (
 )
 from fairshift.experiment import (
     ExperimentSpec,
-    _normalize_pool,
+    VarianceStudySpec,
     bound_gap_estimate,
     run_experiment,
     run_variance_study,
@@ -34,10 +34,9 @@ from fairshift.losses import (
     wasserstein2,
     weighted_entropy_term,
 )
-from fairshift.metrics import evaluate_model
 from fairshift.nets import NetConfig, PredictorModel, WeightNetwork
 from fairshift.splitter import ShiftConfig, first_principal_projection, split
-from fairshift.training import PretrainCache, TrainConfig, train
+from fairshift.training import TrainConfig, train
 
 ADULT_CSV = os.path.join(os.path.dirname(__file__), "..", "data", "adult.csv")
 
@@ -280,26 +279,11 @@ def test_criterion_5_splitter_statistics():
 # -- 6. fairness gain over the risk-only baseline ----------------------------
 
 
-def test_criterion_6_fairness_gain_on_asymmetric_shift():
-    ours_eo, erm_eo, ours_err, erm_err = [], [], [], []
-    for seed in range(20):
-        source, test = make_synthetic_asymmetric_labeled(seed, 300)
-        source, test = _normalize_pool(source, test)
-        target = test.without_labels()
-        cfg = TrainConfig(seed=seed)
-        # erm resumes from the pretraining epochs ours stored
-        cache = PretrainCache()
-        ours = evaluate_model(train(source, target, replace(cfg, method="ours"), cache), test)
-        erm_model = train(source, None, replace(cfg, method="erm"), cache)
-        if seed == 0:
-            solo = train(source, None, replace(cfg, method="erm"))
-            assert erm_model.resumed_epochs == cfg.pretrain_epochs
-            assert erm_model.param_digests == solo.param_digests
-        erm = evaluate_model(erm_model, test)
-        ours_eo.append(ours.eodds)
-        erm_eo.append(erm.eodds)
-        ours_err.append(ours.error_pct)
-        erm_err.append(erm.error_pct)
+def test_criterion_6_fairness_gain_on_asymmetric_shift(asymmetric_sweep):
+    # erm resumes from the pretraining epochs ours stored
+    rows = asymmetric_sweep(("ours", "erm"), ms=(50,))
+    ours_eo, erm_eo = ([row["eodds"] for row in rows[m]] for m in ("ours", "erm"))
+    ours_err, erm_err = ([row["error_pct"] for row in rows[m]] for m in ("ours", "erm"))
     eo_ok = np.median(ours_eo) < np.median(erm_eo)
     err_ok = np.median(ours_err) <= np.median(erm_err) + 5.0
     ok = bool(eo_ok and err_ok)
@@ -314,21 +298,15 @@ def test_criterion_6_fairness_gain_on_asymmetric_shift():
 # -- 7. variance contrast -----------------------------------------------------
 
 
-def test_criterion_7_variance_contrast():
-    rows = run_variance_study(gammas=(2.0, 2.5, 3.0), ms=(10, 20, 50), repetitions=20, n=200)
+def test_criterion_7_variance_contrast(asymmetric_sweep):
+    rows = run_variance_study(
+        VarianceStudySpec(gammas=(2.0, 2.5, 3.0), ms=(10, 20, 50), repetitions=20, n=200)
+    )
     wins = sum(row["is_std"] > row["we_std"] for row in rows)
     study_ok = wins >= 0.9 * len(rows)
 
-    err_iw, err_ours = [], []
-    for seed in range(20):
-        source, test = make_synthetic_asymmetric_labeled(seed, 300)
-        source, test = _normalize_pool(source, test)
-        target = test.without_labels()
-        cfg = TrainConfig(seed=seed, m_cap=20)
-        iw = train(source, target, replace(cfg, method="kliep_iw"))
-        err_iw.append(evaluate_model(iw, test).error_pct)
-        ours = train(source, target, replace(cfg, method="ours"))
-        err_ours.append(evaluate_model(ours, test).error_pct)
+    runs = asymmetric_sweep(("kliep_iw", "ours"), ms=(20,))
+    err_iw, err_ours = ([row["error_pct"] for row in runs[m]] for m in ("kliep_iw", "ours"))
     trainer_ok = np.std(err_iw) > np.std(err_ours)
     ok = bool(study_ok and trainer_ok)
     assert _verdict(

@@ -185,25 +185,6 @@ def test_experiment_partial_failure_exit_code(tmp_path, capsys):
     assert "failures.jsonl" not in capsys.readouterr().err
 
 
-def test_experiment_rejects_workers_below_one(tmp_path, capsys):
-    out = tmp_path / "exp_out"
-    code = main(
-        ["experiment", "--data", "synthetic:asymmetric", "--out", str(out), "--workers", "0"]
-    )
-    assert code == 1
-    assert "workers" in capsys.readouterr().err
-
-
-def test_usage_errors_reported_cleanly(source_and_target_csv, tmp_path, capsys):
-    source_path, _, _ = source_and_target_csv
-    # ours requires target data: clean message and exit 1, no traceback
-    code = main(
-        ["train", "--data", str(source_path), "--method", "ours", "--out", str(tmp_path / "x")]
-    )
-    assert code == 1
-    assert "requires target" in capsys.readouterr().err
-
-
 # each hostile input through the CLI: (id, argv, exit code, the text that names
 # the cause); {name} is a file of the hostile_files fixture, {out} a fresh directory,
 # and a case may repeat an option of TRAIN: argparse keeps its last value
@@ -257,6 +238,32 @@ HOSTILE_INPUTS = [
             ("float_train_seed", "seed must be int, got 1.5"),
         )
     ),
+    ("experiment-no-dataset", ["experiment", "--config", "{no_dataset}", "--out", "{out}"], 1,
+     "missing ExperimentSpec keys: ['dataset']"),
+    ("experiment-zero-workers", ["experiment", "--data", "synthetic:asymmetric", "--out", "{out}",
+                                 "--workers", "0"], 1, "workers must be >= 1, got 0"),
+    ("ours-without-target", ["train", "--data", "{source}", "--method", "ours", "--out", "{out}"],
+     1, "method 'ours' requires target data"),
+    *(
+        (f"variance-study-{name}", ["variance-study", "--config", f"{{{name}}}", "--out", "{out}"],
+         1, cause)
+        for name, cause in (
+            ("text_ms", "ms entries must be int, got 'abc'"),
+            ("float_n", "n must be int, got 2.5"),
+            ("typo_gammas", "unknown variance-study keys: ['gamas']"),
+        )
+    ),
+    *(
+        (f"evaluate-{name}", ["evaluate", "--checkpoint", f"{{{name}}}", "--data", "{source}"], 1,
+         cause)
+        for name, cause in (
+            ("no_predictor", "checkpoint has no 'predictor'"),
+            ("no_params", "checkpoint predictor has no 'params'"),
+            ("text_rep_dim", "rep_dim must be int, got '8'"),
+            ("short_w3", "checkpoint predictor params 'w3' must be a (64, 32) array of numbers"),
+            ("text_weight_dim", "weight_net input_dim and hidden_dim must be ints >= 1"),
+        )
+    ),
 ]
 
 
@@ -293,12 +300,28 @@ def hostile_files(source_and_target_csv, tmp_path):
         ("text_ms", "ms = abc\n"),
         ("float_reps", "repetitions = 2.5\n"),
         ("float_train_seed", "train.seed = 1.5\n"),
+        ("no_dataset", "methods = erm\nrepetitions = 1\n"),
+        ("float_n", "n = 2.5\n"),
+        ("typo_gammas", "gamas = 2.0\n"),
     ):
         files[name] = tmp_path / f"{name}.cfg"
         files[name].write_text(text)
     files["checkpoint"] = tmp_path / "erm" / "checkpoint.json"
     main(["train", "--data", str(source_path), "--method", "erm", "--config",
           str(files["quick"]), "--out", str(files["checkpoint"].parent)])
+    # checkpoints of the wrong structure
+    files["no_predictor"] = tmp_path / "no_predictor.json"
+    files["no_predictor"].write_text('{"format_version": 1}')
+    trained = json.loads(files["checkpoint"].read_text())
+    config, params = trained["predictor"]["config"], trained["predictor"]["params"]
+    for name, part, value in (
+        ("no_params", "predictor", {"config": config}),
+        ("text_rep_dim", "predictor", {"config": {**config, "rep_dim": "8"}, "params": params}),
+        ("short_w3", "predictor", {"config": config, "params": {**params, "w3": [[0.0]]}}),
+        ("text_weight_dim", "weight_net", {"input_dim": "64", "hidden_dim": 32}),
+    ):
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps({**trained, part: value}))
     return files
 
 
@@ -327,14 +350,6 @@ def test_variance_study_command(tmp_path):
     lines = (out / "variance.csv").read_text().splitlines()
     assert lines[0].startswith("gamma,m,n,repetitions")
     assert len(lines) == 3
-
-
-def test_variance_study_rejects_unknown_key(tmp_path, capsys):
-    cfg = tmp_path / "var.cfg"
-    cfg.write_text("gamas = 2.0\n")
-    code = main(["variance-study", "--config", str(cfg), "--out", str(tmp_path / "var_out")])
-    assert code == 1
-    assert "gamas" in capsys.readouterr().err
 
 
 def test_importing_the_package_loads_no_scipy():

@@ -1,6 +1,7 @@
 import csv
 import ctypes
 import json
+import math
 import os
 
 import numpy as np
@@ -8,9 +9,12 @@ import pytest
 
 import fairshift.experiment as experiment_module
 import fairshift.training as training_module
+from fairshift.data import make_synthetic_asymmetric_labeled
 from fairshift.experiment import (
     AggregateRow,
     ExperimentSpec,
+    VarianceStudySpec,
+    _normalize_pool,
     pareto_frontier,
     read_aggregate_csv,
     run_experiment,
@@ -254,6 +258,20 @@ def test_failure_records_carry_the_exception_message(tmp_path):
         assert record["message"] == "m_cap=500 exceeds available target points (120)"
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_asymmetric_provider_draws_the_normalized_default_task(seed):
+    # the 20-seed acceptance loops rest on this: at gamma 5*sqrt(2) the
+    # provider's draw is the task's default (5.0, -5.0) shift, z-scored
+    provider = experiment_module._DataProvider(_tiny_spec(n_per_group=300))
+    source, target, test = provider.make(5 * math.sqrt(2), seed)
+    want_source, want_test = _normalize_pool(*make_synthetic_asymmetric_labeled(seed, 300))
+    for got, want in ((source, want_source), (test, want_test), (target, want_test)):
+        for column in ("features", "groups", "labels"):
+            if hasattr(got, column):  # the target has no labels
+                a, b = getattr(got, column), getattr(want, column)
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
 def _ungrouped(tasks, workers):
     return [[i] for i in range(len(tasks))]
 
@@ -409,7 +427,7 @@ class TestVarianceStudy:
     @pytest.fixture(scope="class")
     @staticmethod
     def rows():
-        return run_variance_study(gammas=(2.0,), ms=(10, 20, 40), repetitions=12, n=200)
+        return run_variance_study(VarianceStudySpec(gammas=(2.0,), ms=(10, 20, 40), repetitions=12))
 
     def test_row_schema(self, rows):
         assert len(rows) == 3

@@ -18,14 +18,12 @@ from fairshift.data import (
     UnlabeledDataset,
     make_synthetic_asymmetric_labeled,
 )
-from fairshift.experiment import _normalize_pool
 from fairshift.losses import (
     _pairwise_sq_dists,
     constraint_penalty,
     solve_coupling,
     weighted_entropy_term,
 )
-from fairshift.metrics import evaluate_model
 from fairshift import nets, training
 from fairshift.nets import GRAD_CLIP_NORM, parameter_digest, zero_grads
 from fairshift.training import (
@@ -681,25 +679,13 @@ class TestAdversarialDynamics:
         assert np.median(corrs) > 0.3
 
 
-def test_unweighted_entropy_is_less_stable_than_weighted():
+def test_unweighted_entropy_is_less_stable_than_weighted(asymmetric_sweep):
     # the damped objective ignores training-typical target points; plain
     # entropy pressure on every point swings final error run to run
-    err_ours, err_unweighted = [], []
-    for seed in range(20):
-        source, test = make_synthetic_asymmetric_labeled(seed, 300, (5.0, -5.0))
-        source, test = _normalize_pool(source, test)
-        target = test.without_labels()
-        cfg = TrainConfig(seed=seed, lambda1=1.0, lambda2=0.1)
-        # unweighted_entropy resumes from the pretraining epochs ours stored
-        cache = PretrainCache()
-        ours = train(source, target, replace(cfg, method="ours"), cache)
-        unweighted = train(source, target, replace(cfg, method="unweighted_entropy"), cache)
-        if seed == 0:
-            solo = train(source, target, replace(cfg, method="unweighted_entropy"))
-            assert unweighted.resumed_epochs == cfg.pretrain_epochs
-            assert unweighted.param_digests == solo.param_digests
-        err_ours.append(evaluate_model(ours, test).error_pct)
-        err_unweighted.append(evaluate_model(unweighted, test).error_pct)
+    methods = ("ours", "unweighted_entropy")
+    # unweighted_entropy resumes from the pretraining epochs ours stored
+    rows = asymmetric_sweep(methods, lambda1s=(1.0,), lambda2s=(0.1,))
+    err_ours, err_unweighted = ([row["error_pct"] for row in rows[m]] for m in methods)
     assert np.std(err_unweighted) > np.std(err_ours)
 
 
