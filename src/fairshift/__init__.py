@@ -23,7 +23,6 @@ from .data import (
     write_csv,
 )
 from .experiment import (
-    AggregateRow,
     ExperimentSpec,
     VarianceStudySpec,
     pareto_frontier,

@@ -24,7 +24,7 @@ from .config import (
     train_config_from_dict,
     variance_study_spec_from_dict,
 )
-from .data import NormalizationStats, load_csv, load_unlabeled_csv
+from .data import NormalizationStats, build_from_dict, load_csv, load_unlabeled_csv
 from .experiment import (
     pareto_frontier,
     read_aggregate_csv,
@@ -39,7 +39,7 @@ from .experiment import (
 from .metrics import evaluate_model
 from .nets import load_checkpoint, save_checkpoint
 from .splitter import split, split_summary
-from .training import TrainedModel, train
+from .training import TrainConfig, TrainedModel, train
 
 
 def _load_config(path):
@@ -112,17 +112,36 @@ def _cmd_train(args):
     return 0
 
 
+def _input_stats(payload, dim):
+    """``NormalizationStats`` from a checkpoint's ``input_stats`` slot of ``dim`` columns."""
+    arrays = []
+    for key in ("means", "stds"):
+        try:
+            value = np.asarray(payload[key], dtype=np.float64)
+        except (KeyError, IndexError, TypeError, ValueError):  # no such slot, or not numbers
+            value = None
+        if value is None or value.shape != (dim,) or not np.isfinite(value).all():
+            raise ValueError(
+                f"checkpoint extra input_stats {key!r} must be a ({dim},) array of finite numbers"
+            )
+        arrays.append(value)
+    return NormalizationStats(*arrays)
+
+
 def _load_trained(path):
-    """Return ``(TrainedModel, extra)`` from a checkpoint file."""
+    """Return ``(TrainedModel, extra)`` from a checkpoint file.
+
+    An ``extra`` slot of the wrong structure raises one ``ValueError`` naming it.
+    """
     predictor, weight_net, extra = load_checkpoint(path)
+    if not isinstance(extra, dict):
+        raise ValueError(f"checkpoint extra must be a mapping, got {extra!r}")
     # checkpoints written before the config was stored record the method only
-    config = train_config_from_dict(extra.get("config", {"method": extra.get("method", "erm")}))
+    config = extra.get("config", {"method": extra.get("method", "erm")})
+    config = build_from_dict(TrainConfig, config, "checkpoint extra config")
     stats = None
     if "input_stats" in extra:
-        stats = NormalizationStats(
-            np.array(extra["input_stats"]["means"]),
-            np.array(extra["input_stats"]["stds"]),
-        )
+        stats = _input_stats(extra["input_stats"], predictor.config.input_dim)
     model = TrainedModel(
         predictor=predictor,
         config=config,
@@ -179,7 +198,7 @@ def _cmd_experiment(args):
     for row in failed:
         sys.stderr.write(
             f"run failed: method={row['method']} gamma={row['gamma']} rep={row['rep']}: "
-            f"{row['_exception']}: {row['_message']}\n"
+            f"{row['exception']}: {row['message']}\n"
         )
     if failed:
         sys.stderr.write(f"tracebacks of failed runs: {failures_path}\n")

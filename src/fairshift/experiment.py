@@ -21,7 +21,7 @@ import json
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .data import (
     make_synthetic_asymmetric_labeled,
 )
 from .losses import conditional_entropy, risk_bound_gap
-from .metrics import evaluate_model
+from .metrics import RunMetrics, evaluate_model
 from .splitter import ShiftConfig, split
 from .training import SHARES_PRETRAINING, PretrainCache, TrainConfig, _setup_process, train
 
@@ -55,39 +55,25 @@ DEFAULT_BOUND_FACTOR = 5.0
 # unit direction along which synthetic asymmetric shifts scale with gamma
 _ASYM_SHIFT_DIRECTION = np.array([1.0, -1.0]) / np.sqrt(2.0)
 
-RUN_COLUMNS = [
-    "method",
-    "gamma",
-    "lambda1",
-    "lambda2",
-    "m",
-    "rep",
-    "seed",
-    "status",
-    "error_pct",
-    "eodds",
-    "acc_parity_pct",
-    "error_group0_pct",
-    "error_group1_pct",
-]
+_METRIC_FIELDS = [f.name for f in fields(RunMetrics)]
+_POINT_COLUMNS = ["method", "gamma", "lambda1", "lambda2", "m"]
 
-_METRIC_FIELDS = [
-    "error_pct",
-    "eodds",
-    "acc_parity_pct",
-    "error_group0_pct",
-    "error_group1_pct",
-]
+RUN_COLUMNS = _POINT_COLUMNS + ["rep", "seed", "status"] + _METRIC_FIELDS
 
 # wall time stays out of runs.csv, so reruns of a sweep match byte for byte;
 # resumed_epochs counts the epochs a run took from its task's pretraining cache
 TIMING_COLUMNS = RUN_COLUMNS[: RUN_COLUMNS.index("status") + 1] + ["resumed_epochs", "wall_s"]
 
+FAILURE_COLUMNS = _POINT_COLUMNS + ["rep", "seed", "exception", "message", "traceback"]
+
 AGGREGATE_COLUMNS = (
-    ["method", "gamma", "lambda1", "lambda2", "m", "repetitions", "ok_runs", "status"]
+    _POINT_COLUMNS
+    + ["repetitions", "ok_runs", "status"]
     + [f"{f}_mean" for f in _METRIC_FIELDS]
     + [f"{f}_std" for f in _METRIC_FIELDS]
 )
+# read_aggregate_csv's parser of each column; a column not named here is float
+_AGGREGATE_TYPES = {"method": str, "status": str, "m": int, "repetitions": int, "ok_runs": int}
 
 
 @dataclass(frozen=True)
@@ -113,6 +99,9 @@ class ExperimentSpec:
         for name in ("methods", "gammas", "lambda1s", "lambda2s", "ms"):
             if not getattr(self, name):
                 raise ValueError(f"grid list {name} must be non-empty")
+        # each point's run config, so a bad grid entry raises before any run
+        for method, _, lam1, lam2, m in self.grid():
+            replace(self.train, method=method, lambda1=lam1, lambda2=lam2, m_cap=m)
 
     def grid(self):
         for method in self.methods:
@@ -121,28 +110,6 @@ class ExperimentSpec:
                     for lam2 in self.lambda2s:
                         for m in self.ms:
                             yield method, float(gamma), float(lam1), float(lam2), int(m)
-
-
-@dataclass(frozen=True)
-class AggregateRow:
-    method: str
-    gamma: float
-    lambda1: float
-    lambda2: float
-    m: int
-    repetitions: int
-    ok_runs: int
-    status: str
-    means: dict
-    stds: dict
-
-    @property
-    def error_mean(self):
-        return self.means["error_pct"]
-
-    @property
-    def eodds_mean(self):
-        return self.means["eodds"]
 
 
 def _normalize_pool(train: LabeledDataset, test: LabeledDataset):
@@ -237,9 +204,9 @@ def _execute_run(task, provider=None, cache=None):
         row["status"] = "failed"
         for name in _METRIC_FIELDS:
             row[name] = ""
-        row["_exception"] = type(exc).__name__
-        row["_message"] = str(exc)
-        row["_traceback"] = traceback.format_exc()
+        row["exception"] = type(exc).__name__
+        row["message"] = str(exc)
+        row["traceback"] = traceback.format_exc()
     else:
         row["status"] = "ok"
         for name in _METRIC_FIELDS:
@@ -279,7 +246,8 @@ def _group_tasks(tasks, workers):
 def run_experiment(spec: ExperimentSpec, workers: int = 1):
     """Execute the sweep; returns ``(run_rows, aggregate_rows)``.
 
-    Each run row is one dict (see :func:`_execute_run`), in grid order.
+    Each run row is one dict (see :func:`_execute_run`), in grid order, and
+    so is each grid point's aggregate row (see :func:`_aggregate`).
     The dataset is loaded (and a CSV pool z-scored) once, in the calling
     process, so a bad dataset raises before any run starts.  Runs are
     independent, so ``workers > 1`` fans them out over a bounded process
@@ -315,17 +283,19 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1):
     return run_rows, aggregates
 
 
-def _aggregate(point, rows) -> AggregateRow:
-    """A grid point's mean and population std of each metric over its ``ok`` rows."""
+def _aggregate(point, rows):
+    """A grid point's row of ``AGGREGATE_COLUMNS``: the mean and population
+    std of each metric over its ``ok`` runs, NaN if it has none."""
     ok_rows = [row for row in rows if row["status"] == "ok"]
-    means, stds = {}, {}
-    for name in _METRIC_FIELDS:
-        values = np.array([row[name] for row in ok_rows], dtype=np.float64)
-        means[name] = float(values.mean()) if len(values) else float("nan")
-        # population std: a single repetition reports exactly 0 spread
-        stds[name] = float(values.std()) if len(values) else float("nan")
     status = "complete" if len(ok_rows) == len(rows) else "partial"
-    return AggregateRow(*point, len(rows), len(ok_rows), status, means, stds)
+    agg = dict(zip(_POINT_COLUMNS, point))
+    agg.update(repetitions=len(rows), ok_runs=len(ok_rows), status=status)
+    values = {f: np.array([row[f] for row in ok_rows], dtype=np.float64) for f in _METRIC_FIELDS}
+    nan = float("nan")
+    agg.update({f"{f}_mean": float(v.mean()) if ok_rows else nan for f, v in values.items()})
+    # population std: a single repetition reports exactly 0 spread
+    agg.update({f"{f}_std": float(v.std()) if ok_rows else nan for f, v in values.items()})
+    return agg
 
 
 def _fmt(value):
@@ -335,25 +305,26 @@ def _fmt(value):
 
 
 def _write_table(path, columns, rows):
-    """CSV with a header; floats keep their full repr so reruns match byte for byte."""
+    """CSV of ``columns`` from row dicts; floats keep their full repr, so reruns
+    match byte for byte."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+            writer.writerow([_fmt(row[c]) for c in columns])
 
 
 def write_run_csv(path, run_rows):
-    _write_table(path, RUN_COLUMNS, ([row[c] for c in RUN_COLUMNS] for row in run_rows))
+    _write_table(path, RUN_COLUMNS, run_rows)
 
 
 def write_timings_csv(path, run_rows):
     """One row per run: grid point, rep, seed, status, resumed epochs and wall seconds."""
-    _write_table(path, TIMING_COLUMNS, ([row[c] for c in TIMING_COLUMNS] for row in run_rows))
+    _write_table(path, TIMING_COLUMNS, run_rows)
 
 
 def write_failures_jsonl(path, run_rows):
-    """One JSON object per failed run: grid point, rep, seed, exception type, message, traceback.
+    """One JSON object of ``FAILURE_COLUMNS`` per failed run.
 
     The traceback holds the checkout's paths and line numbers; the type and
     message do not, so they are what two commits or checkouts can compare.
@@ -361,76 +332,50 @@ def write_failures_jsonl(path, run_rows):
     with open(path, "w", encoding="utf-8") as fh:
         for row in run_rows:
             if row["status"] == "failed":
-                record = {
-                    c: row[c] for c in ("method", "gamma", "lambda1", "lambda2", "m", "rep", "seed")
-                }
-                record["exception"] = row["_exception"]
-                record["message"] = row["_message"]
-                record["traceback"] = row["_traceback"]
-                fh.write(json.dumps(record) + "\n")
+                fh.write(json.dumps({c: row[c] for c in FAILURE_COLUMNS}) + "\n")
 
 
 def write_aggregate_csv(path, aggregates):
-    _write_table(
-        path,
-        AGGREGATE_COLUMNS,
-        (
-            [agg.method, agg.gamma, agg.lambda1, agg.lambda2, agg.m]
-            + [agg.repetitions, agg.ok_runs, agg.status]
-            + [agg.means[f] for f in _METRIC_FIELDS]
-            + [agg.stds[f] for f in _METRIC_FIELDS]
-            for agg in aggregates
-        ),
-    )
+    _write_table(path, AGGREGATE_COLUMNS, aggregates)
 
 
 def read_aggregate_csv(path):
-    rows = []
+    """The rows of an ``aggregate.csv``, as :func:`run_experiment` returns them.
+
+    A header other than ``AGGREGATE_COLUMNS``, or a line of another field
+    count, raises one ``ValueError``.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
-        for record in csv.DictReader(fh):
-            rows.append(
-                AggregateRow(
-                    method=record["method"],
-                    gamma=float(record["gamma"]),
-                    lambda1=float(record["lambda1"]),
-                    lambda2=float(record["lambda2"]),
-                    m=int(record["m"]),
-                    repetitions=int(record["repetitions"]),
-                    ok_runs=int(record["ok_runs"]),
-                    status=record["status"],
-                    means={f: float(record[f"{f}_mean"]) for f in _METRIC_FIELDS},
-                    stds={f: float(record[f"{f}_std"]) for f in _METRIC_FIELDS},
+        reader = csv.DictReader(fh)
+        if reader.fieldnames != AGGREGATE_COLUMNS:
+            raise ValueError(f"{path} does not have the aggregate columns {AGGREGATE_COLUMNS}")
+        rows = []
+        for row in reader:
+            # DictReader keys a long line's surplus by None and fills a short one with None
+            if None in row or None in row.values():
+                raise ValueError(
+                    f"{path} line {reader.line_num}: expected {len(AGGREGATE_COLUMNS)} fields"
                 )
-            )
-    return rows
+            rows.append({c: _AGGREGATE_TYPES.get(c, float)(v) for c, v in row.items()})
+        return rows
 
 
 def pareto_frontier(rows):
-    """Rows not dominated in (error mean, equalized-odds mean).
+    """Rows with an ok run not dominated in (error mean, equalized-odds mean).
 
-    Duplicate coordinate pairs keep their first occurrence; the output
-    preserves input order.
+    A row without an ok run has NaN means and never enters.  Duplicate
+    coordinate pairs keep their first occurrence; the output preserves
+    input order.
     """
-    unique = []
-    seen = set()
+    points = {}
     for row in rows:
-        key = (row.error_mean, row.eodds_mean)
-        if key in seen:
-            continue
-        seen.add(key)
-        unique.append(row)
-    kept = []
-    for row in unique:
-        dominated = any(
-            other.error_mean <= row.error_mean
-            and other.eodds_mean <= row.eodds_mean
-            and (other.error_mean < row.error_mean or other.eodds_mean < row.eodds_mean)
-            for other in unique
-            if other is not row
-        )
-        if not dominated:
-            kept.append(row)
-    return kept
+        if row["ok_runs"] > 0:
+            points.setdefault((row["error_pct_mean"], row["eodds_mean"]), row)
+    return [
+        row
+        for (error, eodds), row in points.items()
+        if not any(e <= error and o <= eodds and (e, o) != (error, eodds) for e, o in points)
+    ]
 
 
 # -- objective-estimator variance study -------------------------------------
@@ -468,15 +413,13 @@ def importance_weighted_risk_estimate(model, task: GaussianShiftTask, n, seed) -
     return float((z * _true_risk_per_row(model, task, source)).mean())
 
 
-def weighted_entropy_objective_estimate(
-    model, task: GaussianShiftTask, n, m, seed, entropy_coef=1.0
-) -> float:
+def weighted_entropy_objective_estimate(model, task: GaussianShiftTask, n, m, seed) -> float:
     """Source risk plus the ratio-damped entropy term from a target draw."""
     kids = np.random.SeedSequence(seed).spawn(2)
     source = task.sample_source(n, kids[0])
     target = task.sample_target(m, kids[1])
     risk = float(_true_risk_per_row(model, task, source).mean())
-    return risk + entropy_coef * _damped_target_entropy(model, task, target)
+    return risk + _damped_target_entropy(model, task, target)
 
 
 def bound_gap_estimate(
@@ -494,19 +437,13 @@ def bound_gap_estimate(
 
 @dataclass(frozen=True)
 class VarianceStudySpec:
-    """The grid and draws of :func:`run_variance_study`.
-
-    ``train`` configures the one pretrained model; ``None`` means ten
-    ``erm`` epochs seeded by ``base_seed``.
-    """
+    """The grid and draws of :func:`run_variance_study`."""
 
     gammas: tuple[float, ...] = (2.0, 2.5, 3.0)
     ms: tuple[int, ...] = (10, 20, 50)
     repetitions: int = 20
     n: int = 200
     base_seed: int = 0
-    entropy_coef: float = 1.0
-    train: TrainConfig | None = None
 
     def __post_init__(self):
         check_field_types(self)
@@ -529,14 +466,13 @@ def run_variance_study(spec: VarianceStudySpec = VarianceStudySpec()):
     For each (gamma, m) the study redraws data ``repetitions`` times and
     records the standard deviation of (a) the exact-ratio importance
     weighted risk over a source draw and (b) the weighted-entropy
-    objective over a source and a target draw.
+    objective over a source and a target draw.  The model is ten ``erm``
+    epochs seeded by ``base_seed`` on a source draw at the first gamma.
     """
     n, base_seed, repetitions = spec.n, spec.base_seed, spec.repetitions
-    cfg = spec.train or TrainConfig(
-        method="erm", pretrain_epochs=10, adapt_epochs=0, seed=base_seed
-    )
+    cfg = TrainConfig(method="erm", pretrain_epochs=10, adapt_epochs=0, seed=base_seed)
     base_task = GaussianShiftTask(gamma=float(spec.gammas[0]))
-    model = train(base_task.sample_source(500, base_seed), None, replace(cfg, method="erm"))
+    model = train(base_task.sample_source(500, base_seed), None, cfg)
     rows = []
     for gamma in spec.gammas:
         task = GaussianShiftTask(gamma=float(gamma))
@@ -551,9 +487,7 @@ def run_variance_study(spec: VarianceStudySpec = VarianceStudySpec()):
             )
             we_estimates = np.array(
                 [
-                    weighted_entropy_objective_estimate(
-                        model, task, n, m, base_seed + 1000 + r, spec.entropy_coef
-                    )
+                    weighted_entropy_objective_estimate(model, task, n, m, base_seed + 1000 + r)
                     for r in range(repetitions)
                 ]
             )
@@ -573,4 +507,4 @@ def run_variance_study(spec: VarianceStudySpec = VarianceStudySpec()):
 
 
 def write_variance_csv(path, rows):
-    _write_table(path, VARIANCE_COLUMNS, ([row[c] for c in VARIANCE_COLUMNS] for row in rows))
+    _write_table(path, VARIANCE_COLUMNS, rows)

@@ -65,6 +65,7 @@ from .data import (
     LabeledDataset,
     NormalizationStats,
     UnlabeledDataset,
+    apply_zscore,
     check_field_types,
     fit_zscore,
 )
@@ -342,7 +343,6 @@ def _train(
     source: LabeledDataset,
     cfg: TrainConfig,
     streams,
-    features=None,
     target_sample=None,
     adapt_from=0,
     entropy=None,
@@ -352,9 +352,8 @@ def _train(
     """The one epoch loop: source risk, then target entropy and matching.
 
     Every epoch descends the source risk, weighted per row by
-    ``row_weights`` if given, on ``features`` (the source features by
-    default).  With a ``target_sample``, epochs from ``adapt_from`` on
-    adapt too.  ``entropy`` picks the target-entropy term: ``"learned"``
+    ``row_weights`` if given.  With a ``target_sample``, epochs from
+    ``adapt_from`` on adapt too.  ``entropy`` picks the target-entropy term: ``"learned"``
     trains a weight network by ascent and damps each target point by
     ``exp(-F_w)``, ``"uniform"`` weights every point 1, ``None`` drops the
     term.  ``lambda2 > 0`` adds W2 between the target's group clouds.
@@ -371,7 +370,6 @@ def _train(
     of a matching stored progress, and so builds no predictor and no
     optimizer, or stores a copy of its own at the end of those epochs.
     """
-    features = source.features if features is None else features
     labels = source.labels.astype(np.float64)
     total_steps = _total_steps(cfg, source.n)
     run = None if cache is None else cache.resume(source, cfg)
@@ -419,7 +417,7 @@ def _train(
                 entropies = conditional_entropy(probs_t)
             # -- weight-network ascent (classifier frozen, inference mode) --
             if entropy_on and weight_net is not None:
-                rep_s = model.representations(features[batch_idx])
+                rep_s = model.representations(source.features[batch_idx])
                 zero_grads(weight_net.parameters)
                 fw_t = weight_net.forward(rep_t.value)
                 fw_s = weight_net.forward(rep_s)
@@ -438,7 +436,7 @@ def _train(
 
             # -- classifier descent ------------------------------------
             zero_grads(model.parameters)
-            _, probs = model.forward(features[batch_idx], dropout_rng=run.dropout)
+            _, probs = model.forward(source.features[batch_idx], dropout_rng=run.dropout)
             weights = None if row_weights is None else row_weights[batch_idx]
             risk = cross_entropy_risk(probs, labels[batch_idx], weights)
             sums[0] += float(risk) * len(batch_idx)
@@ -573,9 +571,7 @@ def train(
 
     if method == "zsa":
         adapted = fit_zscore(target_sub, source.feature_kinds)
-        train_stats = fit_zscore(source)
-        standardized = (source.features - train_stats.means) / train_stats.stds
-        model = _train(source, cfg, streams, features=standardized)
+        model = _train(apply_zscore(source, fit_zscore(source)), cfg, streams)
         return replace(model, input_stats=adapted)
     if method in SHARES_PRETRAINING:  # ours and unweighted_entropy; erm returned above
         return _train(

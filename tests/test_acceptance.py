@@ -340,7 +340,7 @@ def test_criterion_8_adult_reference_numbers():
     )
     _, aggregates = run_experiment(spec)
     row = aggregates[0]
-    error, eodds = row.means["error_pct"], row.means["eodds"]
+    error, eodds = row["error_pct_mean"], row["eodds_mean"]
     ok = abs(error - 14.8) <= 3.0 and abs(eodds - 0.075) <= 0.05
     assert _verdict(8, ok, f"adult reference: error={error:.1f}%, eodds={eodds:.3f}")
 

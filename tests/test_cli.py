@@ -18,6 +18,7 @@ from fairshift.data import (
     make_synthetic_asymmetric_labeled,
     write_csv,
 )
+from fairshift.experiment import AGGREGATE_COLUMNS, write_aggregate_csv
 from fairshift.training import METHODS, TrainConfig
 
 
@@ -153,6 +154,22 @@ def test_experiment_and_pareto_commands(tmp_path, capsys):
     assert pareto_out.read_text().count("\n") >= 2  # header + at least one row
 
 
+def test_pareto_leaves_out_points_without_an_ok_run(tmp_path, capsys):
+    nan = float("nan")
+    rows = []
+    for method, error, ok_runs in (("erm", 20.0, 2), ("ours", nan, 0)):
+        row = dict.fromkeys(AGGREGATE_COLUMNS, 0.0 if ok_runs else nan)
+        row.update(method=method, m=30, repetitions=2, ok_runs=ok_runs, status="complete")
+        row.update(error_pct_mean=error, eodds_mean=0.1 if ok_runs else nan)
+        rows.append(row)
+    rows[1]["status"] = "partial"
+    agg, out = tmp_path / "aggregate.csv", tmp_path / "pareto.csv"
+    write_aggregate_csv(agg, rows)
+    assert main(["pareto", "--input", str(agg), "--out", str(out)]) == 0
+    assert "1/2 rows on the frontier" in capsys.readouterr().out
+    assert out.read_text().splitlines() == agg.read_text().splitlines()[:2]
+
+
 def test_experiment_partial_failure_exit_code(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(
@@ -236,6 +253,10 @@ HOSTILE_INPUTS = [
             ("text_ms", "ms entries must be int, got 'abc'"),
             ("float_reps", "repetitions must be int, got 2.5"),
             ("float_train_seed", "seed must be int, got 1.5"),
+            # a bad grid entry raises before the first run of the good ones
+            ("bogus_method", "unknown method 'bogus'"),
+            ("negative_lambda1", "lambda1 must be >= 0, got -0.5"),
+            ("zero_m", "m_cap must be >= 1, got 0"),
         )
     ),
     ("experiment-no-dataset", ["experiment", "--config", "{no_dataset}", "--out", "{out}"], 1,
@@ -254,6 +275,14 @@ HOSTILE_INPUTS = [
         )
     ),
     *(
+        (f"pareto-{name}", ["pareto", "--input", f"{{{name}}}", "--out", "{out}"], 1, cause)
+        for name, cause in (
+            ("runs_csv", "does not have the aggregate columns"),
+            ("short_row", "line 2: expected 18 fields"),
+            ("long_row", "line 2: expected 18 fields"),
+        )
+    ),
+    *(
         (f"evaluate-{name}", ["evaluate", "--checkpoint", f"{{{name}}}", "--data", "{source}"], 1,
          cause)
         for name, cause in (
@@ -262,6 +291,9 @@ HOSTILE_INPUTS = [
             ("text_rep_dim", "rep_dim must be int, got '8'"),
             ("short_w3", "checkpoint predictor params 'w3' must be a (64, 32) array of numbers"),
             ("text_weight_dim", "weight_net input_dim and hidden_dim must be ints >= 1"),
+            ("int_extra", "checkpoint extra must be a mapping, got 5"),
+            ("no_stds", "checkpoint extra input_stats 'stds' must be a (2,) array of finite numbers"),
+            ("list_config", "checkpoint extra config must be a mapping, got [1]"),
         )
     ),
 ]
@@ -300,11 +332,22 @@ def hostile_files(source_and_target_csv, tmp_path):
         ("text_ms", "ms = abc\n"),
         ("float_reps", "repetitions = 2.5\n"),
         ("float_train_seed", "train.seed = 1.5\n"),
+        ("bogus_method", "methods = ours, bogus\nrepetitions = 4\n"),
+        ("negative_lambda1", "lambda1s = 0.1, -0.5\n"),
+        ("zero_m", "ms = 0\n"),
         ("no_dataset", "methods = erm\nrepetitions = 1\n"),
         ("float_n", "n = 2.5\n"),
         ("typo_gammas", "gamas = 2.0\n"),
     ):
         files[name] = tmp_path / f"{name}.cfg"
+        files[name].write_text(text)
+    header = ",".join(AGGREGATE_COLUMNS)
+    for name, text in (
+        ("runs_csv", "method,gamma\nerm,1.0\n"),
+        ("short_row", f"{header}\nerm,1.0\n"),
+        ("long_row", f"{header}\nerm" + ",1" * len(AGGREGATE_COLUMNS) + "\n"),
+    ):
+        files[name] = tmp_path / f"{name}.csv"
         files[name].write_text(text)
     files["checkpoint"] = tmp_path / "erm" / "checkpoint.json"
     main(["train", "--data", str(source_path), "--method", "erm", "--config",
@@ -314,11 +357,15 @@ def hostile_files(source_and_target_csv, tmp_path):
     files["no_predictor"].write_text('{"format_version": 1}')
     trained = json.loads(files["checkpoint"].read_text())
     config, params = trained["predictor"]["config"], trained["predictor"]["params"]
+    extra = trained["extra"]
     for name, part, value in (
         ("no_params", "predictor", {"config": config}),
         ("text_rep_dim", "predictor", {"config": {**config, "rep_dim": "8"}, "params": params}),
         ("short_w3", "predictor", {"config": config, "params": {**params, "w3": [[0.0]]}}),
         ("text_weight_dim", "weight_net", {"input_dim": "64", "hidden_dim": 32}),
+        ("int_extra", "extra", 5),
+        ("no_stds", "extra", {**extra, "input_stats": {"means": [0.0, 0.0]}}),
+        ("list_config", "extra", {**extra, "config": [1]}),
     ):
         files[name] = tmp_path / f"{name}.json"
         files[name].write_text(json.dumps({**trained, part: value}))

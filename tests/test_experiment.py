@@ -11,7 +11,7 @@ import fairshift.experiment as experiment_module
 import fairshift.training as training_module
 from fairshift.data import make_synthetic_asymmetric_labeled
 from fairshift.experiment import (
-    AggregateRow,
+    AGGREGATE_COLUMNS,
     ExperimentSpec,
     VarianceStudySpec,
     _normalize_pool,
@@ -80,9 +80,9 @@ class TestRunExperiment:
         runs, aggs = run_experiment(_tiny_spec(repetitions=1))
         assert len(runs) == 1
         assert len(aggs) == 1
-        assert aggs[0].status == "complete"
-        for value in aggs[0].stds.values():
-            assert value == 0.0
+        assert aggs[0]["status"] == "complete"
+        stds = [aggs[0][c] for c in AGGREGATE_COLUMNS if c.endswith("_std")]
+        assert stds == [0.0] * 5
 
     def test_seeds_are_base_plus_index(self):
         runs, _ = run_experiment(_tiny_spec(base_seed=100, repetitions=3))
@@ -91,8 +91,8 @@ class TestRunExperiment:
     def test_aggregate_matches_recomputation_from_run_rows(self):
         runs, aggs = run_experiment(_tiny_spec(repetitions=3))
         errors = np.array([r["error_pct"] for r in runs])
-        assert aggs[0].means["error_pct"] == pytest.approx(errors.mean())
-        assert aggs[0].stds["error_pct"] == pytest.approx(errors.std())
+        assert aggs[0]["error_pct_mean"] == pytest.approx(errors.mean())
+        assert aggs[0]["error_pct_std"] == pytest.approx(errors.std())
 
     def test_failed_runs_recorded_not_fatal(self):
         # m larger than the available target pool fails each ours run
@@ -100,11 +100,11 @@ class TestRunExperiment:
         runs, aggs = run_experiment(spec)
         ours_rows = [r for r in runs if r["method"] == "ours"]
         assert all(r["status"] == "failed" for r in ours_rows)
-        ours_agg = next(a for a in aggs if a.method == "ours")
-        assert ours_agg.status == "partial"
-        assert ours_agg.ok_runs == 0
-        erm_agg = next(a for a in aggs if a.method == "erm")
-        assert erm_agg.status == "complete"
+        ours_agg = next(a for a in aggs if a["method"] == "ours")
+        assert ours_agg["status"] == "partial"
+        assert ours_agg["ok_runs"] == 0
+        erm_agg = next(a for a in aggs if a["method"] == "erm")
+        assert erm_agg["status"] == "complete"
 
     def test_grid_iterates_every_combination(self):
         spec = _tiny_spec(methods=("erm",), gammas=(1.0, 2.0), ms=(20, 30), repetitions=1)
@@ -365,9 +365,24 @@ class TestCsvRoundTrips:
         path = tmp_path / "agg.csv"
         write_aggregate_csv(path, aggs)
         loaded = read_aggregate_csv(path)
-        assert len(loaded) == len(aggs)
-        assert loaded[0].means["error_pct"] == aggs[0].means["error_pct"]
-        assert loaded[0].status == aggs[0].status
+        assert loaded == aggs
+
+    def test_aggregate_csv_with_a_nan_row_round_trips_byte_for_byte(self, tmp_path):
+        # at m = 10_000 every ours run fails (NaN means); erm draws no target
+        spec = _tiny_spec(methods=("ours", "erm"), ms=(30, 10_000))
+        _, aggs = run_experiment(spec)
+        assert [(a["method"], a["m"], a["ok_runs"]) for a in aggs] == [
+            ("ours", 30, 2), ("ours", 10_000, 0), ("erm", 30, 2), ("erm", 10_000, 2)
+        ]
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        write_aggregate_csv(first, aggs)
+        loaded = read_aggregate_csv(first)
+        write_aggregate_csv(second, loaded)
+        assert first.read_bytes() == second.read_bytes()
+        assert math.isnan(loaded[1]["error_pct_mean"]) and math.isnan(loaded[1]["eodds_std"])
+        assert [row for i, row in enumerate(loaded) if i != 1] == [
+            row for i, row in enumerate(aggs) if i != 1
+        ]
 
     def test_run_csv_parses_with_stdlib_reader(self, tmp_path):
         runs, _ = run_experiment(_tiny_spec(repetitions=2))
@@ -379,16 +394,11 @@ class TestCsvRoundTrips:
         assert float(rows[0]["error_pct"]) == runs[0]["error_pct"]
 
 
-def _agg(error, eodds, method="m"):
-    metrics = ["error_pct", "eodds", "acc_parity_pct", "error_group0_pct", "error_group1_pct"]
-    means = dict.fromkeys(metrics, 0.0)
-    means["error_pct"] = error
-    means["eodds"] = eodds
-    return AggregateRow(
-        method=method, gamma=0.0, lambda1=0.0, lambda2=0.0, m=0,
-        repetitions=1, ok_runs=1, status="complete",
-        means=means, stds=dict.fromkeys(metrics, 0.0),
-    )
+def _agg(error, eodds, method="m", ok_runs=1):
+    row = dict.fromkeys(AGGREGATE_COLUMNS, 0.0)
+    row.update(method=method, m=0, repetitions=1, ok_runs=ok_runs, status="complete")
+    row.update(error_pct_mean=error, eodds_mean=eodds)
+    return row
 
 
 class TestParetoFrontier:
@@ -399,7 +409,21 @@ class TestParetoFrontier:
     def test_dominated_row_removed(self):
         rows = [_agg(10.0, 0.1), _agg(12.0, 0.05), _agg(13.0, 0.2)]
         frontier = pareto_frontier(rows)
-        assert [(r.error_mean, r.eodds_mean) for r in frontier] == [(10.0, 0.1), (12.0, 0.05)]
+        assert [(r["error_pct_mean"], r["eodds_mean"]) for r in frontier] == [
+            (10.0, 0.1),
+            (12.0, 0.05),
+        ]
+
+    def test_rows_without_an_ok_run_never_enter(self):
+        nan = float("nan")
+        finite, failed = _agg(10.0, 0.1, method="finite"), _agg(nan, nan, ok_runs=0)
+        assert pareto_frontier([failed, finite]) == [finite]
+        assert pareto_frontier([failed]) == []
+
+    def test_partial_row_with_an_ok_run_stays_eligible(self):
+        partial = {**_agg(9.0, 0.2, method="partial"), "repetitions": 2, "status": "partial"}
+        rows = [_agg(10.0, 0.1), partial, _agg(11.0, 0.3)]
+        assert pareto_frontier(rows) == rows[:2]
 
     def test_duplicates_keep_first_occurrence(self):
         first = _agg(10.0, 0.1, method="first")
@@ -411,15 +435,12 @@ class TestParetoFrontier:
         rng = np.random.default_rng(0)
         rows = [_agg(float(e), float(o)) for e, o in rng.uniform(0, 1, size=(40, 2))]
         frontier = pareto_frontier(rows)
-        for a in frontier:
-            for b in frontier:
+        points = [(r["error_pct_mean"], r["eodds_mean"]) for r in frontier]
+        for a in points:
+            for b in points:
                 if a is b:
                     continue
-                dominates = (
-                    a.error_mean <= b.error_mean
-                    and a.eodds_mean <= b.eodds_mean
-                    and (a.error_mean < b.error_mean or a.eodds_mean < b.eodds_mean)
-                )
+                dominates = a[0] <= b[0] and a[1] <= b[1] and (a[0] < b[0] or a[1] < b[1])
                 assert not dominates
 
 
@@ -454,6 +475,24 @@ class TestVarianceStudy:
             parsed = list(csv.DictReader(fh))
         assert len(parsed) == 3
         assert float(parsed[0]["is_std"]) == rows[0]["is_std"]
+
+
+@pytest.mark.parametrize(
+    "grid,cause",
+    [
+        (dict(methods=("ours", "bogus")), "unknown method 'bogus'"),
+        (dict(lambda1s=(0.1, -0.5)), "lambda1 must be >= 0, got -0.5"),
+        (dict(lambda2s=(1.0, -1.0)), "lambda2 must be >= 0, got -1.0"),
+        (dict(ms=(30, 0)), "m_cap must be >= 1, got 0"),
+    ],
+    ids=["method", "lambda1", "lambda2", "m"],
+)
+def test_bad_grid_entry_raises_before_any_run(grid, cause, monkeypatch):
+    started = []
+    monkeypatch.setattr(experiment_module, "train", lambda *args: started.append(args))
+    with pytest.raises(ValueError, match=cause):
+        run_experiment(_tiny_spec(**grid))
+    assert started == []
 
 
 def test_spec_validation():
