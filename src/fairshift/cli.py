@@ -17,15 +17,11 @@ import sys
 
 import numpy as np
 
-from .config import (
-    experiment_spec_from_dict,
-    parse_kv_file,
-    shift_config_from_dict,
-    train_config_from_dict,
-    variance_study_spec_from_dict,
-)
+from .config import config_from_dict, parse_kv_file
 from .data import NormalizationStats, build_from_dict, load_csv, load_unlabeled_csv
 from .experiment import (
+    ExperimentSpec,
+    VarianceStudySpec,
     pareto_frontier,
     read_aggregate_csv,
     run_experiment,
@@ -38,7 +34,7 @@ from .experiment import (
 )
 from .metrics import evaluate_model
 from .nets import load_checkpoint, save_checkpoint
-from .splitter import split, split_summary
+from .splitter import ShiftConfig, split, split_summary
 from .training import TrainConfig, TrainedModel, train
 
 
@@ -53,9 +49,8 @@ def _ensure_out(path):
 
 def _cmd_split(args):
     data = load_csv(args.data)
-    cfg = shift_config_from_dict(
-        _load_config(args.config), gamma=args.gamma, seed=args.seed
-    )
+    values = _load_config(args.config)
+    cfg = config_from_dict(ShiftConfig, values, gamma=args.gamma, seed=args.seed)
     result = split(data, cfg)
     out = _ensure_out(args.out)
     for name, idx in (
@@ -82,9 +77,8 @@ def _data_digest(data):
 def _cmd_train(args):
     source = load_csv(args.data)
     target = load_unlabeled_csv(args.target) if args.target else None
-    cfg = train_config_from_dict(
-        _load_config(args.config), method=args.method, seed=args.seed
-    )
+    values = _load_config(args.config)
+    cfg = config_from_dict(TrainConfig, values, method=args.method, seed=args.seed)
     model = train(source, target, cfg)
     out = _ensure_out(args.out)
     extra = {
@@ -176,9 +170,9 @@ def _cmd_evaluate(args):
 
 
 def _cmd_experiment(args):
-    values = _load_config(args.config)
-    spec = experiment_spec_from_dict(
-        values,
+    spec = config_from_dict(
+        ExperimentSpec,
+        _load_config(args.config),
         dataset=args.data,
         repetitions=args.reps,
         base_seed=args.seed,
@@ -207,8 +201,14 @@ def _cmd_experiment(args):
 
 
 def _cmd_variance_study(args):
-    spec = variance_study_spec_from_dict(
-        _load_config(args.config),
+    values = _load_config(args.config)
+    # a file sets the grid and the draw size; the seed and repetitions come from the flags
+    rejected = set(values) - {"gammas", "ms", "n"}
+    if rejected:
+        raise ValueError(f"unknown variance-study keys: {sorted(rejected)}")
+    spec = config_from_dict(
+        VarianceStudySpec,
+        values,
         repetitions=args.reps,
         base_seed=args.seed,
         gammas=args.gamma,

@@ -2,16 +2,18 @@
 
 Format: one ``key = value`` per line, ``#`` comments, blank lines
 ignored.  Values are parsed as int, float, bool, or string; commas make a
-list.  Unknown keys are rejected so typos fail loudly, and a missing
+list.  :func:`config_from_dict` builds any config class from the parsed
+keys.  Unknown keys are rejected so typos fail loudly, and a missing
 required key is named.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import typing
+
 from .data import build_from_dict
-from .experiment import ExperimentSpec, VarianceStudySpec
-from .splitter import ShiftConfig
-from .training import TrainConfig
+from .experiment import ExperimentSpec
 
 
 def _coerce(token: str):
@@ -56,59 +58,30 @@ def parse_kv_file(path: str) -> dict:
         return parse_kv_text(fh.read())
 
 
-def _merge(values: dict, overrides: dict) -> dict:
-    """File values updated by the overrides that are not None."""
-    merged = dict(values)
-    merged.update({k: v for k, v in overrides.items() if v is not None})
-    return merged
+def config_from_dict(cls, values: dict, **overrides):
+    """Build config class ``cls`` from ``values`` updated by the overrides that
+    are not None (command-line values).
 
-
-def _promote_grid(values: dict) -> dict:
-    """Scalar grid entries become single-element tuples."""
-    for key in ("methods", "gammas", "lambda1s", "lambda2s", "ms"):
-        if key in values and not isinstance(values[key], tuple):
-            values[key] = (values[key],)
-    return values
-
-
-def train_config_from_dict(values: dict, **overrides) -> TrainConfig:
-    return build_from_dict(TrainConfig, _merge(values, overrides))
-
-
-def shift_config_from_dict(values: dict, **overrides) -> ShiftConfig:
-    return build_from_dict(ShiftConfig, _merge(values, overrides))
-
-
-_TRAIN_PREFIX = "train."
-_SHIFT_PREFIX = "shift."
+    A ``<field>.<key>`` entry sets ``key`` of a field annotated with a config
+    class (``train.seed`` of an ``ExperimentSpec``), and a scalar given for a
+    ``tuple[...]`` field becomes its one entry.  An unknown or missing key
+    raises one ``ValueError`` naming it.
+    """
+    hints = typing.get_type_hints(cls)
+    own, nested = {}, {}
+    for key, value in {**values, **{k: v for k, v in overrides.items() if v is not None}}.items():
+        head, dot, rest = key.partition(".")
+        if dot and dataclasses.is_dataclass(hints.get(head)):
+            nested.setdefault(head, {})[rest] = value
+        else:
+            own[key] = value
+    for name, hint in hints.items():
+        if name in nested:
+            own[name] = config_from_dict(hint, nested[name])
+        elif typing.get_origin(hint) is tuple and name in own and not isinstance(own[name], tuple):
+            own[name] = (own[name],)
+    return build_from_dict(cls, own)
 
 
 def experiment_spec_from_dict(values: dict, **overrides) -> ExperimentSpec:
-    """Build an ExperimentSpec; ``train.<key>`` and ``shift.<key>`` nest.
-
-    Scalar grid entries are promoted to single-element tuples.
-    """
-    train_values, shift_values, spec_values = {}, {}, {}
-    for key, value in _merge(values, overrides).items():
-        if key.startswith(_TRAIN_PREFIX):
-            train_values[key[len(_TRAIN_PREFIX) :]] = value
-        elif key.startswith(_SHIFT_PREFIX):
-            shift_values[key[len(_SHIFT_PREFIX) :]] = value
-        else:
-            spec_values[key] = value
-    spec_values = _promote_grid(spec_values)
-    spec_values["train"] = build_from_dict(TrainConfig, train_values)
-    spec_values["shift"] = build_from_dict(ShiftConfig, shift_values)
-    return build_from_dict(ExperimentSpec, spec_values)
-
-
-def variance_study_spec_from_dict(values: dict, **overrides) -> VarianceStudySpec:
-    """Build a VarianceStudySpec; scalar ``gammas`` and ``ms`` become tuples.
-
-    Config files may set ``gammas``, ``ms`` and ``n`` only; the overrides
-    (command-line values) may set any of its fields.
-    """
-    rejected = set(values) - {"gammas", "ms", "n"}
-    if rejected:
-        raise ValueError(f"unknown variance-study keys: {sorted(rejected)}")
-    return build_from_dict(VarianceStudySpec, _promote_grid(_merge(values, overrides)))
+    return config_from_dict(ExperimentSpec, values, **overrides)

@@ -48,15 +48,17 @@ def check_field_types(obj):
     """Raise one ``ValueError`` naming the first field of dataclass ``obj`` that
     does not fit its annotation.
 
-    An int fits ``float``, a bool fits no field (none holds a bool), each
-    entry of a ``tuple[X, ...]`` field must fit ``X``, and a number must be
-    finite.
+    An int fits ``float``, a bool fits no field (none holds a bool), a
+    ``tuple[X, ...]`` field needs at least one entry and each must fit ``X``,
+    and a number must be finite.
     """
     for name, hint in typing.get_type_hints(type(obj)).items():
         values = [getattr(obj, name)]
         if typing.get_origin(hint) is tuple:
             if not isinstance(values[0], tuple):
                 raise ValueError(f"{name} must be a tuple, got {values[0]!r}")
+            if not values[0]:
+                raise ValueError(f"{name} must be non-empty")
             name, hint, values = f"{name} entries", typing.get_args(hint)[0], values[0]
         kinds = tuple(_NUMBERS.get(arm, arm) for arm in typing.get_args(hint) or (hint,))
         for value in values:
@@ -198,17 +200,22 @@ def _read_rows(path):
         rows = list(reader)
     if not rows:
         raise ValueError(f"no data rows in {path}")
-    matrix = np.empty((len(rows), len(header)), dtype=np.float64)
     for i, row in enumerate(rows):
         if len(row) != len(header):
             raise ValueError(f"row {i + 1} has {len(row)} cells, header has {len(header)}")
-        for j, cell in enumerate(row):
-            try:
-                matrix[i, j] = float(cell)
-            except ValueError:
-                raise ValueError(
-                    f"non-numeric cell {cell!r} at row {i + 1}, column {header[j]!r}"
-                ) from None
+    try:
+        matrix = np.array(rows, dtype=np.float64)
+    except ValueError:
+        # numpy parses each cell as float() does; name the first one it refused
+        for i, row in enumerate(rows):
+            for j, cell in enumerate(row):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise ValueError(
+                        f"non-numeric cell {cell!r} at row {i + 1}, column {header[j]!r}"
+                    ) from None
+        raise
     bad = np.argwhere(~np.isfinite(matrix))
     if len(bad):
         i, j = bad[0]

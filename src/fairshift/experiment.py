@@ -17,6 +17,7 @@ are those of a run on its own.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import time
 import traceback
@@ -76,6 +77,17 @@ AGGREGATE_COLUMNS = (
 _AGGREGATE_TYPES = {"method": str, "status": str, "m": int, "repetitions": int, "ok_runs": int}
 
 
+# each grid list, in grid order, and the TrainConfig field its entries set;
+# a gammas entry sets the shift of the run's data instead
+GRID_FIELDS = {
+    "methods": "method",
+    "gammas": None,
+    "lambda1s": "lambda1",
+    "lambda2s": "lambda2",
+    "ms": "m_cap",
+}
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     dataset: str
@@ -96,20 +108,25 @@ class ExperimentSpec:
             raise ValueError("repetitions must be >= 1")
         if self.base_seed < 0:
             raise ValueError(f"base_seed must be >= 0, got {self.base_seed!r}")
-        for name in ("methods", "gammas", "lambda1s", "lambda2s", "ms"):
-            if not getattr(self, name):
-                raise ValueError(f"grid list {name} must be non-empty")
-        # each point's run config, so a bad grid entry raises before any run
-        for method, _, lam1, lam2, m in self.grid():
-            replace(self.train, method=method, lambda1=lam1, lambda2=lam2, m_cap=m)
+        # TrainConfig checks each field alone, so checking every entry on its
+        # own rejects a bad grid point before any run
+        for name in GRID_FIELDS:
+            for i, value in enumerate(getattr(self, name)):
+                try:
+                    self.run_config(self.train.seed, **{name: value})
+                except ValueError as exc:
+                    raise ValueError(f"{name} entry {i}: {exc}") from None
 
     def grid(self):
-        for method in self.methods:
-            for gamma in self.gammas:
-                for lam1 in self.lambda1s:
-                    for lam2 in self.lambda2s:
-                        for m in self.ms:
-                            yield method, float(gamma), float(lam1), float(lam2), int(m)
+        lists = itertools.product(*(getattr(self, name) for name in GRID_FIELDS))
+        for method, gamma, lam1, lam2, m in lists:
+            yield method, float(gamma), float(lam1), float(lam2), int(m)
+
+    def run_config(self, seed, **entries) -> TrainConfig:
+        """``train`` with ``seed`` and one entry of any grid lists, each keyed by
+        its list: ``run_config(3, ms=20)`` sets ``seed=3, m_cap=20``."""
+        values = {GRID_FIELDS[name]: v for name, v in entries.items() if GRID_FIELDS[name]}
+        return replace(self.train, seed=seed, **values)
 
 
 def _normalize_pool(train: LabeledDataset, test: LabeledDataset):
@@ -176,27 +193,16 @@ def _execute_run(task, provider=None, cache=None):
     holds ``resumed_epochs``, ``wall_s`` (data, training without resumed
     epochs, and scoring) and, for a failed run, its exception.
     """
-    (method, gamma, lam1, lam2, m), rep = task
+    point, rep = task
     if provider is None:
         provider = _worker_provider
     spec = provider.spec
     seed = spec.base_seed + rep
-    cfg = replace(
-        spec.train, method=method, lambda1=lam1, lambda2=lam2, m_cap=m, seed=seed
-    )
-    row = {
-        "method": method,
-        "gamma": gamma,
-        "lambda1": lam1,
-        "lambda2": lam2,
-        "m": m,
-        "rep": rep,
-        "seed": seed,
-        "resumed_epochs": 0,
-    }
+    cfg = spec.run_config(seed, **dict(zip(GRID_FIELDS, point)))
+    row = {**dict(zip(_POINT_COLUMNS, point)), "rep": rep, "seed": seed, "resumed_epochs": 0}
     start = time.perf_counter()
     try:
-        source, target, eval_set = provider.make(gamma, seed)
+        source, target, eval_set = provider.make(row["gamma"], seed)
         model = train(source, target, cfg, cache)
         row["resumed_epochs"] = model.resumed_epochs
         metrics = evaluate_model(model, eval_set)
@@ -447,8 +453,6 @@ class VarianceStudySpec:
 
     def __post_init__(self):
         check_field_types(self)
-        if not self.gammas or not self.ms:
-            raise ValueError("grid lists gammas and ms must be non-empty")
         for name, value in (
             ("ms entries", min(self.ms)),
             ("repetitions", self.repetitions),

@@ -132,46 +132,38 @@ def _draw(rng, indices, densities, n_test, n_val):
 
 
 def split(data, cfg: ShiftConfig) -> SplitResult:
-    """Partition a dataset into shifted test and uniform train/val indices."""
+    """Partition a dataset into shifted test and uniform train/val indices.
+
+    Each stratum (all rows, or in asymmetric mode each group) is partitioned
+    on its own; only the tilted one draws its test rows by the tilt.
+    """
     features = data.features
     n = features.shape[0]
     projection = first_principal_projection(features)
     rng = np.random.default_rng(cfg.seed)
 
-    if cfg.asymmetric_group is None:
-        densities, anchor, log_z = _tilt(projection, cfg.gamma, cfg.percentile)
-        n_test, n_val = _partition_counts(n, cfg)
-        train, val, test = _draw(rng, np.arange(n), densities, n_test, n_val)
-    else:
+    tilted, others = np.arange(n), []
+    if cfg.asymmetric_group is not None:
         shifted_mask = np.asarray(data.groups) == cfg.asymmetric_group
         if not shifted_mask.any():
             raise ValueError(f"group {cfg.asymmetric_group} absent from dataset")
         if shifted_mask.all():
             raise ValueError("asymmetric split needs both groups present")
-        shifted_idx = np.flatnonzero(shifted_mask)
-        other_idx = np.flatnonzero(~shifted_mask)
-        dens_shift, anchor, log_z = _tilt(
-            projection[shifted_idx], cfg.gamma, cfg.percentile
-        )
-        parts = []
-        for indices, dens in (
-            (shifted_idx, dens_shift),
-            (other_idx, np.full(len(other_idx), 1.0 / len(other_idx))),
-        ):
-            n_test_g, n_val_g = _partition_counts(len(indices), cfg)
-            parts.append(_draw(rng, indices, dens, n_test_g, n_val_g))
-        train = np.concatenate([parts[0][0], parts[1][0]])
-        val = np.concatenate([parts[0][1], parts[1][1]])
-        test = np.concatenate([parts[0][2], parts[1][2]])
-        # report a pool-level density: per-group densities scaled by group mass
-        densities = np.zeros(n)
-        densities[shifted_idx] = dens_shift * (len(shifted_idx) / n)
-        densities[other_idx] = (1.0 / len(other_idx)) * (len(other_idx) / n)
+        tilted, other_idx = np.flatnonzero(shifted_mask), np.flatnonzero(~shifted_mask)
+        others = [(other_idx, np.full(len(other_idx), 1.0 / len(other_idx)))]
+    dens_tilted, anchor, log_z = _tilt(projection[tilted], cfg.gamma, cfg.percentile)
+    # a pool-level density: each stratum's density scaled by its share of the rows
+    densities = np.zeros(n)
+    parts = []
+    for indices, dens in [(tilted, dens_tilted), *others]:
+        parts.append(_draw(rng, indices, dens, *_partition_counts(len(indices), cfg)))
+        densities[indices] = dens * (len(indices) / n)
+    train, val, test = (np.sort(np.concatenate(part)) for part in zip(*parts))
 
     return SplitResult(
-        train_idx=np.sort(train),
-        val_idx=np.sort(val),
-        test_idx=np.sort(test),
+        train_idx=train,
+        val_idx=val,
+        test_idx=test,
         projection=projection,
         densities=densities,
         anchor=anchor,

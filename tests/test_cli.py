@@ -254,9 +254,9 @@ HOSTILE_INPUTS = [
             ("float_reps", "repetitions must be int, got 2.5"),
             ("float_train_seed", "seed must be int, got 1.5"),
             # a bad grid entry raises before the first run of the good ones
-            ("bogus_method", "unknown method 'bogus'"),
-            ("negative_lambda1", "lambda1 must be >= 0, got -0.5"),
-            ("zero_m", "m_cap must be >= 1, got 0"),
+            ("bogus_method", "methods entry 1: unknown method 'bogus'"),
+            ("negative_lambda1", "lambda1s entry 1: lambda1 must be >= 0, got -0.5"),
+            ("zero_m", "ms entry 0: m_cap must be >= 1, got 0"),
         )
     ),
     ("experiment-no-dataset", ["experiment", "--config", "{no_dataset}", "--out", "{out}"], 1,

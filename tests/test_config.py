@@ -6,12 +6,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fairshift.config import (
+    config_from_dict,
     experiment_spec_from_dict,
     parse_kv_file,
     parse_kv_text,
-    shift_config_from_dict,
-    train_config_from_dict,
 )
+from fairshift.experiment import ExperimentSpec, VarianceStudySpec
 from fairshift.splitter import ShiftConfig
 from fairshift.training import METHODS, TrainConfig
 
@@ -61,17 +61,17 @@ def test_parse_kv_file(tmp_path):
 
 class TestBuilders:
     def test_train_config_with_overrides(self):
-        cfg = train_config_from_dict({"lambda1": 0.2, "seed": 1}, seed=9, method="zsa")
+        cfg = config_from_dict(TrainConfig, {"lambda1": 0.2, "seed": 1}, seed=9, method="zsa")
         assert cfg.lambda1 == 0.2
         assert cfg.seed == 9
         assert cfg.method == "zsa"
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown TrainConfig keys"):
-            train_config_from_dict({"learning_rt": 0.1})
+            config_from_dict(TrainConfig, {"learning_rt": 0.1})
 
     def test_shift_config(self):
-        cfg = shift_config_from_dict({"gamma": 5.0, "percentile": 70})
+        cfg = config_from_dict(ShiftConfig, {"gamma": 5.0, "percentile": 70})
         assert cfg.gamma == 5.0
         assert cfg.percentile == 70
 
@@ -98,6 +98,26 @@ class TestBuilders:
         )
         assert spec.repetitions == 50
         assert spec.base_seed == 4
+
+    def test_scalar_grids_become_one_entry_tuples(self):
+        spec = config_from_dict(VarianceStudySpec, {"gammas": 2.0, "ms": 10}, n=100)
+        assert (spec.gammas, spec.ms, spec.n) == ((2.0,), (10,), 100)
+
+    @pytest.mark.parametrize(
+        "cls,values,cause",
+        [
+            (ExperimentSpec, {"train.lr": 0.1}, r"unknown TrainConfig keys: \['lr'\]"),
+            (ExperimentSpec, {"shift.gama": 1.0}, r"unknown ShiftConfig keys: \['gama'\]"),
+            (ExperimentSpec, {"dataset": "x", "train": 5}, "train must be TrainConfig, got 5"),
+            # only a field annotated with a config class takes dotted keys
+            (TrainConfig, {"train.seed": 1}, r"unknown TrainConfig keys: \['train.seed'\]"),
+            (ExperimentSpec, {"dataset.x": 1}, r"unknown ExperimentSpec keys: \['dataset.x'\]"),
+            (ExperimentSpec, {"methods": "erm"}, r"missing ExperimentSpec keys: \['dataset'\]"),
+        ],
+    )
+    def test_a_bad_key_names_itself(self, cls, values, cause):
+        with pytest.raises(ValueError, match=cause):
+            config_from_dict(cls, values)
 
 
 # -- round trips: a checkpoint stores dataclasses.asdict(cfg) as JSON, and
@@ -146,12 +166,68 @@ SHIFT_CONFIGS = st.builds(
 @given(TRAIN_CONFIGS)
 def test_train_config_round_trips_through_a_checkpoint(cfg):
     values = dataclasses.asdict(cfg)
-    assert train_config_from_dict(values) == cfg
-    assert train_config_from_dict(json.loads(json.dumps(values))) == cfg
+    assert config_from_dict(TrainConfig, values) == cfg
+    assert config_from_dict(TrainConfig, json.loads(json.dumps(values))) == cfg
 
 
 @given(SHIFT_CONFIGS)
 def test_shift_config_round_trips_through_a_dict(cfg):
     values = dataclasses.asdict(cfg)
-    assert shift_config_from_dict(values) == cfg
-    assert shift_config_from_dict(json.loads(json.dumps(values))) == cfg
+    assert config_from_dict(ShiftConfig, values) == cfg
+    assert config_from_dict(ShiftConfig, json.loads(json.dumps(values))) == cfg
+
+
+def _kv_text(values, prefix=""):
+    """Key-value text that ``parse_kv_text`` reads back as ``values`` (from
+    ``dataclasses.asdict``): nested configs as prefixed keys, a one-entry
+    tuple as a scalar."""
+    lines = []
+    for key, value in values.items():
+        if isinstance(value, dict):
+            lines.append(_kv_text(value, f"{prefix}{key}."))
+        elif isinstance(value, tuple):
+            lines.append(f"{prefix}{key} = {', '.join(map(str, value))}")
+        else:
+            lines.append(f"{prefix}{key} = {value}")
+    return "\n".join(lines)
+
+
+def _grid(entries):
+    return st.lists(entries, min_size=1, max_size=3).map(tuple)
+
+
+EXPERIMENT_SPECS = st.builds(
+    ExperimentSpec,
+    dataset=st.sampled_from(["synthetic:asymmetric", "synthetic:gaussian", "data/adult.csv"]),
+    methods=_grid(st.sampled_from(METHODS)),
+    gammas=_grid(NONNEGATIVE | COUNTS),
+    lambda1s=_grid(NONNEGATIVE),
+    lambda2s=_grid(NONNEGATIVE),
+    ms=_grid(SIZES),
+    repetitions=SIZES,
+    base_seed=st.integers(0, 2**63 - 1),
+    n_per_group=SIZES,
+    train=TRAIN_CONFIGS,
+    shift=SHIFT_CONFIGS,
+)
+VARIANCE_STUDY_SPECS = st.builds(
+    VarianceStudySpec,
+    gammas=_grid(NONNEGATIVE),
+    ms=_grid(SIZES),
+    repetitions=SIZES,
+    n=SIZES,
+    base_seed=st.integers(0, 2**63 - 1),
+)
+
+
+@given(EXPERIMENT_SPECS)
+def test_experiment_spec_round_trips_through_key_value_text(spec):
+    text = _kv_text(dataclasses.asdict(spec))
+    assert config_from_dict(ExperimentSpec, parse_kv_text(text)) == spec
+    assert experiment_spec_from_dict(parse_kv_text(text)) == spec
+
+
+@given(VARIANCE_STUDY_SPECS)
+def test_variance_study_spec_round_trips_through_key_value_text(spec):
+    text = _kv_text(dataclasses.asdict(spec))
+    assert config_from_dict(VarianceStudySpec, parse_kv_text(text)) == spec

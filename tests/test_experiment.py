@@ -1,8 +1,10 @@
 import csv
 import ctypes
 import json
+import dataclasses
 import math
 import os
+import typing
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ import fairshift.training as training_module
 from fairshift.data import make_synthetic_asymmetric_labeled
 from fairshift.experiment import (
     AGGREGATE_COLUMNS,
+    GRID_FIELDS,
     ExperimentSpec,
     VarianceStudySpec,
     _normalize_pool,
@@ -480,10 +483,10 @@ class TestVarianceStudy:
 @pytest.mark.parametrize(
     "grid,cause",
     [
-        (dict(methods=("ours", "bogus")), "unknown method 'bogus'"),
-        (dict(lambda1s=(0.1, -0.5)), "lambda1 must be >= 0, got -0.5"),
-        (dict(lambda2s=(1.0, -1.0)), "lambda2 must be >= 0, got -1.0"),
-        (dict(ms=(30, 0)), "m_cap must be >= 1, got 0"),
+        (dict(methods=("ours", "bogus")), "^methods entry 1: unknown method 'bogus'"),
+        (dict(lambda1s=(0.1, -0.5)), "^lambda1s entry 1: lambda1 must be >= 0, got -0.5"),
+        (dict(lambda2s=(1.0, -1.0)), "^lambda2s entry 1: lambda2 must be >= 0, got -1.0"),
+        (dict(ms=(30, 0)), "^ms entry 1: m_cap must be >= 1, got 0"),
     ],
     ids=["method", "lambda1", "lambda2", "m"],
 )
@@ -502,3 +505,28 @@ def test_spec_validation():
         _tiny_spec(methods=())
     with pytest.raises(ValueError, match="^base_seed must be >= 0, got -1"):
         _tiny_spec(base_seed=-1)
+    with pytest.raises(ValueError, match="^ms must be non-empty"):
+        _tiny_spec(ms=())
+    with pytest.raises(ValueError, match="^gammas must be non-empty"):
+        VarianceStudySpec(gammas=())
+
+
+def test_grid_fields_name_every_grid_list_once_in_grid_order():
+    hints = typing.get_type_hints(ExperimentSpec)
+    grid_lists = [name for name, hint in hints.items() if typing.get_origin(hint) is tuple]
+    assert list(GRID_FIELDS) == grid_lists
+    train_fields = {f.name for f in dataclasses.fields(TrainConfig)}
+    assert {f for f in GRID_FIELDS.values() if f} <= train_fields
+    spec = _tiny_spec(methods=("erm", "zsa"), gammas=(1, 2.5), ms=(30, 7))
+    points = list(spec.grid())
+    assert points[0] == ("erm", 1.0, 0.1, 0.5, 30) and points[-1] == ("zsa", 2.5, 0.1, 0.5, 7)
+    assert len(points) == 8
+
+
+def test_run_config_sets_each_entry_by_its_list():
+    spec = _tiny_spec()
+    cfg = spec.run_config(3, methods="zsa", gammas=9.0, lambda1s=0.0, lambda2s=2.0, ms=7)
+    assert cfg == dataclasses.replace(
+        TINY_TRAIN, seed=3, method="zsa", lambda1=0.0, lambda2=2.0, m_cap=7
+    )
+    assert spec.run_config(5) == dataclasses.replace(TINY_TRAIN, seed=5)

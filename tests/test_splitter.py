@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -234,3 +235,27 @@ def test_too_few_rows_to_split_rejected(sizes, group):
     pool = _dataset(np.random.default_rng(0).normal(size=(sum(sizes), 2)), groups)
     with pytest.raises(ValueError, match="at least 3 rows"):
         split(pool, ShiftConfig(gamma=1.0, asymmetric_group=group))
+
+
+# SHA-256 of the (train, val, test) indices as int64 on one fixed pool: any
+# change to the draws, in either mode, shows here
+SPLIT_INDEX_DIGESTS = {
+    (None, 0): "6878039b972b27a0db843b71302f8160f432d36285e681c303bfc7f9ac21ad87",
+    (None, 1): "caa7c5c9af09582fd68223fb214f696dcaeadf1b5a47e5d8b76ca2dfb9117738",
+    (None, 2): "fc0d8575d62bea2ce227fdbcb8d6b4fa8028ad3ce112274f7b097501e1a4f019",
+    (1, 0): "931c764c53f2a3f2e65e78ed2ebcafbeb2179d8eb074635679a495a547d6be67",
+    (1, 1): "8f250bd4f2e5d4828b79eb024801fe736ad1e6713009ea9d9fd646a4c51c45d5",
+    (1, 2): "86a4e5303a20deecdcd7e61ecf4b7c4b3be3606a608d5b2703fbb061259b6cb4",
+}
+
+
+@pytest.mark.parametrize("group,seed", list(SPLIT_INDEX_DIGESTS))
+def test_split_indices_are_pinned(group, seed):
+    rng = np.random.default_rng(7)
+    features = rng.normal(size=(90, 3)) @ np.diag([2.0, 1.0, 0.5])
+    pool = _dataset(features, rng.integers(0, 2, size=90))
+    result = split(pool, ShiftConfig(gamma=2.0, seed=seed, asymmetric_group=group))
+    digest = hashlib.sha256()
+    for idx in (result.train_idx, result.val_idx, result.test_idx):
+        digest.update(np.ascontiguousarray(idx, dtype=np.int64).tobytes())
+    assert digest.hexdigest() == SPLIT_INDEX_DIGESTS[group, seed]
