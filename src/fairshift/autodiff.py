@@ -70,8 +70,8 @@ class Tensor:
         """Accumulate d(self)/d(node) into ``grad`` for every ancestor.
 
         Only scalar roots are differentiable; gradients add onto any
-        pre-existing ``grad`` arrays, so callers zero parameter grads
-        between steps.
+        pre-existing ``grad`` arrays; ``AdamOptimizer.step`` clears the
+        grads of the parameters it updates.
         """
         if self.value.size != 1:
             raise ValueError(

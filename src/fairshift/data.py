@@ -42,6 +42,18 @@ def _binary(values, name):
 
 
 _NUMBERS = {int: numbers.Integral, float: numbers.Real}
+# each range rule a field may carry as ``Annotated[<type>, "<rule>"]``, and its test
+_RULES = {
+    "be >= 0": lambda v: v >= 0,
+    "be >= 1": lambda v: v >= 1,
+    "be > 0": lambda v: v > 0,
+    "be 0 or 1": lambda v: v in (0, 1),
+    "lie in [0, 1)": lambda v: 0 <= v < 1,
+    "lie in (0, 1)": lambda v: 0 < v < 1,
+    "lie in (0, 100)": lambda v: 0 < v < 100,
+    "lie in [0, 1]": lambda v: 0 <= v <= 1,
+    "lie in [0, 100]": lambda v: 0 <= v <= 100,
+}
 
 
 def check_field_types(obj):
@@ -50,9 +62,11 @@ def check_field_types(obj):
 
     An int fits ``float``, a bool fits no field (none holds a bool), a
     ``tuple[X, ...]`` field needs at least one entry and each must fit ``X``,
-    and a number must be finite.
+    and a number must be finite.  A field annotated ``Annotated[X, rule]``
+    must also pass ``rule``, one key of ``_RULES`` (a ``None`` passes); a
+    ``tuple[Annotated[X, rule], ...]`` field checks each entry.
     """
-    for name, hint in typing.get_type_hints(type(obj)).items():
+    for name, hint in typing.get_type_hints(type(obj), include_extras=True).items():
         values = [getattr(obj, name)]
         if typing.get_origin(hint) is tuple:
             if not isinstance(values[0], tuple):
@@ -60,12 +74,17 @@ def check_field_types(obj):
             if not values[0]:
                 raise ValueError(f"{name} must be non-empty")
             name, hint, values = f"{name} entries", typing.get_args(hint)[0], values[0]
+        rule = None
+        if typing.get_origin(hint) is typing.Annotated:
+            hint, rule = typing.get_args(hint)
         kinds = tuple(_NUMBERS.get(arm, arm) for arm in typing.get_args(hint) or (hint,))
         for value in values:
             if isinstance(value, bool) or not isinstance(value, kinds):
                 raise ValueError(f"{name} must be {getattr(hint, '__name__', hint)}, got {value!r}")
             if isinstance(value, numbers.Real) and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+            if rule and value is not None and not _RULES[rule](value):
+                raise ValueError(f"{name} must {rule}, got {value!r}")
 
 
 def build_from_dict(cls, values, kind=None):

@@ -9,8 +9,11 @@ strictest of the common variants); the averaged variant is available via
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
+
+from .data import check_field_types
 
 
 @dataclass(frozen=True)
@@ -45,17 +48,14 @@ class GroupConfusion:
 
 @dataclass(frozen=True)
 class RunMetrics:
-    error_pct: float
-    eodds: float
-    acc_parity_pct: float
-    error_group0_pct: float
-    error_group1_pct: float
+    error_pct: Annotated[float, "lie in [0, 100]"]
+    eodds: Annotated[float, "lie in [0, 1]"]
+    acc_parity_pct: Annotated[float, "lie in [0, 100]"]
+    error_group0_pct: Annotated[float, "lie in [0, 100]"]
+    error_group1_pct: Annotated[float, "lie in [0, 100]"]
 
     def __post_init__(self):
-        if not 0.0 <= self.error_pct <= 100.0:
-            raise ValueError("error_pct must lie in [0, 100]")
-        if not 0.0 <= self.eodds <= 1.0:
-            raise ValueError("eodds must lie in [0, 1]")
+        check_field_types(self)
 
 
 def _hard_predictions(preds):

@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass
+from typing import Annotated
 
 import numpy as np
 
@@ -30,12 +31,12 @@ GRAD_CLIP_NORM = 5.0
 class NetConfig:
     """Shapes shared by a predictor/weight-network pair."""
 
-    input_dim: int
-    hidden_dim: int = 64
-    rep_dim: int = 64
-    clf_hidden_dim: int = 32
-    weight_hidden_dim: int = 32
-    dropout_rate: float = 0.25
+    input_dim: Annotated[int, "be >= 1"]
+    hidden_dim: Annotated[int, "be >= 1"] = 64
+    rep_dim: Annotated[int, "be >= 1"] = 64
+    clf_hidden_dim: Annotated[int, "be >= 1"] = 32
+    weight_hidden_dim: Annotated[int, "be >= 1"] = 32
+    dropout_rate: Annotated[float, "lie in [0, 1)"] = 0.25
 
     def __post_init__(self):
         check_field_types(self)
@@ -260,11 +261,6 @@ class AdamOptimizer:
             p.value = new[lo:hi].reshape(shape)
             p.grad = None
         return norm
-
-
-def zero_grads(params):
-    for p in params:
-        p.grad = None
 
 
 def parameter_digest(params) -> str:

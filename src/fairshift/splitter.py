@@ -13,6 +13,7 @@ uniformly at random with the same fractions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
@@ -21,27 +22,15 @@ from .data import check_field_types
 
 @dataclass(frozen=True)
 class ShiftConfig:
-    gamma: float = 10.0
-    percentile: float = 60.0
-    test_fraction: float = 0.4
-    val_fraction_of_train: float = 1.0 / 6.0
-    asymmetric_group: int | None = None
-    seed: int = 0
+    gamma: Annotated[float, "be >= 0"] = 10.0
+    percentile: Annotated[float, "lie in (0, 100)"] = 60.0
+    test_fraction: Annotated[float, "lie in (0, 1)"] = 0.4
+    val_fraction_of_train: Annotated[float, "lie in (0, 1)"] = 1.0 / 6.0
+    asymmetric_group: Annotated[int | None, "be 0 or 1"] = None
+    seed: Annotated[int, "be >= 0"] = 0
 
     def __post_init__(self):
         check_field_types(self)
-        if self.gamma < 0:
-            raise ValueError("gamma must be >= 0")
-        if not 0.0 < self.percentile < 100.0:
-            raise ValueError("percentile must be in (0, 100)")
-        if not 0.0 < self.test_fraction < 1.0:
-            raise ValueError("test_fraction must be in (0, 1)")
-        if not 0.0 < self.val_fraction_of_train < 1.0:
-            raise ValueError("val_fraction_of_train must be in (0, 1)")
-        if self.asymmetric_group not in (None, 0, 1):
-            raise ValueError("asymmetric_group must be None, 0 or 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True)

@@ -57,6 +57,7 @@ import os
 import platform
 import time
 from dataclasses import dataclass, field, fields, replace
+from typing import Annotated
 
 import numpy as np
 
@@ -87,7 +88,6 @@ from .nets import (
     PredictorModel,
     WeightNetwork,
     parameter_digest,
-    zero_grads,
 )
 
 METHODS = ("ours", "erm", "kliep_iw", "lsif_iw", "zsa", "unweighted_entropy")
@@ -150,43 +150,31 @@ def _minor_faults():
 
 @dataclass(frozen=True)
 class TrainConfig:
-    pretrain_epochs: int = 15
-    adapt_epochs: int = 35
-    batch_size: int = 32
-    adapt_train_batch_size: int = 256
-    lambda1: float = 0.1
-    lambda2: float = 1.0
-    c1: float = 1.0
-    c2: float = 1.0
-    seed: int = 0
-    weight_decay: float = 1e-5
-    learning_rate: float = 1e-3
+    pretrain_epochs: Annotated[int, "be >= 0"] = 15
+    adapt_epochs: Annotated[int, "be >= 0"] = 35
+    batch_size: Annotated[int, "be >= 1"] = 32
+    adapt_train_batch_size: Annotated[int, "be >= 1"] = 256
+    lambda1: Annotated[float, "be >= 0"] = 0.1
+    lambda2: Annotated[float, "be >= 0"] = 1.0
+    c1: Annotated[float, "be > 0"] = 1.0
+    c2: Annotated[float, "be > 0"] = 1.0
+    seed: Annotated[int, "be >= 0"] = 0
+    weight_decay: Annotated[float, "be >= 0"] = 1e-5
+    learning_rate: Annotated[float, "be > 0"] = 1e-3
     # the inner maximizer runs on a faster timescale than the classifier
-    weight_lr_multiplier: float = 10.0
-    m_cap: int = 50
+    weight_lr_multiplier: Annotated[float, "be > 0"] = 10.0
+    m_cap: Annotated[int, "be >= 1"] = 50
     method: str = "ours"
-    hidden_dim: int = 64
-    rep_dim: int = 64
-    clf_hidden_dim: int = 32
-    weight_hidden_dim: int = 32
-    dropout_rate: float = 0.25
+    hidden_dim: Annotated[int, "be >= 1"] = 64
+    rep_dim: Annotated[int, "be >= 1"] = 64
+    clf_hidden_dim: Annotated[int, "be >= 1"] = 32
+    weight_hidden_dim: Annotated[int, "be >= 1"] = 32
+    dropout_rate: Annotated[float, "lie in [0, 1)"] = 0.25
 
     def __post_init__(self):
         check_field_types(self)
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        for rule, ok, names in (
-            (">= 1", lambda v: v >= 1, ("batch_size", "adapt_train_batch_size", "m_cap")
-             + ("hidden_dim", "rep_dim", "clf_hidden_dim", "weight_hidden_dim")),
-            (">= 0", lambda v: v >= 0, ("pretrain_epochs", "adapt_epochs", "seed")
-             + ("lambda1", "lambda2", "weight_decay")),
-            ("> 0", lambda v: v > 0, ("c1", "c2", "learning_rate", "weight_lr_multiplier")),
-        ):
-            for name in names:
-                if not ok(getattr(self, name)):
-                    raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError(f"dropout_rate must lie in [0, 1), got {self.dropout_rate!r}")
         if self.pretrain_epochs + self.adapt_epochs == 0:
             raise ValueError("pretrain_epochs + adapt_epochs must be >= 1, got 0 + 0")
 
@@ -418,7 +406,6 @@ def _train(
             # -- weight-network ascent (classifier frozen, inference mode) --
             if entropy_on and weight_net is not None:
                 rep_s = model.representations(source.features[batch_idx])
-                zero_grads(weight_net.parameters)
                 fw_t = weight_net.forward(rep_t.value)
                 fw_s = weight_net.forward(rep_s)
                 we = weighted_entropy_term(fw_t, entropies.value)
@@ -435,7 +422,6 @@ def _train(
                 fw_hi = max(fw_hi, fw_t.value.max(), fw_s.value.max())
 
             # -- classifier descent ------------------------------------
-            zero_grads(model.parameters)
             _, probs = model.forward(source.features[batch_idx], dropout_rng=run.dropout)
             weights = None if row_weights is None else row_weights[batch_idx]
             risk = cross_entropy_risk(probs, labels[batch_idx], weights)
@@ -508,7 +494,6 @@ def _fit_ratio_net(source, target_x, cfg, loss_fn, init_seed, batch_seed):
     for _ in range(cfg.total_epochs):
         perm = rng.permutation(source.n)
         for batch_idx in _batches(perm, cfg.batch_size):
-            zero_grads(net.parameters)
             s_test = net.forward(target_x)
             s_train = net.forward(source.features[batch_idx])
             loss = loss_fn(s_test, s_train)

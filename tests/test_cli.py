@@ -257,8 +257,12 @@ HOSTILE_INPUTS = [
             ("bogus_method", "methods entry 1: unknown method 'bogus'"),
             ("negative_lambda1", "lambda1s entry 1: lambda1 must be >= 0, got -0.5"),
             ("zero_m", "ms entry 0: m_cap must be >= 1, got 0"),
+            ("negative_gamma", "gammas entries must be >= 0, got -1"),
         )
     ),
+    ("experiment-negative-gamma-flag", ["experiment", "--data", "{source}", "--gamma", "-1",
+                                        "--out", "{out}"], 1,
+     "gammas entries must be >= 0, got -1.0"),
     ("experiment-no-dataset", ["experiment", "--config", "{no_dataset}", "--out", "{out}"], 1,
      "missing ExperimentSpec keys: ['dataset']"),
     ("experiment-zero-workers", ["experiment", "--data", "synthetic:asymmetric", "--out", "{out}",
@@ -289,6 +293,9 @@ HOSTILE_INPUTS = [
             ("no_predictor", "checkpoint has no 'predictor'"),
             ("no_params", "checkpoint predictor has no 'params'"),
             ("text_rep_dim", "rep_dim must be int, got '8'"),
+            # a checkpoint's shapes pass the ranges a TrainConfig's do
+            ("negative_hidden_dim", "hidden_dim must be >= 1, got -1"),
+            ("big_dropout", "dropout_rate must lie in [0, 1), got 7.0"),
             ("short_w3", "checkpoint predictor params 'w3' must be a (64, 32) array of numbers"),
             ("text_weight_dim", "weight_net input_dim and hidden_dim must be ints >= 1"),
             ("int_extra", "checkpoint extra must be a mapping, got 5"),
@@ -335,6 +342,7 @@ def hostile_files(source_and_target_csv, tmp_path):
         ("bogus_method", "methods = ours, bogus\nrepetitions = 4\n"),
         ("negative_lambda1", "lambda1s = 0.1, -0.5\n"),
         ("zero_m", "ms = 0\n"),
+        ("negative_gamma", "gammas = 10, -1\n"),
         ("no_dataset", "methods = erm\nrepetitions = 1\n"),
         ("float_n", "n = 2.5\n"),
         ("typo_gammas", "gamas = 2.0\n"),
@@ -361,6 +369,10 @@ def hostile_files(source_and_target_csv, tmp_path):
     for name, part, value in (
         ("no_params", "predictor", {"config": config}),
         ("text_rep_dim", "predictor", {"config": {**config, "rep_dim": "8"}, "params": params}),
+        ("negative_hidden_dim", "predictor",
+         {"config": {**config, "hidden_dim": -1}, "params": params}),
+        ("big_dropout", "predictor",
+         {"config": {**config, "dropout_rate": 7.0}, "params": params}),
         ("short_w3", "predictor", {"config": config, "params": {**params, "w3": [[0.0]]}}),
         ("text_weight_dim", "weight_net", {"input_dim": "64", "hidden_dim": 32}),
         ("int_extra", "extra", 5),

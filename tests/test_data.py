@@ -1,5 +1,7 @@
 import math
 import re
+from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 import pytest
@@ -12,7 +14,9 @@ from fairshift.data import (
     LabeledDataset,
     NormalizationStats,
     UnlabeledDataset,
+    _RULES,
     apply_zscore,
+    check_field_types,
     fit_zscore,
     infer_feature_kinds,
     load_csv,
@@ -310,3 +314,54 @@ class TestGaussianShiftTask:
 def test_infer_feature_kinds_rejects_unknown_override():
     with pytest.raises(ValueError, match="unknown feature kind"):
         infer_feature_kinds(np.zeros((2, 1)), {0: "weird"})
+
+
+TINY = 5e-324  # the smallest positive float
+# each range rule, values on the near side of its bounds and values just past them
+RULE_CASES = {
+    "be >= 0": ([0, 0.0], [-TINY]),
+    "be >= 1": ([1], [math.nextafter(1.0, 0.0)]),
+    "be > 0": ([TINY], [0, -TINY]),
+    "be 0 or 1": ([0, 1], [-1, 2, 0.5]),
+    "lie in [0, 1)": ([0, math.nextafter(1.0, 0.0)], [-TINY, 1]),
+    "lie in (0, 1)": ([TINY, math.nextafter(1.0, 0.0)], [0, 1]),
+    "lie in (0, 100)": ([TINY, math.nextafter(100.0, 0.0)], [0, 100]),
+    "lie in [0, 1]": ([0, 1], [-TINY, math.nextafter(1.0, 2.0)]),
+    "lie in [0, 100]": ([0, 100], [-TINY, math.nextafter(100.0, 200.0)]),
+}
+
+
+def _ruled(rule):
+    """A config class with one float field ``x`` under ``rule``, one optional
+    field and one tuple field whose entries carry it too."""
+
+    @dataclass(frozen=True)
+    class Ruled:
+        x: Annotated[float, rule]
+        maybe: Annotated[float | None, rule] = None
+        xs: tuple[Annotated[float, rule], ...] = (1.0,)
+
+        def __post_init__(self):
+            check_field_types(self)
+
+    return Ruled
+
+
+def test_rule_cases_cover_every_rule():
+    assert set(RULE_CASES) == set(_RULES)
+
+
+@pytest.mark.parametrize("rule", list(RULE_CASES))
+def test_range_rule_passes_its_bounds_and_rejects_past_them(rule):
+    ruled = _ruled(rule)
+    inside, outside = RULE_CASES[rule]
+    for value in inside:
+        assert ruled(value, maybe=value, xs=(value, value)).x == value
+    for value in outside:
+        cause = f" must {re.escape(rule)}, got {value!r}$"
+        with pytest.raises(ValueError, match="^x" + cause):
+            ruled(value)
+        with pytest.raises(ValueError, match="^maybe" + cause):
+            ruled(inside[0], maybe=value)
+        with pytest.raises(ValueError, match="^xs entries" + cause):
+            ruled(inside[0], xs=(inside[0], value))

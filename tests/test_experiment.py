@@ -487,8 +487,9 @@ class TestVarianceStudy:
         (dict(lambda1s=(0.1, -0.5)), "^lambda1s entry 1: lambda1 must be >= 0, got -0.5"),
         (dict(lambda2s=(1.0, -1.0)), "^lambda2s entry 1: lambda2 must be >= 0, got -1.0"),
         (dict(ms=(30, 0)), "^ms entry 1: m_cap must be >= 1, got 0"),
+        (dict(gammas=(4.0, -1.0)), r"^gammas entries must be >= 0, got -1\.0"),
     ],
-    ids=["method", "lambda1", "lambda2", "m"],
+    ids=["method", "lambda1", "lambda2", "m", "gamma"],
 )
 def test_bad_grid_entry_raises_before_any_run(grid, cause, monkeypatch):
     started = []
