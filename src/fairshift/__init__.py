@@ -56,14 +56,14 @@ from .nets import (
     NetConfig,
     PredictorModel,
     WeightNetwork,
-    load_checkpoint,
-    save_checkpoint,
 )
 from .splitter import ShiftConfig, SplitResult, first_principal_projection, split, tilt_densities
 from .training import (
     PretrainCache,
     TrainConfig,
     TrainedModel,
+    load_checkpoint,
+    save_checkpoint,
     train,
 )
 

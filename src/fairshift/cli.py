@@ -9,7 +9,6 @@ completed with at least one failed run.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import os
@@ -18,7 +17,7 @@ import sys
 import numpy as np
 
 from .config import config_from_dict, parse_kv_file
-from .data import NormalizationStats, build_from_dict, load_csv, load_unlabeled_csv
+from .data import load_csv, load_unlabeled_csv
 from .experiment import (
     ExperimentSpec,
     VarianceStudySpec,
@@ -33,9 +32,8 @@ from .experiment import (
     write_variance_csv,
 )
 from .metrics import evaluate_model
-from .nets import load_checkpoint, save_checkpoint
 from .splitter import ShiftConfig, split, split_summary
-from .training import TrainConfig, TrainedModel, train
+from .training import TrainConfig, load_checkpoint, save_checkpoint, train
 
 
 def _load_config(path):
@@ -81,22 +79,10 @@ def _cmd_train(args):
     cfg = config_from_dict(TrainConfig, values, method=args.method, seed=args.seed)
     model = train(source, target, cfg)
     out = _ensure_out(args.out)
-    extra = {
-        "method": model.config.method,
-        "seed": cfg.seed,
-        "config": dataclasses.asdict(cfg),
-        "train_data_sha256": _data_digest(source),
-    }
-    if model.input_stats is not None:
-        extra["input_stats"] = {
-            "means": model.input_stats.means.tolist(),
-            "stds": model.input_stats.stds.tolist(),
-        }
     save_checkpoint(
         os.path.join(out, "checkpoint.json"),
-        model.predictor,
-        weight_net=model.weight_net,
-        extra=extra,
+        model,
+        extra={"train_data_sha256": _data_digest(source)},
     )
     with open(os.path.join(out, "history.jsonl"), "w", encoding="utf-8") as fh:
         for epoch, entry in enumerate(model.history):
@@ -106,47 +92,8 @@ def _cmd_train(args):
     return 0
 
 
-def _input_stats(payload, dim):
-    """``NormalizationStats`` from a checkpoint's ``input_stats`` slot of ``dim`` columns."""
-    arrays = []
-    for key in ("means", "stds"):
-        try:
-            value = np.asarray(payload[key], dtype=np.float64)
-        except (KeyError, IndexError, TypeError, ValueError):  # no such slot, or not numbers
-            value = None
-        if value is None or value.shape != (dim,) or not np.isfinite(value).all():
-            raise ValueError(
-                f"checkpoint extra input_stats {key!r} must be a ({dim},) array of finite numbers"
-            )
-        arrays.append(value)
-    return NormalizationStats(*arrays)
-
-
-def _load_trained(path):
-    """Return ``(TrainedModel, extra)`` from a checkpoint file.
-
-    An ``extra`` slot of the wrong structure raises one ``ValueError`` naming it.
-    """
-    predictor, weight_net, extra = load_checkpoint(path)
-    if not isinstance(extra, dict):
-        raise ValueError(f"checkpoint extra must be a mapping, got {extra!r}")
-    # checkpoints written before the config was stored record the method only
-    config = extra.get("config", {"method": extra.get("method", "erm")})
-    config = build_from_dict(TrainConfig, config, "checkpoint extra config")
-    stats = None
-    if "input_stats" in extra:
-        stats = _input_stats(extra["input_stats"], predictor.config.input_dim)
-    model = TrainedModel(
-        predictor=predictor,
-        config=config,
-        weight_net=weight_net,
-        input_stats=stats,
-    )
-    return model, extra
-
-
 def _cmd_evaluate(args):
-    model, extra = _load_trained(args.checkpoint)
+    model, extra = load_checkpoint(args.checkpoint)
     data = load_csv(args.data)
     # checkpoints written before the digest was stored do not name their data
     print(f"trained on data sha256={extra.get('train_data_sha256', 'unrecorded')}")

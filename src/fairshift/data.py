@@ -12,6 +12,7 @@ values are a subset of {0, 1}).
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import numbers
@@ -46,6 +47,7 @@ _NUMBERS = {int: numbers.Integral, float: numbers.Real}
 _RULES = {
     "be >= 0": lambda v: v >= 0,
     "be >= 1": lambda v: v >= 1,
+    "be >= 10": lambda v: v >= 10,
     "be > 0": lambda v: v > 0,
     "be 0 or 1": lambda v: v in (0, 1),
     "lie in [0, 1)": lambda v: 0 <= v < 1,
@@ -54,6 +56,12 @@ _RULES = {
     "lie in [0, 1]": lambda v: 0 <= v <= 1,
     "lie in [0, 100]": lambda v: 0 <= v <= 100,
 }
+
+
+@functools.cache
+def _field_hints(cls):
+    """``cls``'s evaluated annotations, rules kept; evaluated once per class."""
+    return typing.get_type_hints(cls, include_extras=True)
 
 
 def check_field_types(obj):
@@ -66,7 +74,7 @@ def check_field_types(obj):
     must also pass ``rule``, one key of ``_RULES`` (a ``None`` passes); a
     ``tuple[Annotated[X, rule], ...]`` field checks each entry.
     """
-    for name, hint in typing.get_type_hints(type(obj), include_extras=True).items():
+    for name, hint in _field_hints(type(obj)).items():
         values = [getattr(obj, name)]
         if typing.get_origin(hint) is tuple:
             if not isinstance(values[0], tuple):

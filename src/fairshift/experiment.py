@@ -99,7 +99,7 @@ class ExperimentSpec:
     ms: tuple[int, ...] = (50,)
     repetitions: Annotated[int, "be >= 1"] = 50
     base_seed: Annotated[int, "be >= 0"] = 0
-    n_per_group: int = 300
+    n_per_group: Annotated[int, "be >= 10"] = 300
     train: TrainConfig = field(default_factory=TrainConfig)
     shift: ShiftConfig = field(default_factory=ShiftConfig)
 

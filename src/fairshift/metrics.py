@@ -60,7 +60,8 @@ class RunMetrics:
 
 def _hard_predictions(preds):
     preds = np.asarray(preds, dtype=np.float64)
-    if ((preds < 0) | (preds > 1)).any():
+    # a NaN fails both comparisons, so it fails the check
+    if not ((preds >= 0) & (preds <= 1)).all():
         raise ValueError("predictions must be probabilities or 0/1 decisions")
     return (preds >= 0.5).astype(np.int64)
 

@@ -11,16 +11,15 @@ cosine learning-rate schedule drives both.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Annotated
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import build_from_dict, check_field_types
+from .data import check_field_types
 
 PROB_CLAMP = 1e-7
 WEIGHT_NET_PREACT_LIMIT = 10.0
@@ -269,98 +268,3 @@ def parameter_digest(params) -> str:
     for p in params:
         h.update(np.ascontiguousarray(p.value).tobytes())
     return h.hexdigest()
-
-
-# -- checkpointing -------------------------------------------------------
-
-_PREDICTOR_SLOTS = ["w1", "b1", "w2", "b2", "w3", "b3", "w4", "b4"]
-_WEIGHT_NET_SLOTS = ["w1", "b1", "w2", "b2"]
-CHECKPOINT_VERSION = 1
-
-
-def predictor_to_dict(model: PredictorModel) -> dict:
-    return {
-        "config": asdict(model.config),
-        "params": {name: getattr(model, name).value.tolist() for name in _PREDICTOR_SLOTS},
-    }
-
-
-def _entry(payload, key, where):
-    """``payload[key]``, or one ``ValueError`` naming ``where`` and the missing key."""
-    if not isinstance(payload, dict) or key not in payload:
-        raise ValueError(f"{where} has no {key!r}")
-    return payload[key]
-
-
-def _load_params(net, slots, payload, where):
-    """Set ``net``'s ``slots`` from ``payload["params"]``, each checked against its shape."""
-    params = _entry(payload, "params", where)
-    for name in slots:
-        tensor = getattr(net, name)
-        value = _entry(params, name, f"{where} params")
-        try:
-            value = np.asarray(value, dtype=np.float64)
-        except (TypeError, ValueError):  # not numbers, or ragged
-            value = None
-        if value is None or value.shape != tensor.value.shape:
-            raise ValueError(
-                f"{where} params {name!r} must be a {tensor.value.shape} array of numbers"
-            )
-        tensor.value = value
-
-
-def predictor_from_dict(payload: dict, where="checkpoint predictor") -> PredictorModel:
-    config = build_from_dict(NetConfig, _entry(payload, "config", where), f"{where} config")
-    model = PredictorModel(config, seed=0)
-    _load_params(model, _PREDICTOR_SLOTS, payload, where)
-    return model
-
-
-def weight_net_to_dict(net: WeightNetwork) -> dict:
-    return {
-        "input_dim": net.input_dim,
-        "hidden_dim": net.hidden_dim,
-        "params": {name: getattr(net, name).value.tolist() for name in _WEIGHT_NET_SLOTS},
-    }
-
-
-def weight_net_from_dict(payload: dict, where="checkpoint weight_net") -> WeightNetwork:
-    dims = [_entry(payload, key, where) for key in ("input_dim", "hidden_dim")]
-    if not all(type(v) is int and v >= 1 for v in dims):
-        raise ValueError(f"{where} input_dim and hidden_dim must be ints >= 1, got {dims}")
-    net = WeightNetwork(dims[0], seed=0, hidden_dim=dims[1])
-    _load_params(net, _WEIGHT_NET_SLOTS, payload, where)
-    return net
-
-
-def save_checkpoint(path, predictor: PredictorModel, weight_net=None, extra=None):
-    """Write a versioned JSON checkpoint; floats round-trip exactly."""
-    payload = {
-        "format_version": CHECKPOINT_VERSION,
-        "predictor": predictor_to_dict(predictor),
-    }
-    if weight_net is not None:
-        payload["weight_net"] = weight_net_to_dict(weight_net)
-    if extra:
-        payload["extra"] = extra
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-
-
-def load_checkpoint(path):
-    """Return ``(predictor, weight_net_or_None, extra_dict)``.
-
-    A payload of the wrong structure (a missing key or slot, a config
-    field of the wrong type, a layer whose shape does not fit the config)
-    raises one ``ValueError`` naming what is wrong.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    version = payload.get("format_version") if isinstance(payload, dict) else None
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version: {version}")
-    predictor = predictor_from_dict(_entry(payload, "predictor", "checkpoint"))
-    weight_net = (
-        weight_net_from_dict(payload["weight_net"]) if "weight_net" in payload else None
-    )
-    return predictor, weight_net, payload.get("extra", {})

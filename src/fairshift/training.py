@@ -22,7 +22,10 @@ epoch 0; ``erm`` and ``zsa`` never adapt.  Epochs that do not adapt run
 no target pass, no ascent and no matching.  Each step sums its switched-on
 terms in one :func:`fairshift.autodiff.weighted_sum` node, so every
 backward pass runs over fused nodes only.  A source that holds one label
-only raises ``ValueError`` before any work.
+only, or a target whose feature count differs from the source's, raises
+``ValueError`` before any work.  :func:`save_checkpoint` and
+:func:`load_checkpoint` write a :class:`TrainedModel` to versioned JSON
+and read it back, checking every stored array.
 
 ``erm``, ``ours`` and ``unweighted_entropy`` train their first
 ``pretrain_epochs`` epochs alike: source risk on the source's own
@@ -53,10 +56,11 @@ from __future__ import annotations
 
 import copy
 import ctypes
+import json
 import os
 import platform
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Annotated
 
 import numpy as np
@@ -67,6 +71,7 @@ from .data import (
     NormalizationStats,
     UnlabeledDataset,
     apply_zscore,
+    build_from_dict,
     check_field_types,
     fit_zscore,
 )
@@ -212,6 +217,122 @@ class TrainedModel:
 
     def predict(self, features) -> np.ndarray:
         return (self.predict_proba(features) >= 0.5).astype(np.int64)
+
+
+# -- checkpoints ---------------------------------------------------------
+
+CHECKPOINT_VERSION = 1
+# the stored names of a net's parameters, in order; a weight network has the first four
+_SLOTS = ("w1", "b1", "w2", "b2", "w3", "b3", "w4", "b4")
+
+
+def _params(net):
+    return {name: p.value.tolist() for name, p in zip(_SLOTS, net.parameters)}
+
+
+def save_checkpoint(path, model: TrainedModel, extra=None):
+    """Write ``model`` as versioned JSON; floats round-trip exactly.
+
+    The file holds the predictor's ``NetConfig`` and parameters, the
+    weight network's if the model has one, and an ``extra`` mapping: the
+    method, the seed and the whole ``TrainConfig``, then the entries of
+    ``extra`` (a digest of the training data, say), then zsa's
+    ``input_stats``.
+    """
+    cfg = model.config
+    payload = {
+        "format_version": CHECKPOINT_VERSION,
+        "predictor": {"config": asdict(model.predictor.config), "params": _params(model.predictor)},
+    }
+    net = model.weight_net
+    if net is not None:
+        payload["weight_net"] = {
+            "input_dim": net.input_dim,
+            "hidden_dim": net.hidden_dim,
+            "params": _params(net),
+        }
+    record = {"method": cfg.method, "seed": cfg.seed, "config": asdict(cfg), **(extra or {})}
+    if model.input_stats is not None:
+        stats = model.input_stats
+        record["input_stats"] = {"means": stats.means.tolist(), "stds": stats.stds.tolist()}
+    payload["extra"] = record
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+
+
+def _entry(payload, key, where):
+    """``payload[key]``, or one ``ValueError`` naming ``where`` and the missing key."""
+    if not isinstance(payload, dict) or key not in payload:
+        raise ValueError(f"{where} has no {key!r}")
+    return payload[key]
+
+
+def _array(payload, key, shape, where):
+    """``payload[key]`` as a float64 array of ``shape``, every value a finite
+    number, or one ``ValueError`` naming ``where`` and ``key``.
+
+    A text or a bool is no number, though numpy would convert either.
+    """
+    try:
+        value = np.asarray(payload[key])
+    except (KeyError, TypeError, ValueError):  # no such slot, or ragged
+        value = None
+    if (
+        value is None
+        or value.dtype.kind not in "iuf"
+        or value.shape != shape
+        or not np.isfinite(value).all()
+    ):
+        raise ValueError(f"{where} {key!r} must be a {shape} array of finite numbers")
+    return value.astype(np.float64)
+
+
+def _load_params(net, payload, where):
+    """``net`` with its parameters read from ``payload["params"]`` in the shapes it has."""
+    params = _entry(payload, "params", where)
+    for name, tensor in zip(_SLOTS, net.parameters):
+        tensor.value = _array(params, name, tensor.value.shape, f"{where} params")
+    return net
+
+
+def load_checkpoint(path):
+    """Return ``(TrainedModel, extra)`` from a file :func:`save_checkpoint` wrote.
+
+    A payload of the wrong structure (a missing key or slot, a config
+    field of the wrong type or range, an array whose shape does not fit
+    the config or that holds a non-finite value) raises one ``ValueError``
+    naming what is wrong.  An ``extra`` without a ``config``, as checkpoints
+    written before the config was stored have, gives the default config
+    of its method.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        payload = json.load(fh)
+    version = payload.get("format_version") if isinstance(payload, dict) else None
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version: {version}")
+    where, stored = "checkpoint predictor", _entry(payload, "predictor", "checkpoint")
+    net_cfg = build_from_dict(NetConfig, _entry(stored, "config", where), f"{where} config")
+    predictor = _load_params(PredictorModel(net_cfg, seed=0), stored, where)
+    weight_net = None
+    if "weight_net" in payload:
+        where, stored = "checkpoint weight_net", payload["weight_net"]
+        dims = [_entry(stored, key, where) for key in ("input_dim", "hidden_dim")]
+        if not all(type(v) is int and v >= 1 for v in dims):
+            raise ValueError(f"{where} input_dim and hidden_dim must be ints >= 1, got {dims}")
+        net = WeightNetwork(dims[0], seed=0, hidden_dim=dims[1])
+        weight_net = _load_params(net, stored, where)
+    extra = payload.get("extra", {})
+    if not isinstance(extra, dict):
+        raise ValueError(f"checkpoint extra must be a mapping, got {extra!r}")
+    config = extra.get("config", {"method": extra.get("method", "erm")})
+    config = build_from_dict(TrainConfig, config, "checkpoint extra config")
+    stats = None
+    if "input_stats" in extra:
+        where, stored = "checkpoint extra input_stats", extra["input_stats"]
+        shape = (net_cfg.input_dim,)
+        stats = NormalizationStats(*(_array(stored, k, shape, where) for k in ("means", "stds")))
+    model = TrainedModel(predictor, config, weight_net=weight_net, input_stats=stats)
+    return model, extra
 
 
 def _streams(seed):
@@ -544,6 +665,11 @@ def train(
     if len(present) < 2:
         raise ValueError(
             f"the source holds only label {present[0]}; training needs both labels 0 and 1"
+        )
+    if target is not None and target.features.shape[1] != source.d:
+        raise ValueError(
+            f"the target has {target.features.shape[1]} feature columns and the source "
+            f"{source.d}; both must hold the same features"
         )
     if ratio_override is not None and method not in ("kliep_iw", "lsif_iw"):
         raise ValueError(f"ratio_override needs method kliep_iw or lsif_iw, got {method!r}")

@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import fairshift
-from fairshift.cli import _load_trained, main
+from fairshift.cli import main
 from fairshift.data import (
     load_csv,
     load_unlabeled_csv,
@@ -19,7 +20,7 @@ from fairshift.data import (
     write_csv,
 )
 from fairshift.experiment import AGGREGATE_COLUMNS, write_aggregate_csv
-from fairshift.training import METHODS, TrainConfig
+from fairshift.training import METHODS, TrainConfig, load_checkpoint
 
 
 @pytest.fixture()
@@ -113,13 +114,13 @@ def test_train_and_evaluate_round_trip(source_and_target_csv, tmp_path, capsys):
         pretrain_epochs=2, adapt_epochs=2, m_cap=30, lambda2=0.3, method="ours", seed=1
     )
     checkpoint = out / "checkpoint.json"
-    assert _load_trained(checkpoint)[0].config == trained
+    assert load_checkpoint(checkpoint)[0].config == trained
     # a checkpoint written before the config was stored rebuilds the method only
     payload = json.loads(checkpoint.read_text())
     del payload["extra"]["config"]
     del payload["extra"]["train_data_sha256"]
     checkpoint.write_text(json.dumps(payload))
-    assert _load_trained(checkpoint)[0].config == TrainConfig(method="ours")
+    assert load_checkpoint(checkpoint)[0].config == TrainConfig(method="ours")
     assert main(["evaluate", "--checkpoint", str(checkpoint), "--data", str(eval_path)]) == 0
     assert "trained on data sha256=unrecorded" in capsys.readouterr().out.splitlines()
 
@@ -229,6 +230,13 @@ HOSTILE_INPUTS = [
     ("zsa-one-group-target",
      TRAIN + ["--data", "{source}", "--target", "{one_group}", "--method", "zsa"], 0,
      "trained zsa for 4 epochs"),
+    # a labeled CSV as the target: its label column reads as a third feature
+    *(
+        (f"wide-target-{method}",
+         TRAIN + ["--data", "{source}", "--target", "{source}", "--method", method], 1,
+         "the target has 3 feature columns and the source 2; both must hold the same features")
+        for method in ("zsa", "ours", "kliep_iw")
+    ),
     ("m-cap-above-target", TRAIN + ["--data", "{source}", "--config", "{big_m}"], 1,
      "m_cap=1000 exceeds available target points (160)"),
     ("zero-epochs", TRAIN + ["--data", "{source}", "--config", "{no_epochs}"], 1,
@@ -258,6 +266,8 @@ HOSTILE_INPUTS = [
             ("negative_lambda1", "lambda1s entry 1: lambda1 must be >= 0, got -0.5"),
             ("zero_m", "ms entry 0: m_cap must be >= 1, got 0"),
             ("negative_gamma", "gammas entries must be >= 0, got -1"),
+            # the synthetic generators need 10 points per group
+            ("small_n", "n_per_group must be >= 10, got 5"),
         )
     ),
     ("experiment-negative-gamma-flag", ["experiment", "--data", "{source}", "--gamma", "-1",
@@ -296,10 +306,18 @@ HOSTILE_INPUTS = [
             # a checkpoint's shapes pass the ranges a TrainConfig's do
             ("negative_hidden_dim", "hidden_dim must be >= 1, got -1"),
             ("big_dropout", "dropout_rate must lie in [0, 1), got 7.0"),
-            ("short_w3", "checkpoint predictor params 'w3' must be a (64, 32) array of numbers"),
+            ("short_w3",
+             "checkpoint predictor params 'w3' must be a (64, 32) array of finite numbers"),
+            ("text_b1", "checkpoint predictor params 'b1' must be a (64,) array of finite numbers"),
+            ("nan_w1",
+             "checkpoint predictor params 'w1' must be a (2, 64) array of finite numbers"),
             ("text_weight_dim", "weight_net input_dim and hidden_dim must be ints >= 1"),
+            ("inf_weight_w1",
+             "checkpoint weight_net params 'w1' must be a (1, 1) array of finite numbers"),
             ("int_extra", "checkpoint extra must be a mapping, got 5"),
             ("no_stds", "checkpoint extra input_stats 'stds' must be a (2,) array of finite numbers"),
+            ("inf_means",
+             "checkpoint extra input_stats 'means' must be a (2,) array of finite numbers"),
             ("list_config", "checkpoint extra config must be a mapping, got [1]"),
         )
     ),
@@ -343,6 +361,7 @@ def hostile_files(source_and_target_csv, tmp_path):
         ("negative_lambda1", "lambda1s = 0.1, -0.5\n"),
         ("zero_m", "ms = 0\n"),
         ("negative_gamma", "gammas = 10, -1\n"),
+        ("small_n", "n_per_group = 5\n"),
         ("no_dataset", "methods = erm\nrepetitions = 1\n"),
         ("float_n", "n = 2.5\n"),
         ("typo_gammas", "gamas = 2.0\n"),
@@ -374,9 +393,18 @@ def hostile_files(source_and_target_csv, tmp_path):
         ("big_dropout", "predictor",
          {"config": {**config, "dropout_rate": 7.0}, "params": params}),
         ("short_w3", "predictor", {"config": config, "params": {**params, "w3": [[0.0]]}}),
+        ("text_b1", "predictor",
+         {"config": config, "params": {**params, "b1": [str(v) for v in params["b1"]]}}),
+        ("nan_w1", "predictor",
+         {"config": config, "params": {**params, "w1": [[math.nan] + params["w1"][0][1:]]
+                                       + params["w1"][1:]}}),
         ("text_weight_dim", "weight_net", {"input_dim": "64", "hidden_dim": 32}),
+        ("inf_weight_w1", "weight_net",
+         {"input_dim": 1, "hidden_dim": 1, "params": {"w1": [[math.inf]]}}),
         ("int_extra", "extra", 5),
         ("no_stds", "extra", {**extra, "input_stats": {"means": [0.0, 0.0]}}),
+        ("inf_means", "extra",
+         {**extra, "input_stats": {"means": [0.0, math.inf], "stds": [1.0, 1.0]}}),
         ("list_config", "extra", {**extra, "config": [1]}),
     ):
         files[name] = tmp_path / f"{name}.json"

@@ -206,7 +206,7 @@ EXPERIMENT_SPECS = st.builds(
     ms=_grid(SIZES),
     repetitions=SIZES,
     base_seed=st.integers(0, 2**63 - 1),
-    n_per_group=SIZES,
+    n_per_group=st.integers(10, 10**6),
     train=TRAIN_CONFIGS,
     shift=SHIFT_CONFIGS,
 )

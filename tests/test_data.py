@@ -321,6 +321,7 @@ TINY = 5e-324  # the smallest positive float
 RULE_CASES = {
     "be >= 0": ([0, 0.0], [-TINY]),
     "be >= 1": ([1], [math.nextafter(1.0, 0.0)]),
+    "be >= 10": ([10], [math.nextafter(10.0, 0.0)]),
     "be > 0": ([TINY], [0, -TINY]),
     "be 0 or 1": ([0, 1], [-1, 2, 0.5]),
     "lie in [0, 1)": ([0, math.nextafter(1.0, 0.0)], [-TINY, 1]),

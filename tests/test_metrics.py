@@ -111,6 +111,12 @@ def test_error_and_accuracy_sum_to_hundred():
     assert metrics.error_pct + accuracy_pct == 100.0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1, 1.5])
+def test_a_non_probability_is_rejected(bad):
+    with pytest.raises(ValueError, match="predictions must be probabilities or 0/1 decisions"):
+        evaluate_predictions([bad, 0.9, 0.1, 0.8], labels=[1, 1, 0, 0], groups=[0, 1, 0, 1])
+
+
 def test_group_confusion_counts():
     preds = [1, 1, 0, 0, 1, 0]
     labels = [1, 0, 1, 0, 1, 1]

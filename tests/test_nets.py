@@ -14,10 +14,9 @@ from fairshift.nets import (
     PredictorModel,
     WeightNetwork,
     cosine_lr,
-    load_checkpoint,
     parameter_digest,
-    save_checkpoint,
 )
+from fairshift.training import TrainConfig, TrainedModel, load_checkpoint, save_checkpoint
 
 CFG = NetConfig(input_dim=6, hidden_dim=16, rep_dim=8, clf_hidden_dim=8)
 
@@ -290,11 +289,11 @@ def test_checkpoint_round_trip_is_exact(tmp_path):
     model = PredictorModel(CFG, seed=9)
     wnet = WeightNetwork(CFG.rep_dim, seed=10)
     path = tmp_path / "ckpt.json"
-    save_checkpoint(path, model, weight_net=wnet, extra={"method": "ours"})
-    loaded, loaded_wnet, extra = load_checkpoint(path)
-    assert extra["method"] == "ours"
-    assert parameter_digest(loaded.parameters) == parameter_digest(model.parameters)
-    assert parameter_digest(loaded_wnet.parameters) == parameter_digest(wnet.parameters)
+    save_checkpoint(path, TrainedModel(model, TrainConfig(), weight_net=wnet), extra={"tag": 1})
+    loaded, extra = load_checkpoint(path)
+    assert extra["method"] == "ours" and extra["tag"] == 1
+    assert parameter_digest(loaded.predictor.parameters) == parameter_digest(model.parameters)
+    assert parameter_digest(loaded.weight_net.parameters) == parameter_digest(wnet.parameters)
     x = np.random.default_rng(0).normal(size=(4, 6))
     np.testing.assert_array_equal(loaded.predict_proba(x), model.predict_proba(x))
 

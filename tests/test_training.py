@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import platform
@@ -16,6 +17,7 @@ from fairshift.data import (
     CONTINUOUS,
     GaussianShiftTask,
     LabeledDataset,
+    NormalizationStats,
     UnlabeledDataset,
     make_synthetic_asymmetric_labeled,
 )
@@ -33,7 +35,10 @@ from fairshift.training import (
     SHARES_PRETRAINING,
     PretrainCache,
     TrainConfig,
+    TrainedModel,
     _check_finite,
+    load_checkpoint,
+    save_checkpoint,
     train,
 )
 
@@ -816,6 +821,61 @@ def test_one_label_source_rejected(small_task, monkeypatch, method, label):
     )
     with pytest.raises(ValueError, match=f"only label {label};"):
         train(one_label, target, replace(QUICK, method=method))
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_target_of_another_width_rejected(small_task, monkeypatch, method):
+    # before any work, next to the one-label check
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a too-wide target reached the work before training")
+
+    monkeypatch.setattr(training, "_streams", forbidden)
+    monkeypatch.setattr(training, "_fit_ratio_net", forbidden)
+    source, target = small_task
+    wide = UnlabeledDataset(np.hstack([target.features, target.features[:, :1]]), target.groups)
+    with pytest.raises(ValueError, match="the target has 3 feature columns and the source 2;"):
+        train(source, wide, replace(QUICK, method=method))
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_checkpoint_round_trip_predicts_bit_for_bit(small_task, tmp_path, method):
+    source, target = small_task
+    model = train(source, target, replace(QUICK, method=method, pretrain_epochs=1, adapt_epochs=1))
+    path = tmp_path / "checkpoint.json"
+    save_checkpoint(path, model, extra={"tag": "kept"})
+    loaded, extra = load_checkpoint(path)
+    assert loaded.config == model.config and extra["tag"] == "kept"
+    x = source.features
+    assert loaded.predict_proba(x).tobytes() == model.predict_proba(x).tobytes()
+    if method == "zsa":
+        for key in ("means", "stds"):
+            stored = [getattr(m.input_stats, key).tobytes() for m in (loaded, model)]
+            assert stored[0] == stored[1]
+    else:
+        assert loaded.input_stats is None
+    # the weight network of ours and the ratio net of the IW fits
+    if method in ("ours", "kliep_iw", "lsif_iw"):
+        digests = [parameter_digest(m.weight_net.parameters) for m in (loaded, model)]
+        assert digests[0] == digests[1]
+    else:
+        assert loaded.weight_net is None
+
+
+def test_checkpoint_bytes_are_pinned(tmp_path):
+    # format version 1, byte for byte: key order, float text and every slot
+    cfg = TrainConfig(method="zsa", seed=5, hidden_dim=3, rep_dim=2, clf_hidden_dim=2,
+                      weight_hidden_dim=2)
+    model = TrainedModel(
+        nets.PredictorModel(cfg.net_config(2), seed=0),
+        cfg,
+        weight_net=nets.WeightNetwork(2, seed=1, hidden_dim=2),
+        input_stats=NormalizationStats([0.5, -1.0], [2.0, 0.25]),
+    )
+    path = tmp_path / "checkpoint.json"
+    save_checkpoint(path, model, extra={"train_data_sha256": "0" * 64})
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "9dbeb88f922b84b31545da02df4363a517258b103e5c65ed5df94736d0467f12"
+    )
 
 
 # a fresh interpreter: one tiny train() call, then 256-row dropout forwards
