@@ -6,9 +6,9 @@ for a fixed number of repetitions, with per-run seeds derived as
 Outputs are plain CSV with documented headers; re-running a spec
 reproduces every byte.
 
-The ``erm``, ``ours`` and ``unweighted_entropy`` runs of one
-``(gamma, rep)`` train the same first ``pretrain_epochs`` epochs, so they
-run as one task that shares one :class:`~fairshift.training.PretrainCache`:
+The runs of one ``(gamma, rep)`` whose :data:`~fairshift.training.METHOD_TABLE`
+row shares pretraining train the same first ``pretrain_epochs`` epochs,
+so they run as one task that shares one :class:`~fairshift.training.PretrainCache`:
 the first of them trains those epochs and the others resume from a copy.
 Each still draws its data and trains once, in grid order, and its results
 are those of a run on its own.
@@ -39,7 +39,7 @@ from .data import (
 from .losses import conditional_entropy, risk_bound_gap
 from .metrics import RunMetrics, evaluate_model
 from .splitter import ShiftConfig, split
-from .training import SHARES_PRETRAINING, PretrainCache, TrainConfig, _setup_process, train
+from .training import METHOD_TABLE, PretrainCache, TrainConfig, _setup_process, train
 
 SYNTHETIC_ASYMMETRIC = "synthetic:asymmetric"
 SYNTHETIC_GAUSSIAN = "synthetic:gaussian"
@@ -227,14 +227,14 @@ def _execute_group(tasks, provider=None):
 def _group_tasks(tasks, workers):
     """Index lists into ``tasks``: the runs that execute as one task.
 
-    The ``SHARES_PRETRAINING`` runs of one ``(gamma, rep)`` form one group;
-    every other run is alone.  Groups keep grid order, within and by their
-    first member.  If that leaves fewer groups than ``workers``, every run
-    is alone, so no worker idles for the sake of sharing.
+    The runs of one ``(gamma, rep)`` whose ``METHOD_TABLE`` row shares
+    pretraining form one group; every other run is alone.  Groups keep grid
+    order, within and by their first member.  If that leaves fewer groups
+    than ``workers``, every run is alone, so no worker idles for sharing.
     """
     groups, shared = [], {}
     for i, ((method, gamma, *_), rep) in enumerate(tasks):
-        if method not in SHARES_PRETRAINING:
+        if not METHOD_TABLE[method].shares_pretraining:
             groups.append([i])
         elif (gamma, rep) in shared:
             shared[gamma, rep].append(i)
@@ -412,7 +412,10 @@ def _damped_target_entropy(model, task: GaussianShiftTask, target) -> float:
 def importance_weighted_risk_estimate(model, task: GaussianShiftTask, n, seed) -> float:
     """Target-risk estimate from a source draw, reweighted by exact ratios."""
     source = task.sample_source(n, seed)
-    z = task.target_over_source(source.features)
+    with np.errstate(under="ignore"):  # a weight may underflow; not all of them
+        z = task.target_over_source(source.features)
+    if not z.any():
+        raise ValueError(f"gamma={task.gamma}: every exact ratio of a source draw underflows to 0")
     return float((z * _true_risk_per_row(model, task, source)).mean())
 
 

@@ -9,32 +9,26 @@ particular ``ours`` with both regularizers at zero reproduces the ``erm``
 parameter trajectory bit for bit.
 
 Every method is the paper's one objective with some terms switched off,
-and runs the one epoch loop of :func:`_train`: source risk, plus the
-``exp(-F_w)``-damped target entropy, plus exact W2 between the target
-representation's two group clouds.  It runs ``pretrain_epochs +
-adapt_epochs`` epochs over the source data, using ``batch_size`` during
-the first stage and the larger ``adapt_train_batch_size`` during the
-second (the larger batches keep the Monte-Carlo estimate of the
-reciprocal-mean constraint low-variance).  ``ours`` and
-``unweighted_entropy`` minimize the source risk alone during the first
-stage; the importance-weighting baselines apply the matching term from
-epoch 0; ``erm`` and ``zsa`` never adapt.  Epochs that do not adapt run
-no target pass, no ascent and no matching.  Each step sums its switched-on
-terms in one :func:`fairshift.autodiff.weighted_sum` node, so every
-backward pass runs over fused nodes only.  A source that holds one label
-only, or a target whose feature count differs from the source's, raises
-``ValueError`` before any work.  :func:`save_checkpoint` and
-:func:`load_checkpoint` write a :class:`TrainedModel` to versioned JSON
-and read it back, checking every stored array.
+one row of switches in :data:`METHOD_TABLE`, and runs the one epoch loop
+of :func:`_train`: source risk, plus the ``exp(-F_w)``-damped target
+entropy, plus exact W2 between the target representation's two group
+clouds.  A run lasts ``pretrain_epochs + adapt_epochs`` epochs over the
+source data, using ``batch_size`` during the first stage and the larger
+``adapt_train_batch_size`` during the second (the larger batches keep the
+Monte-Carlo estimate of the reciprocal-mean constraint low-variance).
+Epochs that do not adapt run no target pass, no ascent and no matching.
+Each step sums its switched-on terms in one
+:func:`fairshift.autodiff.weighted_sum` node, so every backward pass runs
+over fused nodes only.  A source that holds one label only, or a target
+whose feature count differs from the source's, raises ``ValueError``
+before any work.  :func:`save_checkpoint` and :func:`load_checkpoint`
+write a :class:`TrainedModel` to versioned JSON and read it back,
+checking every stored array.
 
-``erm``, ``ours`` and ``unweighted_entropy`` train their first
-``pretrain_epochs`` epochs alike: source risk on the source's own
-features, no row weights, no target.  A :class:`PretrainCache` passed to
-:func:`train` lets the runs of a sweep train those epochs once: the first
-run stores a deep copy of its progress, everything its epoch loop
-carries, at the end of them, and a later run with the same source and the
-same config (but for the fields only adaptation reads) resumes from a copy
-of it, bit for bit where its own epochs would have left it.
+The methods whose row shares pretraining (``erm``, ``ours`` and
+``unweighted_entropy``) train their first ``pretrain_epochs`` epochs
+alike, so a :class:`PretrainCache` passed to :func:`train` lets the runs
+of a sweep train those epochs once, bit for bit.
 
 Every process that trains is set up once, by its first :func:`train` call
 or when a sweep's pool worker starts, so a run trains alike in-process or
@@ -95,16 +89,50 @@ from .nets import (
     parameter_digest,
 )
 
-METHODS = ("ours", "erm", "kliep_iw", "lsif_iw", "zsa", "unweighted_entropy")
-# the methods whose runs share their first ``pretrain_epochs`` epochs
-SHARES_PRETRAINING = ("erm", "ours", "unweighted_entropy")
-# the TrainConfig fields that only the adaptation stage reads; every other
-# field, including any added later, keys the pretraining cache
-_ADAPT_ONLY_FIELDS = frozenset(
-    ("method", "lambda1", "lambda2", "c1", "c2", "m_cap")
-    + ("weight_lr_multiplier", "weight_hidden_dim")
-)
 RATIO_FLOOR = 1e-3
+
+
+@dataclass(frozen=True)
+class Method:
+    """One row of :data:`METHOD_TABLE`: the terms of the one objective a method switches on."""
+
+    entropy: str | None  # the target-entropy term: "learned", "uniform" or None
+    matches: bool  # exact W2 between the target sample's group clouds
+    pretrains: bool  # adapts from epoch ``pretrain_epochs`` on, else from epoch 0
+    ratio_loss: object  # the row-weight fit: kliep_loss, lsif_loss or None
+    zscore: bool  # trains on z-scored features, predicts with the target's statistics
+
+    @property
+    def needs_target(self):
+        return bool(self.entropy or self.matches or self.ratio_loss or self.zscore)
+
+    @property
+    def shares_pretraining(self):  # its first pretrain_epochs epochs are erm's
+        return self.pretrains and self.ratio_loss is None and not self.zscore
+
+    @property
+    def unread_fields(self):
+        """The ``TrainConfig`` fields it never reads; any other field keys its run."""
+        learned = self.entropy == "learned"
+        unread = {
+            "lambda1": self.entropy is None,
+            "lambda2": not self.matches,
+            **dict.fromkeys(("c1", "c2", "weight_lr_multiplier"), not learned),
+            "weight_hidden_dim": not learned and self.ratio_loss is None,
+            "m_cap": not self.needs_target,
+        }
+        return frozenset(name for name, skipped in unread.items() if skipped)
+
+
+METHOD_TABLE = {  # entropy      matches pretrains ratio_loss  zscore
+    "ours":               Method("learned", True,  True,  None,       False),
+    "erm":                Method(None,      False, True,  None,       False),
+    "kliep_iw":           Method(None,      True,  False, kliep_loss, False),
+    "lsif_iw":            Method(None,      True,  False, lsif_loss,  False),
+    "zsa":                Method(None,      False, True,  None,       True),
+    "unweighted_entropy": Method("uniform", True,  True,  None,       False),
+}
+METHODS = tuple(METHOD_TABLE)
 
 try:
     import resource
@@ -330,7 +358,11 @@ def load_checkpoint(path):
     if "input_stats" in extra:
         where, stored = "checkpoint extra input_stats", extra["input_stats"]
         shape = (net_cfg.input_dim,)
-        stats = NormalizationStats(*(_array(stored, k, shape, where) for k in ("means", "stds")))
+        means, stds = (_array(stored, k, shape, where) for k in ("means", "stds"))
+        try:
+            stats = NormalizationStats(means, stds)
+        except ValueError as exc:  # a std that is not positive
+            raise ValueError(f"{where} {exc}") from None
     model = TrainedModel(predictor, config, weight_net=weight_net, input_stats=stats)
     return model, extra
 
@@ -348,9 +380,9 @@ def _streams(seed):
 
 
 def _pretrain_key(cfg):
-    return tuple(
-        (f.name, getattr(cfg, f.name)) for f in fields(cfg) if f.name not in _ADAPT_ONLY_FIELDS
-    )
+    """The pretraining epochs' config key: every field ``erm`` reads."""
+    erm, unread = replace(cfg, method="erm"), METHOD_TABLE["erm"].unread_fields
+    return tuple((f.name, getattr(erm, f.name)) for f in fields(erm) if f.name not in unread)
 
 
 @dataclass
@@ -370,15 +402,14 @@ class _Progress:
 class PretrainCache:
     """The pretraining epochs of the last run that trained them, to resume from.
 
-    :func:`train` hands the cache to runs of the ``SHARES_PRETRAINING``
-    methods only; runs of the other methods neither read nor write it.
-    ``state`` is the storing run's source features and labels, its
-    config key and a deep copy of its progress at the end of those
-    epochs.  A run resumes from a fresh deep copy of that progress when
-    its source features and labels equal the stored ones by value and
-    its config equals the stored one in every field but those only
-    adaptation reads; otherwise it trains those epochs itself and stores
-    its own.
+    :func:`train` hands the cache only to runs of the methods whose
+    :data:`METHOD_TABLE` row shares pretraining; runs of the other methods
+    neither read nor write it.  ``state`` is the storing run's source
+    features and labels, its config key and a deep copy of its progress at
+    the end of those epochs.  A run resumes from a fresh deep copy of that
+    progress when its source features and labels equal the stored ones by
+    value and its config equals the stored one in every field ``erm``
+    reads; otherwise it trains those epochs itself and stores its own.
     """
 
     state: tuple | None = None
@@ -452,31 +483,30 @@ def _train(
     source: LabeledDataset,
     cfg: TrainConfig,
     streams,
+    method: Method,
     target_sample=None,
-    adapt_from=0,
-    entropy=None,
     row_weights=None,
     cache: PretrainCache | None = None,
 ) -> TrainedModel:
     """The one epoch loop: source risk, then target entropy and matching.
 
     Every epoch descends the source risk, weighted per row by
-    ``row_weights`` if given.  With a ``target_sample``, epochs from
-    ``adapt_from`` on adapt too.  ``entropy`` picks the target-entropy term: ``"learned"``
+    ``row_weights`` if given.  The epochs from ``pretrain_epochs`` on (from
+    0 if ``method`` does not pretrain) adapt on the ``target_sample`` too,
+    by the terms ``method`` switches on.  Its ``entropy``: ``"learned"``
     trains a weight network by ascent and damps each target point by
     ``exp(-F_w)``, ``"uniform"`` weights every point 1, ``None`` drops the
-    term.  ``lambda2 > 0`` adds W2 between the target's group clouds.
-    Each adapting step runs one target forward pass; the ascent reads its
-    values as constants, so its backward pass never reaches the
-    classifier graph.  The matching steps share one plan cache, so each
-    coupling solve starts from the last optimal simplex basis.
+    term.  A matching method with ``lambda2 > 0`` adds W2 between the
+    target's group clouds.  Each adapting step runs one target forward
+    pass; the ascent reads its values as constants, so its backward pass
+    never reaches the classifier graph.  The matching steps share one plan
+    cache, so each coupling solve starts from the last optimal simplex basis.
 
     Each epoch logs the row-weighted mean risk, the step means of the
     other terms and the epoch's wall time.  Everything the loop carries
-    from epoch to epoch is one :class:`_Progress`.  With a ``cache``
-    (only for runs whose first ``pretrain_epochs`` epochs use the source
-    features, no row weights and no target), the run resumes from a copy
-    of a matching stored progress, and so builds no predictor and no
+    from epoch to epoch is one :class:`_Progress`.  With a ``cache`` (only
+    for a method whose row shares pretraining), the run resumes from a
+    copy of a matching stored progress, and so builds no predictor and no
     optimizer, or stores a copy of its own at the end of those epochs.
     """
     labels = source.labels.astype(np.float64)
@@ -490,7 +520,7 @@ def _train(
         run = _Progress(model, opt, streams["batches"], streams["dropout"])
     model, opt = run.model, run.opt
     weight_net = None
-    if entropy == "learned":
+    if method.entropy == "learned":
         weight_net = WeightNetwork(
             cfg.rep_dim, streams["weight_net"], hidden_dim=cfg.weight_hidden_dim
         )
@@ -500,7 +530,9 @@ def _train(
             base_lr=cfg.learning_rate * cfg.weight_lr_multiplier,
             weight_decay=cfg.weight_decay,
         )
-    use_entropy = entropy is not None and cfg.lambda1 > 0
+    use_entropy = method.entropy is not None and cfg.lambda1 > 0
+    use_matching = method.matches and cfg.lambda2 > 0
+    adapt_from = cfg.pretrain_epochs if method.pretrains else 0
     if target_sample is not None:
         target_x = target_sample.features
         idx0 = np.flatnonzero(target_sample.groups == 0)
@@ -510,9 +542,8 @@ def _train(
     for epoch, batch_size in enumerate(_epoch_batch_sizes(cfg)[start:], start):
         started = time.perf_counter()
         faults_at_start = _minor_faults()
-        adapting = target_sample is not None and epoch >= adapt_from
-        entropy_on = adapting and use_entropy
-        matching = adapting and cfg.lambda2 > 0
+        entropy_on = epoch >= adapt_from and use_entropy
+        matching = epoch >= adapt_from and use_matching
         # row-weighted erm, then step sums of: entropy, w2, c1 penalty,
         # c2 penalty, mean F_w on the target, mean 1 / F_w on the source batch
         sums = np.zeros(7)
@@ -602,10 +633,10 @@ def _train(
     )
 
 
-def _fit_ratio_net(source, target_x, cfg, loss_fn, init_seed, batch_seed):
+def _fit_ratio_net(source, target_x, cfg, loss_fn, streams):
     """Fit s(x) on raw features by the density-ratio loss ``loss_fn``."""
-    net = WeightNetwork(source.d, init_seed, hidden_dim=cfg.weight_hidden_dim)
-    rng = np.random.default_rng(batch_seed)
+    net = WeightNetwork(source.d, streams["weight_net"], hidden_dim=cfg.weight_hidden_dim)
+    rng = np.random.default_rng(streams["ratio"])
     steps_per_epoch = -(-source.n // cfg.batch_size)
     total = cfg.total_epochs * steps_per_epoch
     opt = AdamOptimizer(
@@ -633,34 +664,21 @@ def train(
 ) -> TrainedModel:
     """Train ``cfg.method`` on the labeled ``source`` and the unlabeled ``target``.
 
-    Every method but ``erm``, which needs no target, draws its ``m_cap``
-    target points once; every method but ``zsa`` matches their group
-    clouds, so they must hold points of both groups.
-
-    - ``erm`` minimizes the source risk alone; the reference trajectory.
-    - ``ours`` minimizes the source risk alone for ``pretrain_epochs``,
-      then alternates per batch: the weight network ascends the entropy
-      term minus the squared-error constraint penalties, then the
-      predictor descends the source risk plus the (gradient-stopped)
-      weighted entropy plus the group-level Wasserstein matching term.
-    - ``unweighted_entropy``, the ablation of ``ours``, weights every
-      target point 1: no weight network and no constraints.
-    - ``kliep_iw`` and ``lsif_iw`` fit a density ratio s(x) on raw
-      features by the KLIEP or LSIF loss over the target points and
-      source batches, then minimize the s-weighted risk plus the matching
-      term from the first epoch on.  ``ratio_override`` (one weight per
-      source row) replaces the fit, which is how exact-ratio studies and
-      the unit-weight degenerate case are run.
-    - ``zsa`` retrains nothing at adaptation time: the classifier trains
-      on source features standardized by source statistics, and the
-      returned model standardizes by statistics recomputed from the
-      target points.
-
-    ``cache`` reaches the ``SHARES_PRETRAINING`` methods only.  The first
-    call in a process sets the process up (see the module docstring).
+    The method's row of :data:`METHOD_TABLE` switches the terms of the one
+    objective on (see :func:`_train`) and says what the run needs.  A
+    method that needs a target draws its ``m_cap`` target points once; a
+    matching one needs points of both groups in them.  A row-weight fit
+    learns a density ratio s(x) on raw features from the target points and
+    source batches; ``ratio_override`` (one weight per source row) replaces
+    it, which is how exact-ratio studies and the unit-weight degenerate
+    case run.  A z-scoring method trains on source features standardized
+    by source statistics and returns a model that standardizes by
+    statistics recomputed from the target points.  ``cache`` reaches only
+    the methods whose row shares pretraining.  The first call in a process
+    sets the process up (see the module docstring).
     """
     _setup_process()
-    method = cfg.method
+    method = METHOD_TABLE[cfg.method]
     present = np.unique(source.labels)
     if len(present) < 2:
         raise ValueError(
@@ -671,43 +689,33 @@ def train(
             f"the target has {target.features.shape[1]} feature columns and the source "
             f"{source.d}; both must hold the same features"
         )
-    if ratio_override is not None and method not in ("kliep_iw", "lsif_iw"):
-        raise ValueError(f"ratio_override needs method kliep_iw or lsif_iw, got {method!r}")
-    if method != "erm" and target is None:
-        raise ValueError(f"method {method!r} requires target data")
+    if ratio_override is not None and method.ratio_loss is None:
+        fitting = " or ".join(name for name, row in METHOD_TABLE.items() if row.ratio_loss)
+        raise ValueError(f"ratio_override needs method {fitting}, got {cfg.method!r}")
+    if method.needs_target and target is None:
+        raise ValueError(f"method {cfg.method!r} requires target data")
     streams = _streams(cfg.seed)
-    if method == "erm":
-        return _train(source, cfg, streams, cache=cache)
-    target_sub = _subsample_target(target, cfg, streams["subsample"], matching=method != "zsa")
-
-    if method == "zsa":
-        adapted = fit_zscore(target_sub, source.feature_kinds)
-        model = _train(apply_zscore(source, fit_zscore(source)), cfg, streams)
-        return replace(model, input_stats=adapted)
-    if method in SHARES_PRETRAINING:  # ours and unweighted_entropy; erm returned above
-        return _train(
-            source,
-            cfg,
-            streams,
-            target_sample=target_sub,
-            adapt_from=cfg.pretrain_epochs,
-            entropy="learned" if method == "ours" else "uniform",
-            cache=cache,
-        )
-    ratio_net = None
+    target_sub = stats = weights = ratio_net = None
+    if method.needs_target:
+        target_sub = _subsample_target(target, cfg, streams["subsample"], method.matches)
+    if method.zscore:
+        stats = fit_zscore(target_sub, source.feature_kinds)
+        source = apply_zscore(source, fit_zscore(source))
     if ratio_override is not None:
         weights = np.asarray(ratio_override, dtype=np.float64)
         if weights.shape != (source.n,):
             raise ValueError("ratio_override must have one weight per source row")
-    else:
-        loss_fn = kliep_loss if method == "kliep_iw" else lsif_loss
-        ratio_net = _fit_ratio_net(
-            source, target_sub.features, cfg, loss_fn, streams["weight_net"], streams["ratio"]
-        )
+    elif method.ratio_loss is not None:
+        ratio_net = _fit_ratio_net(source, target_sub.features, cfg, method.ratio_loss, streams)
         weights = ratio_net.ratios(source.features)
         # the squared-penalty fit overshoots the constrained optimum by a
         # constant factor; rescale so the source mean is exactly one
         weights = weights / weights.mean()
-    weights = np.maximum(weights, RATIO_FLOOR)
-    model = _train(source, cfg, streams, target_sample=target_sub, row_weights=weights)
-    return replace(model, weight_net=ratio_net)
+    if weights is not None:
+        weights = np.maximum(weights, RATIO_FLOOR)
+    cache = cache if method.shares_pretraining else None
+    model = _train(source, cfg, streams, method, target_sub, weights, cache)
+    model.input_stats = stats
+    if ratio_net is not None:
+        model.weight_net = ratio_net
+    return model

@@ -5,7 +5,7 @@ import pytest
 
 from fairshift import experiment
 from fairshift.experiment import ExperimentSpec, run_experiment
-from fairshift.training import SHARES_PRETRAINING, train
+from fairshift.training import METHOD_TABLE, train
 
 
 @pytest.fixture
@@ -24,7 +24,7 @@ def asymmetric_sweep(monkeypatch):
         rows, _ = run_experiment(spec, workers=2)
         assert [row["status"] for row in rows] == ["ok"] * len(rows)
         rows = {m: [row for row in rows if row["method"] == m] for m in methods}
-        if set(methods) <= set(SHARES_PRETRAINING):
+        if all(METHOD_TABLE[m].shares_pretraining for m in methods):
             epochs = spec.train.pretrain_epochs
             assert [row["resumed_epochs"] for row in rows[methods[1]]] == [epochs] * 20
             trained = []

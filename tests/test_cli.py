@@ -286,6 +286,8 @@ HOSTILE_INPUTS = [
             ("text_ms", "ms entries must be int, got 'abc'"),
             ("float_n", "n must be int, got 2.5"),
             ("typo_gammas", "unknown variance-study keys: ['gamas']"),
+            # every exact target/source ratio underflows to 0: no spread to report
+            ("huge_gamma", "gamma=1000000.0: every exact ratio of a source draw underflows to 0"),
         )
     ),
     *(
@@ -318,6 +320,7 @@ HOSTILE_INPUTS = [
             ("no_stds", "checkpoint extra input_stats 'stds' must be a (2,) array of finite numbers"),
             ("inf_means",
              "checkpoint extra input_stats 'means' must be a (2,) array of finite numbers"),
+            ("zero_stds", "checkpoint extra input_stats stds must be strictly positive"),
             ("list_config", "checkpoint extra config must be a mapping, got [1]"),
         )
     ),
@@ -365,6 +368,7 @@ def hostile_files(source_and_target_csv, tmp_path):
         ("no_dataset", "methods = erm\nrepetitions = 1\n"),
         ("float_n", "n = 2.5\n"),
         ("typo_gammas", "gamas = 2.0\n"),
+        ("huge_gamma", "gammas = 1e6\nms = 10\n"),
     ):
         files[name] = tmp_path / f"{name}.cfg"
         files[name].write_text(text)
@@ -405,6 +409,7 @@ def hostile_files(source_and_target_csv, tmp_path):
         ("no_stds", "extra", {**extra, "input_stats": {"means": [0.0, 0.0]}}),
         ("inf_means", "extra",
          {**extra, "input_stats": {"means": [0.0, math.inf], "stds": [1.0, 1.0]}}),
+        ("zero_stds", "extra", {**extra, "input_stats": {"means": [0.0, 0.0], "stds": [0.0, 1.0]}}),
         ("list_config", "extra", {**extra, "config": [1]}),
     ):
         files[name] = tmp_path / f"{name}.json"

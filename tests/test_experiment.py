@@ -471,6 +471,17 @@ class TestVarianceStudy:
         std40 = rows[2]["we_std"]
         assert std40 / std10 == pytest.approx(0.5, rel=0.25)
 
+    def test_tiny_exact_ratios_are_valid(self):
+        # at gamma 10 every ratio of a 200-row draw is below 1e-11, and none is 0
+        (row,) = run_variance_study(VarianceStudySpec(gammas=(10.0,), ms=(10,), repetitions=3))
+        assert row["is_std"] > 0 and row["is_mean"] > 0
+
+    def test_exact_ratios_that_all_underflow_raise(self):
+        spec = VarianceStudySpec(gammas=(100.0,), ms=(10,), repetitions=3)
+        cause = "^gamma=100.0: every exact ratio of a source draw underflows to 0$"
+        with pytest.raises(ValueError, match=cause):
+            run_variance_study(spec)
+
     def test_csv_written(self, rows, tmp_path):
         path = tmp_path / "var.csv"
         write_variance_csv(path, rows)

@@ -1,10 +1,12 @@
 import hashlib
+import itertools
 import math
 import os
 import platform
 import subprocess
 import sys
 import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,15 +26,17 @@ from fairshift.data import (
 from fairshift.losses import (
     _pairwise_sq_dists,
     constraint_penalty,
+    kliep_loss,
+    lsif_loss,
     solve_coupling,
     weighted_entropy_term,
 )
 from fairshift import nets, training
 from fairshift.nets import GRAD_CLIP_NORM, parameter_digest
 from fairshift.training import (
-    _ADAPT_ONLY_FIELDS,
+    METHOD_TABLE,
     METHODS,
-    SHARES_PRETRAINING,
+    Method,
     PretrainCache,
     TrainConfig,
     TrainedModel,
@@ -43,6 +47,8 @@ from fairshift.training import (
 )
 
 QUICK = TrainConfig(pretrain_epochs=3, adapt_epochs=4, m_cap=40, seed=5)
+# the methods whose runs share their first pretrain_epochs epochs
+SHARING = tuple(method for method, row in METHOD_TABLE.items() if row.shares_pretraining)
 
 
 @pytest.fixture(scope="module")
@@ -212,7 +218,7 @@ class TestPretrainCache:
 
     GRID = [
         replace(QUICK, method=method, lambda1=lam1, lambda2=lam2, m_cap=m)
-        for method in SHARES_PRETRAINING
+        for method in SHARING
         for lam1 in (0.0, 0.1)
         for lam2 in (0.0, 1.0)
         for m in (40, 60)
@@ -257,8 +263,13 @@ class TestPretrainCache:
     }
 
     def test_every_field_but_the_adaptation_ones_keys_the_cache(self):
-        names = {f.name for f in fields(TrainConfig)}
-        assert set(self.KEY_CHANGES) == names - _ADAPT_ONLY_FIELDS
+        # the key is every field erm reads; the method is always erm's
+        names = {f.name for f in fields(TrainConfig)} - {"method"}
+        assert set(self.KEY_CHANGES) == names - METHOD_TABLE["erm"].unread_fields
+        key = training._pretrain_key(replace(QUICK, method="ours"))
+        assert key == training._pretrain_key(replace(QUICK, method="erm"))
+        assert [name for name, _ in key] == [f.name for f in fields(TrainConfig)
+                                             if f.name in self.KEY_CHANGES or f.name == "method"]
 
     @pytest.mark.parametrize("name", sorted(KEY_CHANGES))
     def test_a_changed_key_field_misses(self, small_task, name):
@@ -291,7 +302,7 @@ class TestPretrainCache:
         train(source, None, cfg, cache)
         assert train(rebuilt, None, cfg, cache).resumed_epochs == cfg.pretrain_epochs
 
-    @pytest.mark.parametrize("method", sorted(set(METHODS) - set(SHARES_PRETRAINING)))
+    @pytest.mark.parametrize("method", sorted(set(METHODS) - set(SHARING)))
     def test_other_methods_never_touch_the_cache(self, small_task, method):
         source, target = small_task
         cache = PretrainCache()
@@ -351,7 +362,7 @@ class TestPretrainCache:
         stored = cache.state[-1]
         digest = parameter_digest(stored.model.parameters)
         assert stored.digests[-1] == digest
-        for method in SHARES_PRETRAINING:
+        for method in SHARING:
             model = train(source, target, replace(QUICK, method=method), cache)
             assert model.resumed_epochs == QUICK.pretrain_epochs
             assert parameter_digest(stored.model.parameters) == digest
@@ -366,6 +377,82 @@ class TestPretrainCache:
         model = train(source, target, ours, cache)
         assert model.resumed_epochs == cfg.pretrain_epochs == len(model.history)
         assert model.param_digests == train(source, target, ours).param_digests
+
+
+# one changed value for every field some method never reads
+UNREAD_CHANGES = {
+    "lambda1": 0.3,
+    "lambda2": 0.5,
+    "c1": 2.0,
+    "c2": 2.0,
+    "weight_lr_multiplier": 5.0,
+    "weight_hidden_dim": 16,
+    "m_cap": 60,
+}
+
+
+def _outcome(model):
+    stats = model.input_stats
+    stored = None if stats is None else (stats.means.tobytes(), stats.stds.tobytes())
+    return model.param_digests, model.history, stored
+
+
+class TestMethodTable:
+    """Each method is one row of switches, and the fields it never reads come from that row."""
+
+    @pytest.fixture(scope="class")
+    @staticmethod
+    def base_runs(small_task):
+        source, target = small_task
+        return {method: _outcome(train(source, target, replace(QUICK, method=method)))
+                for method in METHODS}
+
+    @pytest.mark.parametrize("name", sorted(UNREAD_CHANGES))
+    @pytest.mark.parametrize("method", METHODS)
+    def test_a_field_changes_the_model_unless_it_is_unread(
+        self, small_task, base_runs, method, name
+    ):
+        source, target = small_task
+        cfg = replace(QUICK, method=method, **{name: UNREAD_CHANGES[name]})
+        unchanged = _outcome(train(source, target, cfg)) == base_runs[method]
+        assert unchanged == (name in METHOD_TABLE[method].unread_fields)
+
+    def test_the_derivation_names_only_train_config_fields(self):
+        # every combination of switches, not only the rows in the table
+        switches = (("learned", "uniform", None), (True, False), (True, False),
+                    (None, kliep_loss, lsif_loss), (True, False))
+        emitted = set().union(*(Method(*row).unread_fields for row in itertools.product(*switches)))
+        assert emitted <= {f.name for f in fields(TrainConfig)}
+        # so the field test above covers every name the derivation can emit
+        assert emitted == set(UNREAD_CHANGES)
+
+    def test_the_rows_derive_what_each_method_needs(self):
+        def having(prop):
+            return {method for method, row in METHOD_TABLE.items() if prop(row)}
+
+        assert METHODS == ("ours", "erm", "kliep_iw", "lsif_iw", "zsa", "unweighted_entropy")
+        assert having(lambda row: row.shares_pretraining) == {"erm", "ours", "unweighted_entropy"}
+        assert having(lambda row: not row.needs_target) == {"erm"}
+        assert having(lambda row: row.matches) == set(METHODS) - {"erm", "zsa"}
+        assert having(lambda row: row.ratio_loss) == {"kliep_iw", "lsif_iw"}
+        assert METHOD_TABLE["erm"].unread_fields == set(UNREAD_CHANGES)
+        assert METHOD_TABLE["ours"].unread_fields == set()
+
+    def test_the_readme_table_is_the_code_table(self):
+        # README's table of method x switches, row by row
+        lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+        header = "| method | entropy | matching | adapts from | row weights | z-score |"
+        start = lines.index(header) + 2
+        rows = itertools.takewhile(lambda line: line.startswith("|"), lines[start:])
+        readme = [tuple(cell.strip() for cell in row.strip("|").split("|")) for row in rows]
+        yes_no = {True: "yes", False: "no"}
+        code = [
+            (f"`{method}`", row.entropy or "none", yes_no[row.matches],
+             "`pretrain_epochs`" if row.pretrains else "0",
+             f"`{row.ratio_loss.__name__}`" if row.ratio_loss else "none", yes_no[row.zscore])
+            for method, row in METHOD_TABLE.items()
+        ]
+        assert readme == code
 
 
 class TestErm:
