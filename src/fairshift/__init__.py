@@ -48,8 +48,6 @@ from .metrics import (
     equalized_odds_gap,
     evaluate_model,
     evaluate_predictions,
-    fw_ratio_histogram,
-    probability_ratio_diagnostic,
 )
 from .nets import (
     AdamOptimizer,
@@ -62,9 +60,11 @@ from .training import (
     PretrainCache,
     TrainConfig,
     TrainedModel,
+    WeightSummary,
     load_checkpoint,
     save_checkpoint,
     train,
+    weight_summary,
 )
 
 __version__ = "0.1.0"

@@ -88,7 +88,9 @@ def _cmd_train(args):
         for epoch, entry in enumerate(model.history):
             record = {"epoch": epoch, **entry.to_dict()}
             fh.write(json.dumps(record) + "\n")
-    print(f"trained {model.config.method} for {len(model.history)} epochs -> {out}")
+    summary = model.weight_summary
+    ess = "" if summary is None else f", weight ESS {summary.ess:.1f} of {summary.n}"
+    print(f"trained {model.config.method} for {len(model.history)} epochs{ess} -> {out}")
     return 0
 
 

@@ -56,6 +56,10 @@ DEFAULT_BOUND_FACTOR = 5.0
 
 # unit direction along which synthetic asymmetric shifts scale with gamma
 _ASYM_SHIFT_DIRECTION = np.array([1.0, -1.0]) / np.sqrt(2.0)
+# the least std that a synthetic source, z-scored on the pooled rows, must keep
+# in some column: the asymmetric task crosses it at a gamma of about 50, past
+# which erm's error climbs to chance; the Gaussian task's label column never shifts
+MIN_SOURCE_SPREAD = 0.1
 
 _METRIC_FIELDS = [f.name for f in fields(RunMetrics)]
 _POINT_COLUMNS = ["method", "gamma", "lambda1", "lambda2", "m"]
@@ -63,8 +67,10 @@ _POINT_COLUMNS = ["method", "gamma", "lambda1", "lambda2", "m"]
 RUN_COLUMNS = _POINT_COLUMNS + ["rep", "seed", "status"] + _METRIC_FIELDS
 
 # wall time stays out of runs.csv, so reruns of a sweep match byte for byte;
-# resumed_epochs counts the epochs a run took from its task's pretraining cache
-TIMING_COLUMNS = RUN_COLUMNS[: RUN_COLUMNS.index("status") + 1] + ["resumed_epochs", "wall_s"]
+# resumed_epochs counts the epochs a run took from its task's pretraining cache,
+# and ess_share is its weight summary's, blank for a run without one
+_TIMED = ["resumed_epochs", "ess_share", "wall_s"]
+TIMING_COLUMNS = RUN_COLUMNS[: RUN_COLUMNS.index("status") + 1] + _TIMED
 
 FAILURE_COLUMNS = _POINT_COLUMNS + ["rep", "seed", "exception", "message", "traceback"]
 
@@ -139,7 +145,11 @@ def _normalize_pool(train: LabeledDataset, test: LabeledDataset):
 
 
 class _DataProvider:
-    """Produces (source, target_pool, eval_set) triples per seeded run."""
+    """Produces (source, target_pool, eval_set) triples per seeded run.
+
+    A synthetic draw whose z-scored source keeps a std below
+    ``MIN_SOURCE_SPREAD`` in every column raises one ``ValueError``.
+    """
 
     def __init__(self, spec: ExperimentSpec):
         self.spec = spec
@@ -169,6 +179,13 @@ class _DataProvider:
                 source = task.sample_source(2 * spec.n_per_group, kids[0])
                 test = task.sample_target(2 * spec.n_per_group, kids[1])
             source, test = _normalize_pool(source, test)
+            spread = source.features.std(axis=0).max()
+            if spread < MIN_SOURCE_SPREAD:
+                raise ValueError(
+                    f"gamma={gamma}: the source keeps a std of at most {spread:.3g} < "
+                    f"{MIN_SOURCE_SPREAD} in every column after z-scoring on the pooled rows, "
+                    "too flat to train on"
+                )
         return source, test.without_labels(), test
 
 
@@ -187,8 +204,9 @@ def _execute_run(task, provider=None, cache=None):
 
     ``provider`` defaults to the one the pool worker received at start-up;
     ``cache`` goes to :func:`train`.  Beside the ``RUN_COLUMNS`` the row
-    holds ``resumed_epochs``, ``wall_s`` (data, training without resumed
-    epochs, and scoring) and, for a failed run, its exception.
+    holds ``resumed_epochs``, ``ess_share`` (of the model's weight summary,
+    blank without one or for a failed run), ``wall_s`` (data, training
+    without resumed epochs, and scoring) and, for a failed run, its exception.
     """
     point, rep = task
     if provider is None:
@@ -196,7 +214,8 @@ def _execute_run(task, provider=None, cache=None):
     spec = provider.spec
     seed = spec.base_seed + rep
     cfg = spec.run_config(seed, **dict(zip(GRID_FIELDS, point)))
-    row = {**dict(zip(_POINT_COLUMNS, point)), "rep": rep, "seed": seed, "resumed_epochs": 0}
+    row = {**dict(zip(_POINT_COLUMNS, point)), "rep": rep, "seed": seed}
+    row.update(resumed_epochs=0, ess_share="")
     start = time.perf_counter()
     try:
         source, target, eval_set = provider.make(row["gamma"], seed)
@@ -214,6 +233,8 @@ def _execute_run(task, provider=None, cache=None):
         row["status"] = "ok"
         for name in _METRIC_FIELDS:
             row[name] = getattr(metrics, name)
+        if model.weight_summary is not None:
+            row["ess_share"] = model.weight_summary.ess_share
     row["wall_s"] = time.perf_counter() - start
     return row
 
@@ -322,7 +343,7 @@ def write_run_csv(path, run_rows):
 
 
 def write_timings_csv(path, run_rows):
-    """One row per run: grid point, rep, seed, status, resumed epochs and wall seconds."""
+    """One row per run: grid point, rep, seed, status, resumed epochs, ESS share, wall seconds."""
     _write_table(path, TIMING_COLUMNS, run_rows)
 
 

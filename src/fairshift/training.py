@@ -226,6 +226,43 @@ class TrainConfig:
         )
 
 
+@dataclass(frozen=True)
+class WeightSummary:
+    """How evenly a run's final weights spread over its rows (see :func:`weight_summary`)."""
+
+    n: int
+    ess: float  # Kish effective sample size, (sum w)^2 / sum w^2
+    ess_share: float  # ess / n
+    smallest: float
+    largest: float
+    floored: int  # rows at RATIO_FLOOR
+    rescale: float | None  # 1 / mean of a fitted ratio, which brought its mean to one
+
+
+def weight_summary(weights, rescale=None) -> WeightSummary:
+    """The Kish effective sample size of ``weights`` and their range.
+
+    Equal weights give ``ess == n``; one nonzero weight gives ``ess == 1``.
+    Weights must be finite, non-negative and not all 0, else one
+    ``ValueError``.
+    """
+    w = np.asarray(weights, dtype=np.float64)
+    if w.ndim != 1 or not (w.size and np.isfinite(w).all() and (w >= 0).all() and w.any()):
+        raise ValueError("weights must be a nonempty vector of finite numbers >= 0, not all 0")
+    u = w / w.max()  # scale-free, so the square sum neither overflows nor rounds to 0
+    with np.errstate(under="ignore"):  # a square too small to count adds nothing
+        ess = float(u.sum() ** 2 / (u * u).sum())
+    return WeightSummary(
+        n=w.size,
+        ess=ess,
+        ess_share=ess / w.size,
+        smallest=float(w.min()),
+        largest=float(w.max()),
+        floored=int(np.count_nonzero(w == RATIO_FLOOR)),
+        rescale=rescale,
+    )
+
+
 @dataclass
 class TrainedModel:
     predictor: PredictorModel
@@ -236,6 +273,8 @@ class TrainedModel:
     input_stats: NormalizationStats | None = None
     # epochs taken from a PretrainCache instead of trained by this run
     resumed_epochs: int = 0
+    # the final row weights of an IW run, or ours's target damping exp(-F_w); not checkpointed
+    weight_summary: WeightSummary | None = None
 
     def predict_proba(self, features) -> np.ndarray:
         features = np.asarray(features, dtype=np.float64)
@@ -674,8 +713,12 @@ def train(
     case run.  A z-scoring method trains on source features standardized
     by source statistics and returns a model that standardizes by
     statistics recomputed from the target points.  ``cache`` reaches only
-    the methods whose row shares pretraining.  The first call in a process
-    sets the process up (see the module docstring).
+    the methods whose row shares pretraining.  The model's
+    ``weight_summary`` covers its floored row weights or, for a learned
+    entropy term, the damping ``exp(-F_w)`` of its target points under the
+    final nets (one more encoder and weight-net pass, drawing from no
+    stream); other methods get None.  The first call in a process sets the
+    process up (see the module docstring).
     """
     _setup_process()
     method = METHOD_TABLE[cfg.method]
@@ -695,7 +738,7 @@ def train(
     if method.needs_target and target is None:
         raise ValueError(f"method {cfg.method!r} requires target data")
     streams = _streams(cfg.seed)
-    target_sub = stats = weights = ratio_net = None
+    target_sub = stats = weights = ratio_net = rescale = None
     if method.needs_target:
         target_sub = _subsample_target(target, cfg, streams["subsample"], method.matches)
     if method.zscore:
@@ -710,7 +753,8 @@ def train(
         weights = ratio_net.ratios(source.features)
         # the squared-penalty fit overshoots the constrained optimum by a
         # constant factor; rescale so the source mean is exactly one
-        weights = weights / weights.mean()
+        mean = weights.mean()
+        weights, rescale = weights / mean, 1.0 / mean
     if weights is not None:
         weights = np.maximum(weights, RATIO_FLOOR)
     cache = cache if method.shares_pretraining else None
@@ -718,4 +762,10 @@ def train(
     model.input_stats = stats
     if ratio_net is not None:
         model.weight_net = ratio_net
+    if weights is not None:
+        model.weight_summary = weight_summary(weights, rescale)
+    elif method.entropy == "learned":
+        # the damping exp(-F_w) of each target point under the final nets
+        fw = model.weight_net.ratios(model.predictor.representations(target_sub.features))
+        model.weight_summary = weight_summary(np.exp(-fw))
     return model

@@ -85,6 +85,10 @@ def test_train_and_evaluate_round_trip(source_and_target_csv, tmp_path, capsys):
     )
     assert code == 0
     assert (out / "checkpoint.json").exists()
+    assert re.fullmatch(
+        rf"trained ours for 4 epochs, weight ESS \d+\.\d of 30 -> {re.escape(str(out))}",
+        capsys.readouterr().out.strip(),
+    )
     history = [json.loads(line) for line in (out / "history.jsonl").read_text().splitlines()]
     assert len(history) == 4
     assert {"epoch", "erm", "total", "epoch_s"} <= set(history[0])
@@ -201,6 +205,27 @@ def test_experiment_partial_failure_exit_code(tmp_path, capsys):
     assert code == 0
     assert failures_path.read_text() == ""
     assert "failures.jsonl" not in capsys.readouterr().err
+
+
+
+def test_a_gamma_that_flattens_a_synthetic_source_fails_its_run(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(
+        "dataset = synthetic:asymmetric\n"
+        "methods = erm,\n"
+        "gammas = 1e6\n"
+        "train.pretrain_epochs = 3\n"
+        "train.adapt_epochs = 0\n"
+    )
+    out = tmp_path / "exp_out"
+    assert main(["experiment", "--config", str(cfg), "--out", str(out), "--reps", "1"]) == 2
+    cause = r"gamma=1000000\.0: the source keeps a std of at most \S+ < 0\.1 in every column"
+    assert re.search(f"run failed: method=erm gamma=1000000.0 rep=0: ValueError: {cause}",
+                     capsys.readouterr().err)
+    (failure,) = [json.loads(line) for line in (out / "failures.jsonl").read_text().splitlines()]
+    assert re.match(cause, failure["message"])
+    (row,) = (out / "runs.csv").read_text().splitlines()[1:]
+    assert row.startswith("erm,1000000.0,") and ",failed," in row
 
 
 # each hostile input through the CLI: (id, argv, exit code, the text that names

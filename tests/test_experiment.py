@@ -261,6 +261,52 @@ def test_failure_records_carry_the_exception_message(tmp_path):
         assert record["message"] == "m_cap=500 exceeds available target points (120)"
 
 
+def test_timings_report_the_ess_share_of_each_weighted_run(tmp_path):
+    # at m = 500 every method but erm fails before training: no summary
+    spec = _tiny_spec(methods=training_module.METHODS, ms=(30, 500), repetitions=1)
+    runs, _ = run_experiment(spec)
+    write_timings_csv(tmp_path / "timings.csv", runs)
+    with open(tmp_path / "timings.csv") as fh:
+        timings = list(csv.DictReader(fh))
+    assert list(timings[0]) == experiment_module.TIMING_COLUMNS
+    assert experiment_module.TIMING_COLUMNS[-3:] == ["resumed_epochs", "ess_share", "wall_s"]
+    weighted = {"ours", "kliep_iw", "lsif_iw"}
+    for row in timings:
+        if row["method"] in weighted and row["status"] == "ok":
+            assert 0.0 < float(row["ess_share"]) <= 1.0
+        else:
+            assert row["ess_share"] == ""
+    assert {(r["method"], r["m"]) for r in timings if r["ess_share"]} == {
+        (method, "30") for method in weighted
+    }
+    # the share is the summary of the run's own model
+    source, target, _ = experiment_module._DataProvider(spec).make(4.0, 0)
+    (ours,) = [r for r in runs if (r["method"], r["m"]) == ("ours", 30)]
+    columns = experiment_module._POINT_COLUMNS
+    cfg = spec.run_config(0, **{name: ours[c] for name, c in zip(GRID_FIELDS, columns)})
+    model = training_module.train(source, target, cfg)
+    assert ours["ess_share"] == model.weight_summary.ess_share
+
+
+@pytest.mark.parametrize(
+    "dataset,gamma,fails",
+    [
+        ("synthetic:asymmetric", 10.0, False),
+        ("synthetic:asymmetric", 1e3, True),
+        # the Gaussian task's label column never shifts, so it keeps its spread
+        ("synthetic:gaussian", 1e6, False),
+    ],
+)
+def test_a_synthetic_draw_whose_source_the_shift_flattens_is_refused(dataset, gamma, fails):
+    provider = experiment_module._DataProvider(_tiny_spec(dataset=dataset))
+    if fails:
+        with pytest.raises(ValueError, match=f"^gamma={gamma}: the source keeps a std of at most"):
+            provider.make(gamma, 0)
+    else:
+        source, _, _ = provider.make(gamma, 0)
+        assert source.features.std(axis=0).max() >= experiment_module.MIN_SOURCE_SPREAD
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_asymmetric_provider_draws_the_normalized_default_task(seed):
     # the 20-seed acceptance loops rest on this: at gamma 5*sqrt(2) the

@@ -36,14 +36,18 @@ from fairshift.nets import GRAD_CLIP_NORM, parameter_digest
 from fairshift.training import (
     METHOD_TABLE,
     METHODS,
+    RATIO_FLOOR,
     Method,
     PretrainCache,
     TrainConfig,
     TrainedModel,
     _check_finite,
+    _streams,
+    _subsample_target,
     load_checkpoint,
     save_checkpoint,
     train,
+    weight_summary,
 )
 
 QUICK = TrainConfig(pretrain_epochs=3, adapt_epochs=4, m_cap=40, seed=5)
@@ -78,6 +82,7 @@ class TestDegenerateEquivalences:
         cfg = replace(QUICK, method="kliep_iw", lambda2=0.0)
         iw = train(source, target, cfg, ratio_override=np.ones(source.n))
         erm = train(source, None, replace(cfg, method="erm"))
+        assert iw.weight_summary == weight_summary(np.ones(source.n))
         assert iw.param_digests == erm.param_digests
 
     def test_unweighted_entropy_with_zero_lambdas_equals_erm(self, small_task):
@@ -687,6 +692,17 @@ class TestImportanceWeighted:
         fitted_on_target = model.weight_net.ratios(target.features) / raw.mean()
         assert 0.8 <= fitted_on_target.mean() <= 1.2
 
+    @pytest.mark.parametrize("method", ["kliep_iw", "lsif_iw"])
+    def test_the_summary_is_of_the_floored_rescaled_ratios(self, small_task, method):
+        source, target = small_task
+        model = train(source, target, replace(QUICK, method=method))
+        raw = model.weight_net.ratios(source.features)
+        rescaled = raw / raw.mean()
+        summary = model.weight_summary
+        assert summary == weight_summary(np.maximum(rescaled, RATIO_FLOOR), 1.0 / raw.mean())
+        assert summary.floored == np.count_nonzero(rescaled <= RATIO_FLOOR)
+        assert summary.n == source.n and 0.0 < summary.ess_share <= 1.0
+
     def test_ratio_override_shape_checked(self, small_task):
         source, target = small_task
         with pytest.raises(ValueError, match="one weight per source row"):
@@ -773,6 +789,54 @@ class TestAdversarialDynamics:
         assert np.median(corrs) > 0.3
 
 
+def test_trained_run_respects_mean_constraints_and_sides():
+    task = GaussianShiftTask(gamma=2.0)
+    kids = np.random.SeedSequence(4).spawn(2)
+    source = task.sample_source(400, kids[0])
+    target = task.sample_target(400, kids[1]).without_labels()
+    cfg = TrainConfig(method="ours", seed=4, lambda1=1.0, lambda2=0.05, c1=5.0, c2=5.0)
+    model = train(source, target, cfg)
+    adaptation_set = _subsample_target(target, cfg, _streams(cfg.seed)["subsample"])
+    fw_target, fw_source = (
+        model.weight_net.ratios(model.predictor.representations(data.features))
+        for data in (adaptation_set, source)
+    )
+    assert fw_target.mean() == pytest.approx(1.0, abs=0.1)
+    assert (1.0 / fw_source).mean() == pytest.approx(1.0, abs=0.1)
+    # adaptation points sit around or below ratio one, source above
+    assert np.median(fw_target) <= 1.05 < np.median(fw_source)
+    # the run's summary is of the damping exp(-F_w) on those same points
+    assert model.weight_summary == weight_summary(np.exp(-fw_target))
+
+
+class TestWeightSummary:
+    def test_equal_weights_count_every_row(self):
+        summary = weight_summary(np.full(7, 0.3))
+        assert (summary.ess, summary.ess_share, summary.n) == (7.0, 1.0, 7)
+
+    def test_one_nonzero_weight_counts_one_row(self):
+        summary = weight_summary([0.0, 0.0, 2.5, 0.0])
+        assert (summary.ess, summary.ess_share) == (1.0, 0.25)
+        assert (summary.smallest, summary.largest) == (0.0, 2.5)
+
+    def test_kish_formula(self):
+        # (1 + 3)^2 / (1 + 9)
+        assert weight_summary([1.0, 3.0]).ess == pytest.approx(1.6)
+
+    def test_floored_count_and_rescale_are_exact(self):
+        weights = np.maximum([0.0, 1e-4, RATIO_FLOOR, 2 * RATIO_FLOOR, 2.0], RATIO_FLOOR)
+        summary = weight_summary(weights, rescale=0.8)
+        assert (summary.floored, summary.rescale) == (3, 0.8)
+        assert weight_summary(weights).rescale is None
+
+    @pytest.mark.parametrize(
+        "weights", [[], [1.0, np.nan], [1.0, np.inf], [1.0, -0.5], [0.0, 0.0], [[1.0, 2.0]]]
+    )
+    def test_a_weight_vector_without_mass_is_rejected(self, weights):
+        with pytest.raises(ValueError, match="^weights must be a nonempty vector of finite"):
+            weight_summary(weights)
+
+
 def test_unweighted_entropy_is_less_stable_than_weighted(asymmetric_sweep):
     # the damped objective ignores training-typical target points; plain
     # entropy pressure on every point swings final error run to run
@@ -790,6 +854,7 @@ class TestDispatch:
         model = train(source, target, replace(QUICK, method=method, adapt_epochs=1))
         assert model.config.method == method
         assert (model.weight_net is not None) == (method in ("ours", "kliep_iw", "lsif_iw"))
+        assert (model.weight_summary is not None) == (model.weight_net is not None)
         assert (model.input_stats is not None) == (method == "zsa")
 
     @pytest.mark.parametrize("method", sorted(set(METHODS) - {"kliep_iw", "lsif_iw"}))
