@@ -52,11 +52,11 @@ class Tensor:
 
     __slots__ = ("value", "grad", "_parents", "_backward_fn", "_seq")
 
-    def __init__(self, value, parents=(), backward_fn=None):
+    def __init__(self, value, parents=()):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
         self._parents = parents
-        self._backward_fn = backward_fn
+        self._backward_fn = None
         self._seq = next(_creation)
 
     @property

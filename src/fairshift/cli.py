@@ -97,7 +97,7 @@ def _cmd_train(args):
 def _cmd_evaluate(args):
     model, extra = load_checkpoint(args.checkpoint)
     data = load_csv(args.data)
-    # checkpoints written before the digest was stored do not name their data
+    # a checkpoint saved from Python, not by `fairshift train`, names no data
     print(f"trained on data sha256={extra.get('train_data_sha256', 'unrecorded')}")
     metrics = evaluate_model(model, data)
     row = {

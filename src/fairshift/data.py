@@ -4,9 +4,9 @@ Datasets are immutable after construction (arrays are write-protected),
 so they can be shared read-only across concurrently running experiments.
 CSV files carry a header row, numeric feature columns, one ``group``
 column and one ``label`` column, both binary; the label column is absent
-for unlabeled files.  A sidecar mapping may override the inferred
-per-column kind (a column is treated as categorical iff its distinct
-values are a subset of {0, 1}).
+for unlabeled files.  A column is treated as categorical iff its
+distinct values are a subset of {0, 1}; a labeled file's
+``<file>.csv.kinds.json`` sidecar is the one way to override that.
 """
 
 from __future__ import annotations
@@ -262,26 +262,33 @@ def _split_columns(header, matrix, special):
     return names, matrix[:, feature_idx], [matrix[:, j] for j in special_idx]
 
 
-def _sidecar_kinds(path):
-    """Optional ``<path>.kinds.json`` mapping column name to feature kind."""
+def _sidecar_kinds(path, names):
+    """An optional ``<path>.kinds.json`` object mapping feature column ``names`` to
+    kinds, as column index -> kind; anything else raises one ``ValueError`` naming it."""
     sidecar = f"{path}.kinds.json"
     if not os.path.exists(sidecar):
         return {}
     with open(sidecar, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            kinds = json.load(fh)
+        except ValueError as exc:  # invalid JSON or invalid UTF-8
+            raise ValueError(f"{sidecar}: invalid JSON: {exc}") from None
+    if not isinstance(kinds, dict):
+        raise ValueError(f"{sidecar}: must map column names to kinds, got {kinds!r}")
+    for column, kind in kinds.items():
+        if column not in names:
+            raise ValueError(f"{sidecar}: {column!r} is no feature column of {path}")
+        if kind not in (CATEGORICAL, CONTINUOUS):
+            raise ValueError(f"{sidecar}: unknown feature kind {kind!r} for column {column!r}")
+    return {names.index(column): kind for column, kind in kinds.items()}
 
 
-def load_csv(path, kind_overrides=None) -> LabeledDataset:
-    """Load a labeled CSV; ``kind_overrides`` maps column name to kind.
-
-    A sidecar ``<path>.kinds.json`` provides the same overrides from disk;
-    explicit arguments win over the sidecar.
-    """
+def load_csv(path) -> LabeledDataset:
+    """Load a labeled CSV; its ``<path>.kinds.json`` sidecar, if any, is the one
+    way to override an inferred feature kind (see :func:`_sidecar_kinds`)."""
     header, matrix = _read_rows(path)
     names, features, (groups, labels) = _split_columns(header, matrix, ["group", "label"])
-    merged = {**_sidecar_kinds(path), **(kind_overrides or {})}
-    overrides = {names.index(c): k for c, k in merged.items()}
-    kinds = infer_feature_kinds(features, overrides)
+    kinds = infer_feature_kinds(features, _sidecar_kinds(path, names))
     return LabeledDataset(features, groups, labels, kinds)
 
 
@@ -398,48 +405,39 @@ def make_synthetic_asymmetric_labeled(seed, n_per_group, shift_vector=DEFAULT_AS
     return splits[0], splits[1]
 
 
+# the Gaussian task's labels follow its second axis, across the shift
+_GAUSSIAN_LABEL_DIRECTION = np.array([0.0, 1.0])
+
+
 @dataclass(frozen=True)
 class GaussianShiftTask:
-    """Mean-shifted isotropic Gaussians with closed-form density ratios.
+    """Mean-shifted isotropic 2-D Gaussians with closed-form density ratios.
 
-    Source covariates are N(0, I_d); target covariates are
-    N(gamma * e_1, I_d), which is exactly the exponential tilt of the
-    source along the first axis.  Labels follow the shared logistic rule
-    and group membership is an independent fair coin, so the shift is a
-    pure covariate shift.
+    Source covariates are N(0, I_2); target covariates are
+    N(gamma * e_1, I_2), which is exactly the exponential tilt of the
+    source along the first axis.  Labels follow the logistic rule
+    ``sigmoid(LABEL_SCALE * x_2)``, the same in source and target, and
+    group membership is an independent fair coin, so the shift is a pure
+    covariate shift.
     """
 
     gamma: float
-    dim: int = 2
-    label_direction: tuple = (0.0, 1.0)
-    label_scale: float = LABEL_SCALE
-    # labels get noisier along the shift axis when > 0: the logistic
-    # slope decays as label_scale - drift * x1 (clamped to [0.3, 4.0])
-    label_scale_drift: float = 0.0
-
-    def _label_dir(self):
-        v = np.asarray(self.label_direction, dtype=np.float64)
-        return v / np.linalg.norm(v)
-
-    def _slopes(self, features):
-        x1 = np.asarray(features)[:, 0]
-        return np.clip(self.label_scale - self.label_scale_drift * x1, 0.3, 4.0)
 
     def sample_source(self, n, seed) -> LabeledDataset:
         rng = np.random.default_rng(seed)
-        x = rng.normal(size=(n, self.dim))
+        x = rng.normal(size=(n, 2))
         return self._finish(rng, x)
 
     def sample_target(self, n, seed) -> LabeledDataset:
         rng = np.random.default_rng(seed)
-        x = rng.normal(size=(n, self.dim))
+        x = rng.normal(size=(n, 2))
         x[:, 0] += self.gamma
         return self._finish(rng, x)
 
     def _finish(self, rng, x):
         groups = rng.integers(0, 2, size=len(x))
         labels = (rng.random(len(x)) < self.label_probability(x)).astype(np.int64)
-        return LabeledDataset(x, groups, labels, (CONTINUOUS,) * self.dim)
+        return LabeledDataset(x, groups, labels, (CONTINUOUS, CONTINUOUS))
 
     def log_ratio_source_over_target(self, features) -> np.ndarray:
         """log(P_source(x) / P_target(x)) = -gamma*x1 + gamma^2/2, exactly."""
@@ -453,5 +451,5 @@ class GaussianShiftTask:
         return np.exp(-self.log_ratio_source_over_target(features))
 
     def label_probability(self, features) -> np.ndarray:
-        arg = self._slopes(features) * (np.asarray(features) @ self._label_dir())
+        arg = LABEL_SCALE * (np.asarray(features) @ _GAUSSIAN_LABEL_DIRECTION)
         return 1.0 / (1.0 + np.exp(-arg))

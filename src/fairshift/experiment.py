@@ -44,14 +44,6 @@ from .training import METHOD_TABLE, PretrainCache, TrainConfig, _setup_process, 
 SYNTHETIC_ASYMMETRIC = "synthetic:asymmetric"
 SYNTHETIC_GAUSSIAN = "synthetic:gaussian"
 
-# lambda pairs that worked well on the standard preprocessed benchmarks
-RECOMMENDED_LAMBDAS = {
-    "adult": (1.0, 0.01),
-    "arrhythmia": (0.01, 0.005),
-    "communities": (0.005, 0.0001),
-    "drug": (0.1, 0.1),
-}
-
 DEFAULT_BOUND_FACTOR = 5.0
 
 # unit direction along which synthetic asymmetric shifts scale with gamma

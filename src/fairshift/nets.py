@@ -1,11 +1,12 @@
 """Dense networks and their optimizer.
 
 The predictor is a 4-layer fully connected net split into an encoder
-(first two layers, producing the representation) and a classifier head
-(last two layers, producing a clamped sigmoid probability).  A separate
-two-layer positive-output network estimates instance weights over the
-representation space.  Adam with global-norm gradient clipping and a
-cosine learning-rate schedule drives both.
+(first two layers, producing the representation; :meth:`PredictorModel.encode`
+runs them alone) and a classifier head (last two layers, producing a
+clamped sigmoid probability).  A separate two-layer positive-output
+network estimates instance weights over the representation space.  Adam
+with Kingma & Ba's fixed moment constants, global-norm gradient clipping
+and a cosine learning-rate schedule drives both.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from .data import check_field_types
 PROB_CLAMP = 1e-7
 WEIGHT_NET_PREACT_LIMIT = 10.0
 GRAD_CLIP_NORM = 5.0
+# Adam's moment decays and denominator offset, Kingma & Ba's defaults
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
@@ -73,9 +76,9 @@ class PredictorModel:
     def parameters(self):
         return [self.w1, self.b1, self.w2, self.b2, self.w3, self.b3, self.w4, self.b4]
 
-    def _encode(self, x, mask=None):
-        """Layers 1-2: the representation ``g(x)``; ``mask`` drops layer 1's output."""
-        h1 = ad.dense(x, self.w1, self.b1, relu=True)
+    def encode(self, batch, mask=None) -> Tensor:
+        """Layers 1-2 as a tape node, ``g(x)``; ``mask`` drops layer 1's output."""
+        h1 = ad.dense(self._batch(batch), self.w1, self.b1, relu=True)
         return ad.dense(h1, self.w2, self.b2, relu=True, mask=mask)
 
     def _batch(self, batch):
@@ -107,7 +110,7 @@ class PredictorModel:
                 keep[end - n * width : end].reshape(n, width)
                 for end, width in zip(ends.tolist(), widths)
             ]
-        rep = self._encode(x, masks[0])
+        rep = self.encode(x, masks[0])
         h3 = ad.dense(rep, self.w3, self.b3, relu=True, mask=masks[1])
         logits = ad.dense(h3, self.w4, self.b4, mask=masks[2], column=True)
         probs = ad.clamped_sigmoid(logits, PROB_CLAMP, 1.0 - PROB_CLAMP)
@@ -118,8 +121,8 @@ class PredictorModel:
         return probs.value
 
     def representations(self, features) -> np.ndarray:
-        """Encoder output ``g(x)`` in inference mode; the head is not run."""
-        return self._encode(self._batch(features)).value
+        """Encoder output ``g(x)`` in inference mode, as an array."""
+        return self.encode(features).value
 
 
 class WeightNetwork:
@@ -188,15 +191,11 @@ class AdamOptimizer:
         total_steps: int,
         base_lr: float = 1e-3,
         weight_decay: float = 0.0,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
     ):
         self.params = list(params)
         self.total_steps = total_steps
         self.base_lr = base_lr
         self.weight_decay = weight_decay
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         size = sum(p.value.size for p in self.params)
         self.m = np.zeros(size)
         self.v = np.zeros(size)
@@ -230,21 +229,21 @@ class AdamOptimizer:
             np.multiply(g, GRAD_CLIP_NORM / norm, out=g)
         lr = cosine_lr(step_index, self.total_steps, self.base_lr)
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        bc1 = 1.0 - ADAM_BETA1**self.t
+        bc2 = 1.0 - ADAM_BETA2**self.t
         # m = beta1 m + (1 - beta1) g;  v = beta2 v + ((1 - beta2) g) g
-        np.multiply(g, 1.0 - self.beta1, out=a)
-        np.multiply(self.m, self.beta1, out=self.m)
+        np.multiply(g, 1.0 - ADAM_BETA1, out=a)
+        np.multiply(self.m, ADAM_BETA1, out=self.m)
         np.add(self.m, a, out=self.m)
-        np.multiply(g, 1.0 - self.beta2, out=a)
+        np.multiply(g, 1.0 - ADAM_BETA2, out=a)
         np.multiply(a, g, out=a)
-        np.multiply(self.v, self.beta2, out=self.v)
+        np.multiply(self.v, ADAM_BETA2, out=self.v)
         np.add(self.v, a, out=self.v)
         # update = (m / bc1) / (sqrt(v / bc2) + eps)
         np.divide(self.m, bc1, out=a)
         np.divide(self.v, bc2, out=b)
         np.sqrt(b, out=b)
-        np.add(b, self.eps, out=b)
+        np.add(b, ADAM_EPS, out=b)
         np.divide(a, b, out=a)
         # new = (flat - lr update) - (lr wd) flat; while every value is still
         # a view of the last result, that result is the flat vector

@@ -23,7 +23,7 @@ over fused nodes only.  A source that holds one label only, or a target
 whose feature count differs from the source's, raises ``ValueError``
 before any work.  :func:`save_checkpoint` and :func:`load_checkpoint`
 write a :class:`TrainedModel` to versioned JSON and read it back,
-checking every stored array.
+checking every stored array and requiring the stored ``TrainConfig``.
 
 The methods whose row shares pretraining (``erm``, ``ours`` and
 ``unweighted_entropy``) train their first ``pretrain_epochs`` epochs
@@ -368,9 +368,8 @@ def load_checkpoint(path):
     A payload of the wrong structure (a missing key or slot, a config
     field of the wrong type or range, an array whose shape does not fit
     the config or that holds a non-finite value) raises one ``ValueError``
-    naming what is wrong.  An ``extra`` without a ``config``, as checkpoints
-    written before the config was stored have, gives the default config
-    of its method.
+    naming what is wrong; an ``extra`` without the ``config`` that every
+    :func:`save_checkpoint` writes is one such payload.
     """
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
@@ -391,7 +390,7 @@ def load_checkpoint(path):
     extra = payload.get("extra", {})
     if not isinstance(extra, dict):
         raise ValueError(f"checkpoint extra must be a mapping, got {extra!r}")
-    config = extra.get("config", {"method": extra.get("method", "erm")})
+    config = _entry(extra, "config", "checkpoint extra")
     config = build_from_dict(TrainConfig, config, "checkpoint extra config")
     stats = None
     if "input_stats" in extra:
@@ -534,12 +533,14 @@ def _train(
     0 if ``method`` does not pretrain) adapt on the ``target_sample`` too,
     by the terms ``method`` switches on.  Its ``entropy``: ``"learned"``
     trains a weight network by ascent and damps each target point by
-    ``exp(-F_w)``, ``"uniform"`` weights every point 1, ``None`` drops the
-    term.  A matching method with ``lambda2 > 0`` adds W2 between the
-    target's group clouds.  Each adapting step runs one target forward
-    pass; the ascent reads its values as constants, so its backward pass
-    never reaches the classifier graph.  The matching steps share one plan
-    cache, so each coupling solve starts from the last optimal simplex basis.
+    ``exp(-F_w)``, ``"uniform"`` weights every point 1; ``None`` or
+    ``lambda1 = 0`` drops the term and builds no weight network.  A
+    matching method with ``lambda2 > 0`` adds W2 between the target's
+    group clouds.  Each adapting step runs one target pass, without the
+    classifier head unless the entropy term is on; the ascent reads its
+    values as constants, so its backward pass never reaches the classifier
+    graph.  The matching steps share one plan cache, so each coupling solve
+    starts from the last optimal simplex basis.
 
     Each epoch logs the row-weighted mean risk, the step means of the
     other terms and the epoch's wall time.  Everything the loop carries
@@ -558,8 +559,10 @@ def _train(
         )
         run = _Progress(model, opt, streams["batches"], streams["dropout"])
     model, opt = run.model, run.opt
+    use_entropy = method.entropy is not None and cfg.lambda1 > 0
+    use_matching = method.matches and cfg.lambda2 > 0
     weight_net = None
-    if method.entropy == "learned":
+    if use_entropy and method.entropy == "learned":
         weight_net = WeightNetwork(
             cfg.rep_dim, streams["weight_net"], hidden_dim=cfg.weight_hidden_dim
         )
@@ -569,8 +572,6 @@ def _train(
             base_lr=cfg.learning_rate * cfg.weight_lr_multiplier,
             weight_decay=cfg.weight_decay,
         )
-    use_entropy = method.entropy is not None and cfg.lambda1 > 0
-    use_matching = method.matches and cfg.lambda2 > 0
     adapt_from = cfg.pretrain_epochs if method.pretrains else 0
     if target_sample is not None:
         target_x = target_sample.features
@@ -590,10 +591,11 @@ def _train(
         plans.solves = plans.reuses = 0
         theta_norms, w_norms = [], []
         for batch_idx in _batches(run.batches.permutation(source.n), batch_size):
-            if entropy_on or matching:
-                rep_t, probs_t = model.forward(target_x)
             if entropy_on:
+                rep_t, probs_t = model.forward(target_x)
                 entropies = conditional_entropy(probs_t)
+            elif matching:  # the head's target probabilities would go unread
+                rep_t = model.encode(target_x)
             # -- weight-network ascent (classifier frozen, inference mode) --
             if entropy_on and weight_net is not None:
                 rep_s = model.representations(source.features[batch_idx])
@@ -715,10 +717,10 @@ def train(
     statistics recomputed from the target points.  ``cache`` reaches only
     the methods whose row shares pretraining.  The model's
     ``weight_summary`` covers its floored row weights or, for a learned
-    entropy term, the damping ``exp(-F_w)`` of its target points under the
-    final nets (one more encoder and weight-net pass, drawing from no
-    stream); other methods get None.  The first call in a process sets the
-    process up (see the module docstring).
+    entropy term with ``lambda1 > 0``, the damping ``exp(-F_w)`` of its
+    target points under the final nets (one more encoder and weight-net
+    pass, drawing from no stream); other runs get None.  The first call in
+    a process sets the process up (see the module docstring).
     """
     _setup_process()
     method = METHOD_TABLE[cfg.method]
@@ -764,7 +766,7 @@ def train(
         model.weight_net = ratio_net
     if weights is not None:
         model.weight_summary = weight_summary(weights, rescale)
-    elif method.entropy == "learned":
+    elif model.weight_net is not None:
         # the damping exp(-F_w) of each target point under the final nets
         fw = model.weight_net.ratios(model.predictor.representations(target_sub.features))
         model.weight_summary = weight_summary(np.exp(-fw))

@@ -119,12 +119,10 @@ def test_train_and_evaluate_round_trip(source_and_target_csv, tmp_path, capsys):
     )
     checkpoint = out / "checkpoint.json"
     assert load_checkpoint(checkpoint)[0].config == trained
-    # a checkpoint written before the config was stored rebuilds the method only
+    # a checkpoint saved from Python records no data digest
     payload = json.loads(checkpoint.read_text())
-    del payload["extra"]["config"]
     del payload["extra"]["train_data_sha256"]
     checkpoint.write_text(json.dumps(payload))
-    assert load_checkpoint(checkpoint)[0].config == TrainConfig(method="ours")
     assert main(["evaluate", "--checkpoint", str(checkpoint), "--data", str(eval_path)]) == 0
     assert "trained on data sha256=unrecorded" in capsys.readouterr().out.splitlines()
 
@@ -347,6 +345,17 @@ HOSTILE_INPUTS = [
              "checkpoint extra input_stats 'means' must be a (2,) array of finite numbers"),
             ("zero_stds", "checkpoint extra input_stats stds must be strictly positive"),
             ("list_config", "checkpoint extra config must be a mapping, got [1]"),
+            ("no_config", "checkpoint extra has no 'config'"),
+        )
+    ),
+    # a malformed kinds sidecar next to the source CSV names the sidecar file
+    *(
+        (f"sidecar-{name}", TRAIN + ["--data", f"{{sidecar_{name}}}", "--method", "erm"], 1,
+         cause)
+        for name, cause in (
+            ("list", "sidecar_list.csv.kinds.json: must map column names to kinds, got [1]"),
+            ("unknown_column", "sidecar_unknown_column.csv.kinds.json: 'nope' is no feature column"),
+            ("invalid_json", "sidecar_invalid_json.csv.kinds.json: invalid JSON: "),
         )
     ),
 ]
@@ -436,9 +445,18 @@ def hostile_files(source_and_target_csv, tmp_path):
          {**extra, "input_stats": {"means": [0.0, math.inf], "stds": [1.0, 1.0]}}),
         ("zero_stds", "extra", {**extra, "input_stats": {"means": [0.0, 0.0], "stds": [0.0, 1.0]}}),
         ("list_config", "extra", {**extra, "config": [1]}),
+        ("no_config", "extra", {k: v for k, v in extra.items() if k != "config"}),
     ):
         files[name] = tmp_path / f"{name}.json"
         files[name].write_text(json.dumps({**trained, part: value}))
+    for name, text in (
+        ("list", "[1]"),
+        ("unknown_column", '{"nope": "continuous"}'),
+        ("invalid_json", '{"f0": '),
+    ):
+        files[f"sidecar_{name}"] = tmp_path / f"sidecar_{name}.csv"
+        files[f"sidecar_{name}"].write_text(source_path.read_text())
+        (tmp_path / f"sidecar_{name}.csv.kinds.json").write_text(text)
     return files
 
 

@@ -105,17 +105,31 @@ class TestLoadCsv:
         path = _write(tmp_path, "f0,f1,group,label\n0,1.5,0,1\n1,2.5,1,0\n")
         data = load_csv(path)
         assert data.feature_kinds == (CATEGORICAL, CONTINUOUS)
-        data = load_csv(path, kind_overrides={"f0": CONTINUOUS})
+        (tmp_path / "data.csv.kinds.json").write_text('{"f0": "continuous"}')
+        data = load_csv(path)
         assert data.feature_kinds == (CONTINUOUS, CONTINUOUS)
 
     def test_sidecar_kind_override(self, tmp_path):
         path = _write(tmp_path, "f0,f1,group,label\n0,1.5,0,1\n1,2.5,1,0\n")
-        (tmp_path / "data.csv.kinds.json").write_text('{"f0": "continuous"}')
+        (tmp_path / "data.csv.kinds.json").write_text('{"f1": "categorical"}')
         data = load_csv(path)
-        assert data.feature_kinds == (CONTINUOUS, CONTINUOUS)
-        # explicit argument wins over the sidecar
-        data = load_csv(path, kind_overrides={"f0": CATEGORICAL})
-        assert data.feature_kinds == (CATEGORICAL, CONTINUOUS)
+        assert data.feature_kinds == (CATEGORICAL, CATEGORICAL)
+
+    @pytest.mark.parametrize(
+        "text,cause",
+        [
+            ("[1]", r": must map column names to kinds, got \[1\]"),
+            ('{"nope": "continuous"}', r": 'nope' is no feature column of "),
+            ('{"label": "continuous"}', r": 'label' is no feature column of "),
+            ('{"f0": "weird"}', r": unknown feature kind 'weird' for column 'f0'"),
+            ('{"f0": ', r": invalid JSON: "),
+        ],
+    )
+    def test_malformed_sidecar_names_the_file(self, tmp_path, text, cause):
+        path = _write(tmp_path, "f0,f1,group,label\n0,1.5,0,1\n1,2.5,1,0\n")
+        (tmp_path / "data.csv.kinds.json").write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}.kinds.json") + cause):
+            load_csv(path)
 
     def test_unlabeled_csv(self, tmp_path):
         path = _write(tmp_path, "f0,group\n1.0,0\n2.0,1\n")
@@ -270,10 +284,10 @@ class TestSyntheticAsymmetric:
 
 class TestGaussianShiftTask:
     def test_log_ratio_matches_multivariate_normal_oracle(self):
-        task = GaussianShiftTask(gamma=1.7, dim=3)
-        x = np.random.default_rng(0).normal(size=(200, 3)) * 2.0
-        source = multivariate_normal(mean=np.zeros(3)).logpdf(x)
-        target = multivariate_normal(mean=np.array([1.7, 0.0, 0.0])).logpdf(x)
+        task = GaussianShiftTask(gamma=1.7)
+        x = np.random.default_rng(0).normal(size=(200, 2)) * 2.0
+        source = multivariate_normal(mean=np.zeros(2)).logpdf(x)
+        target = multivariate_normal(mean=np.array([1.7, 0.0])).logpdf(x)
         np.testing.assert_allclose(
             task.log_ratio_source_over_target(x), source - target, atol=1e-10
         )
@@ -303,12 +317,6 @@ class TestGaussianShiftTask:
         np.testing.assert_array_equal(
             task.label_probability(x), no_shift.label_probability(x)
         )
-
-    def test_label_scale_drift_raises_entropy_downstream(self):
-        task = GaussianShiftTask(gamma=2.0, label_scale_drift=0.9)
-        near = task.label_probability(np.array([[0.0, 1.0]]))
-        far = task.label_probability(np.array([[3.0, 1.0]]))
-        assert abs(far - 0.5) < abs(near - 0.5)
 
 
 def test_infer_feature_kinds_rejects_unknown_override():

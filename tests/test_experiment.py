@@ -2,6 +2,7 @@ import csv
 import ctypes
 import json
 import dataclasses
+import hashlib
 import math
 import os
 import typing
@@ -31,6 +32,15 @@ from fairshift.experiment import (
 from fairshift.training import TrainConfig
 
 TINY_TRAIN = TrainConfig(pretrain_epochs=2, adapt_epochs=2)
+
+# runs.csv of the tiny synthetic:gaussian sweep of test_gaussian_dataset_supported
+GOLDEN_GAUSSIAN_RUNS_SHA256 = "5403545589aa0f357906f24b3edb1f02d8abee0f4974d76cf02a3b25518b2e44"
+# (is_std, we_std, is_mean, we_mean) of TestVarianceStudy's rows, as float.hex
+GOLDEN_VARIANCE_ROWS = [
+    ("0x1.63884156a88dep-4", "0x1.3480967c01715p-4", "0x1.8d364093bbdf8p-2", "0x1.8a04b6ab0c4b0p-1"),
+    ("0x1.63884156a88dep-4", "0x1.bdbf046c97c1dp-5", "0x1.8d364093bbdf8p-2", "0x1.92b9ee6d3a81fp-1"),
+    ("0x1.63884156a88dep-4", "0x1.3e16c623f4accp-5", "0x1.8d364093bbdf8p-2", "0x1.8f51224bdd553p-1"),
+]
 
 
 def _tiny_spec(**overrides):
@@ -125,9 +135,13 @@ class TestRunExperiment:
         assert untimed[0] == untimed[1]
         assert sequential[1] == parallel[1]
 
-    def test_gaussian_dataset_supported(self):
+    def test_gaussian_dataset_supported(self, tmp_path):
         runs, _ = run_experiment(_tiny_spec(dataset="synthetic:gaussian", gammas=(1.0,)))
         assert all(r["status"] == "ok" for r in runs)
+        # the task's draws and label rule, pinned bit for bit through training
+        write_run_csv(tmp_path / "runs.csv", runs)
+        digest = hashlib.sha256((tmp_path / "runs.csv").read_bytes()).hexdigest()
+        assert digest == GOLDEN_GAUSSIAN_RUNS_SHA256
 
     def test_unknown_synthetic_rejected(self):
         with pytest.raises(ValueError, match="unknown synthetic"):
@@ -498,6 +512,10 @@ class TestVarianceStudy:
     @staticmethod
     def rows():
         return run_variance_study(VarianceStudySpec(gammas=(2.0,), ms=(10, 20, 40), repetitions=12))
+
+    def test_rows_are_bit_stable(self, rows):
+        estimates = ("is_std", "we_std", "is_mean", "we_mean")
+        assert [tuple(row[k].hex() for k in estimates) for row in rows] == GOLDEN_VARIANCE_ROWS
 
     def test_row_schema(self, rows):
         assert len(rows) == 3

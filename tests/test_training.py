@@ -68,6 +68,8 @@ class TestDegenerateEquivalences:
         ours = train(source, target, replace(cfg, method="ours"))
         erm = train(source, None, replace(cfg, method="erm"))
         assert ours.param_digests == erm.param_digests
+        # no entropy term: no weight network is built, so none is summarized
+        assert ours.weight_net is None and ours.weight_summary is None
 
     def test_no_adapt_stage_equals_erm_prefix(self, small_task):
         source, target = small_task
@@ -100,6 +102,7 @@ class TestDegenerateEquivalences:
         ours = train(source, target, replace(cfg, method="ours"))
         unweighted = train(source, target, replace(cfg, method="unweighted_entropy"))
         assert ours.param_digests == unweighted.param_digests
+        assert ours.weight_net is None and ours.weight_summary is None
 
     def test_unit_ratio_importance_weighting_matches_adaptive_trainers(self, small_task):
         # without pre-training and with the entropy term off, all three
