@@ -42,13 +42,7 @@ from .losses import (
     wasserstein2,
     weighted_entropy_term,
 )
-from .metrics import (
-    RunMetrics,
-    accuracy_parity,
-    equalized_odds_gap,
-    evaluate_model,
-    evaluate_predictions,
-)
+from .metrics import RunMetrics, evaluate_model, evaluate_predictions
 from .nets import (
     AdamOptimizer,
     NetConfig,

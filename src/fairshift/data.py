@@ -294,6 +294,8 @@ def load_csv(path) -> LabeledDataset:
 
 def load_unlabeled_csv(path) -> UnlabeledDataset:
     header, matrix = _read_rows(path)
+    if "label" in header:
+        raise ValueError(f"{path} has a 'label' column; an unlabeled file has none")
     _, features, (groups,) = _split_columns(header, matrix, ["group"])
     return UnlabeledDataset(features, groups)
 

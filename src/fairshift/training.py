@@ -282,9 +282,6 @@ class TrainedModel:
             features = (features - self.input_stats.means) / self.input_stats.stds
         return self.predictor.predict_proba(features)
 
-    def predict(self, features) -> np.ndarray:
-        return (self.predict_proba(features) >= 0.5).astype(np.int64)
-
 
 # -- checkpoints ---------------------------------------------------------
 

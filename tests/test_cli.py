@@ -253,13 +253,16 @@ HOSTILE_INPUTS = [
     ("zsa-one-group-target",
      TRAIN + ["--data", "{source}", "--target", "{one_group}", "--method", "zsa"], 0,
      "trained zsa for 4 epochs"),
-    # a labeled CSV as the target: its label column reads as a third feature
+    # a target with one feature column more than the source
     *(
         (f"wide-target-{method}",
-         TRAIN + ["--data", "{source}", "--target", "{source}", "--method", method], 1,
+         TRAIN + ["--data", "{source}", "--target", "{wide_target}", "--method", method], 1,
          "the target has 3 feature columns and the source 2; both must hold the same features")
         for method in ("zsa", "ours", "kliep_iw")
     ),
+    # a labeled CSV as the target, whose label column would read as a third feature
+    ("labeled-target", TRAIN + ["--data", "{source}", "--target", "{source}"], 1,
+     "source.csv has a 'label' column; an unlabeled file has none"),
     ("m-cap-above-target", TRAIN + ["--data", "{source}", "--config", "{big_m}"], 1,
      "m_cap=1000 exceeds available target points (160)"),
     ("zero-epochs", TRAIN + ["--data", "{source}", "--config", "{no_epochs}"], 1,
@@ -382,6 +385,8 @@ def hostile_files(source_and_target_csv, tmp_path):
     target = load_unlabeled_csv(target_path)
     files["one_group"] = tmp_path / "one_group.csv"
     write_csv(files["one_group"], target.subset(np.flatnonzero(target.groups == 0)))
+    files["wide_target"] = tmp_path / "wide_target.csv"
+    write_csv(files["wide_target"], replace(target, features=np.c_[target.features, target.groups]))
     for name, text in (
         ("quick", "pretrain_epochs = 2\nadapt_epochs = 2\nm_cap = 30\n"),
         ("big_m", "pretrain_epochs = 2\nadapt_epochs = 2\nm_cap = 1000\n"),

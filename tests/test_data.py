@@ -137,6 +137,11 @@ class TestLoadCsv:
         assert data.m == 2
         assert data.has_group(0) and data.has_group(1)
 
+    def test_unlabeled_csv_refuses_a_label_column(self, tmp_path):
+        path = _write(tmp_path, "f0,group,label\n1.0,0,1\n2.0,1,0\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path} has a 'label' column; ")):
+            load_unlabeled_csv(path)
+
 
 def test_round_trip_preserves_values_exactly(tmp_path):
     rng = np.random.default_rng(1)

@@ -473,7 +473,7 @@ class TestErm:
         data = LabeledDataset(x, rng.integers(0, 2, n), y, (CONTINUOUS,) * 2)
         cfg = TrainConfig(method="erm", pretrain_epochs=50, adapt_epochs=0, seed=0)
         model = train(data, None, cfg)
-        train_error = (model.predict(data.features) != data.labels).mean()
+        train_error = ((model.predict_proba(data.features) >= 0.5) != data.labels).mean()
         assert train_error < 0.02
 
     def test_history_covers_all_epochs(self, small_task):
