@@ -4,9 +4,10 @@ Datasets are immutable after construction (arrays are write-protected),
 so they can be shared read-only across concurrently running experiments.
 CSV files carry a header row, numeric feature columns, one ``group``
 column and one ``label`` column, both binary; the label column is absent
-for unlabeled files.  A column is treated as categorical iff its
-distinct values are a subset of {0, 1}; a labeled file's
-``<file>.csv.kinds.json`` sidecar is the one way to override that.
+for unlabeled files; a header that repeats a column name is refused.  A
+column is treated as categorical iff its distinct values are a subset of
+{0, 1}; a labeled file's ``<file>.csv.kinds.json`` sidecar is the one way
+to override that.  :meth:`NormalizationStats.apply` is the one z-score.
 """
 
 from __future__ import annotations
@@ -200,6 +201,16 @@ class NormalizationStats:
         if (stds <= 0).any():
             raise ValueError("stds must be strictly positive")
 
+    def apply(self, features) -> np.ndarray:
+        """Columnwise ``(x - mean) / std``; a batch of another width raises one ``ValueError``."""
+        features = np.asarray(features, dtype=np.float64)
+        width = features.shape[-1] if features.ndim else 0
+        if width != len(self.means):
+            raise ValueError(
+                f"dimension mismatch: data has {width} columns, stats have {len(self.means)}"
+            )
+        return (features - self.means) / self.stds
+
 
 def infer_feature_kinds(features, overrides=None) -> tuple:
     """Columns whose distinct values are within {0, 1} are categorical."""
@@ -224,6 +235,9 @@ def _read_rows(path):
             header = next(reader)
         except StopIteration:
             raise ValueError(f"empty file: {path}") from None
+        for j, name in enumerate(header):
+            if name in header[:j]:
+                raise ValueError(f"{path}: column {name!r} appears more than once in the header")
         rows = list(reader)
     if not rows:
         raise ValueError(f"no data rows in {path}")
@@ -341,14 +355,8 @@ def fit_zscore(data, feature_kinds=None) -> NormalizationStats:
 
 
 def apply_zscore(data, stats: NormalizationStats):
-    """Columnwise ``(x - mean) / std``; returns a dataset of the same type."""
-    if data.features.shape[1] != len(stats.means):
-        raise ValueError(
-            f"dimension mismatch: data has {data.features.shape[1]} columns, "
-            f"stats have {len(stats.means)}"
-        )
-    transformed = (data.features - stats.means) / stats.stds
-    return replace(data, features=transformed)
+    """``data`` standardized by ``stats.apply``; returns a dataset of the same type."""
+    return replace(data, features=stats.apply(data.features))
 
 
 # -- synthetic generators --------------------------------------------------

@@ -21,8 +21,10 @@ Each step sums its switched-on terms in one
 :func:`fairshift.autodiff.weighted_sum` node, so every backward pass runs
 over fused nodes only.  A source that holds one label only, or a target
 whose feature count differs from the source's, raises ``ValueError``
-before any work.  :func:`save_checkpoint` and :func:`load_checkpoint`
-write a :class:`TrainedModel` to versioned JSON and read it back,
+before any work; a step that overflows stops the run with one
+``RuntimeError`` naming the epoch.  :func:`train` builds the immutable
+:class:`TrainedModel` in one call.  :func:`save_checkpoint` and
+:func:`load_checkpoint` write it to versioned JSON and read it back,
 checking every stored array and requiring the stored ``TrainConfig``.
 
 The methods whose row shares pretraining (``erm``, ``ours`` and
@@ -48,6 +50,7 @@ back on.  Other C libraries are left as they are.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import ctypes
 import json
@@ -263,7 +266,7 @@ def weight_summary(weights, rescale=None) -> WeightSummary:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainedModel:
     predictor: PredictorModel
     config: TrainConfig
@@ -277,9 +280,8 @@ class TrainedModel:
     weight_summary: WeightSummary | None = None
 
     def predict_proba(self, features) -> np.ndarray:
-        features = np.asarray(features, dtype=np.float64)
         if self.input_stats is not None:
-            features = (features - self.input_stats.means) / self.input_stats.stds
+            features = self.input_stats.apply(features)
         return self.predictor.predict_proba(features)
 
 
@@ -492,6 +494,18 @@ def _check_finite(value, epoch, what):
         raise RuntimeError(f"non-finite {what} at epoch {epoch}: {value!r}")
 
 
+@contextlib.contextmanager
+def _finite_steps(epoch, what):
+    """Run an epoch's steps with numpy's overflow and invalid values raised;
+    those and Adam's non-finite gradient norm become one ``RuntimeError``
+    naming ``what`` and the epoch, and numpy prints no warning."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise RuntimeError(f"{what} diverged at epoch {epoch}: {exc}") from None
+
+
 def _subsample_target(target: UnlabeledDataset, cfg, rng, matching=True) -> UnlabeledDataset:
     """The run's ``m_cap`` target points, drawn once.
 
@@ -500,6 +514,8 @@ def _subsample_target(target: UnlabeledDataset, cfg, rng, matching=True) -> Unla
     """
     if matching and not (target.has_group(0) and target.has_group(1)):
         raise ValueError("target must contain both groups for representation matching")
+    if cfg.m_cap < 2:
+        raise ValueError(f"m_cap={cfg.m_cap} is too small: the target subsample needs 2 points")
     if cfg.m_cap > target.m:
         raise ValueError(f"m_cap={cfg.m_cap} exceeds available target points ({target.m})")
     idx = rng.choice(target.m, size=cfg.m_cap, replace=False)
@@ -522,7 +538,7 @@ def _train(
     target_sample=None,
     row_weights=None,
     cache: PretrainCache | None = None,
-) -> TrainedModel:
+) -> tuple[_Progress, WeightNetwork | None, int]:
     """The one epoch loop: source risk, then target entropy and matching.
 
     Every epoch descends the source risk, weighted per row by
@@ -545,6 +561,8 @@ def _train(
     for a method whose row shares pretraining), the run resumes from a
     copy of a matching stored progress, and so builds no predictor and no
     optimizer, or stores a copy of its own at the end of those epochs.
+    Returns the progress, the weight network it built (or None) and the
+    count of epochs it resumed instead of training.
     """
     labels = source.labels.astype(np.float64)
     total_steps = _total_steps(cfg, source.n)
@@ -587,48 +605,49 @@ def _train(
         fw_lo, fw_hi = np.inf, -np.inf
         plans.solves = plans.reuses = 0
         theta_norms, w_norms = [], []
-        for batch_idx in _batches(run.batches.permutation(source.n), batch_size):
-            if entropy_on:
-                rep_t, probs_t = model.forward(target_x)
-                entropies = conditional_entropy(probs_t)
-            elif matching:  # the head's target probabilities would go unread
-                rep_t = model.encode(target_x)
-            # -- weight-network ascent (classifier frozen, inference mode) --
-            if entropy_on and weight_net is not None:
-                rep_s = model.representations(source.features[batch_idx])
-                fw_t = weight_net.forward(rep_t.value)
-                fw_s = weight_net.forward(rep_s)
-                we = weighted_entropy_term(fw_t, entropies.value)
-                penalty = constraint_penalty(fw_t, fw_s, cfg.c1, cfg.c2)
-                ad.weighted_sum([(1.0, penalty), (-cfg.lambda1, we)]).backward()
-                w_norms.append(w_opt.step(run.step))
-                # the penalty's inputs, as it saw them before the step
-                t_mean = fw_t.value.mean()
-                recip_mean = (1.0 / fw_s.value).mean()
-                d1 = float(t_mean - 1.0)
-                d2 = float(recip_mean - 1.0)
-                sums[3:] += (cfg.c1 * d1 * d1, cfg.c2 * d2 * d2, t_mean, recip_mean)
-                fw_lo = min(fw_lo, fw_t.value.min(), fw_s.value.min())
-                fw_hi = max(fw_hi, fw_t.value.max(), fw_s.value.max())
+        with _finite_steps(epoch, "training"):
+            for batch_idx in _batches(run.batches.permutation(source.n), batch_size):
+                if entropy_on:
+                    rep_t, probs_t = model.forward(target_x)
+                    entropies = conditional_entropy(probs_t)
+                elif matching:  # the head's target probabilities would go unread
+                    rep_t = model.encode(target_x)
+                # -- weight-network ascent (classifier frozen, inference mode) --
+                if entropy_on and weight_net is not None:
+                    rep_s = model.representations(source.features[batch_idx])
+                    fw_t = weight_net.forward(rep_t.value)
+                    fw_s = weight_net.forward(rep_s)
+                    we = weighted_entropy_term(fw_t, entropies.value)
+                    penalty = constraint_penalty(fw_t, fw_s, cfg.c1, cfg.c2)
+                    ad.weighted_sum([(1.0, penalty), (-cfg.lambda1, we)]).backward()
+                    w_norms.append(w_opt.step(run.step))
+                    # the penalty's inputs, as it saw them before the step
+                    t_mean = fw_t.value.mean()
+                    recip_mean = (1.0 / fw_s.value).mean()
+                    d1 = float(t_mean - 1.0)
+                    d2 = float(recip_mean - 1.0)
+                    sums[3:] += (cfg.c1 * d1 * d1, cfg.c2 * d2 * d2, t_mean, recip_mean)
+                    fw_lo = min(fw_lo, fw_t.value.min(), fw_s.value.min())
+                    fw_hi = max(fw_hi, fw_t.value.max(), fw_s.value.max())
 
-            # -- classifier descent ------------------------------------
-            _, probs = model.forward(source.features[batch_idx], dropout_rng=run.dropout)
-            weights = None if row_weights is None else row_weights[batch_idx]
-            risk = cross_entropy_risk(probs, labels[batch_idx], weights)
-            sums[0] += float(risk) * len(batch_idx)
-            terms = [(1.0, risk)]
-            if entropy_on:
-                fw_now = 0.0 if weight_net is None else weight_net.ratios(rep_t.value)
-                ent_term = weighted_entropy_term(fw_now, entropies)
-                sums[1] += float(ent_term)
-                terms.append((cfg.lambda1, ent_term))
-            if matching:
-                w2 = wasserstein2(ad.take_rows(rep_t, idx0), ad.take_rows(rep_t, idx1), plans)
-                sums[2] += float(w2)
-                terms.append((cfg.lambda2, w2))
-            ad.weighted_sum(terms).backward()
-            theta_norms.append(opt.step(run.step))
-            run.step += 1
+                # -- classifier descent ------------------------------------
+                _, probs = model.forward(source.features[batch_idx], dropout_rng=run.dropout)
+                weights = None if row_weights is None else row_weights[batch_idx]
+                risk = cross_entropy_risk(probs, labels[batch_idx], weights)
+                sums[0] += float(risk) * len(batch_idx)
+                terms = [(1.0, risk)]
+                if entropy_on:
+                    fw_now = 0.0 if weight_net is None else weight_net.ratios(rep_t.value)
+                    ent_term = weighted_entropy_term(fw_now, entropies)
+                    sums[1] += float(ent_term)
+                    terms.append((cfg.lambda1, ent_term))
+                if matching:
+                    w2 = wasserstein2(ad.take_rows(rep_t, idx0), ad.take_rows(rep_t, idx1), plans)
+                    sums[2] += float(w2)
+                    terms.append((cfg.lambda2, w2))
+                ad.weighted_sum(terms).backward()
+                theta_norms.append(opt.step(run.step))
+                run.step += 1
 
         erm = sums[0] / source.n
         avg = sums / len(theta_norms)
@@ -661,14 +680,7 @@ def _train(
         run.digests.append(parameter_digest(model.parameters))
         if cache is not None and epoch + 1 == cfg.pretrain_epochs:
             cache.store(source, cfg, run)
-    return TrainedModel(
-        predictor=model,
-        config=cfg,
-        history=run.history,
-        param_digests=run.digests,
-        weight_net=weight_net,
-        resumed_epochs=start,
-    )
+    return run, weight_net, start
 
 
 def _fit_ratio_net(source, target_x, cfg, loss_fn, streams):
@@ -681,15 +693,16 @@ def _fit_ratio_net(source, target_x, cfg, loss_fn, streams):
         net.parameters, total, base_lr=cfg.learning_rate, weight_decay=cfg.weight_decay
     )
     step = 0
-    for _ in range(cfg.total_epochs):
+    for epoch in range(cfg.total_epochs):
         perm = rng.permutation(source.n)
-        for batch_idx in _batches(perm, cfg.batch_size):
-            s_test = net.forward(target_x)
-            s_train = net.forward(source.features[batch_idx])
-            loss = loss_fn(s_test, s_train)
-            loss.backward()
-            opt.step(step)
-            step += 1
+        with _finite_steps(epoch, "the ratio fit"):
+            for batch_idx in _batches(perm, cfg.batch_size):
+                s_test = net.forward(target_x)
+                s_train = net.forward(source.features[batch_idx])
+                loss = loss_fn(s_test, s_train)
+                loss.backward()
+                opt.step(step)
+                step += 1
     return net
 
 
@@ -737,7 +750,7 @@ def train(
     if method.needs_target and target is None:
         raise ValueError(f"method {cfg.method!r} requires target data")
     streams = _streams(cfg.seed)
-    target_sub = stats = weights = ratio_net = rescale = None
+    target_sub = stats = weights = ratio_net = rescale = summary = None
     if method.needs_target:
         target_sub = _subsample_target(target, cfg, streams["subsample"], method.matches)
     if method.zscore:
@@ -757,14 +770,12 @@ def train(
     if weights is not None:
         weights = np.maximum(weights, RATIO_FLOOR)
     cache = cache if method.shares_pretraining else None
-    model = _train(source, cfg, streams, method, target_sub, weights, cache)
-    model.input_stats = stats
-    if ratio_net is not None:
-        model.weight_net = ratio_net
+    run, weight_net, resumed = _train(source, cfg, streams, method, target_sub, weights, cache)
     if weights is not None:
-        model.weight_summary = weight_summary(weights, rescale)
-    elif model.weight_net is not None:
-        # the damping exp(-F_w) of each target point under the final nets
-        fw = model.weight_net.ratios(model.predictor.representations(target_sub.features))
-        model.weight_summary = weight_summary(np.exp(-fw))
-    return model
+        summary = weight_summary(weights, rescale)
+    elif weight_net is not None:  # the damping exp(-F_w) of each target point under the final nets
+        fw = weight_net.ratios(run.model.representations(target_sub.features))
+        summary = weight_summary(np.exp(-fw))
+    return TrainedModel(
+        run.model, cfg, run.history, run.digests, ratio_net or weight_net, stats, resumed, summary
+    )

@@ -14,6 +14,7 @@ import pytest
 import fairshift
 from fairshift.cli import main
 from fairshift.data import (
+    CATEGORICAL,
     load_csv,
     load_unlabeled_csv,
     make_synthetic_asymmetric_labeled,
@@ -265,6 +266,22 @@ HOSTILE_INPUTS = [
      "source.csv has a 'label' column; an unlabeled file has none"),
     ("m-cap-above-target", TRAIN + ["--data", "{source}", "--config", "{big_m}"], 1,
      "m_cap=1000 exceeds available target points (160)"),
+    ("m-cap-one", TRAIN + ["--data", "{source}", "--config", "{one_m}"], 1,
+     "m_cap=1 is too small: the target subsample needs 2 points"),
+    # a run whose steps overflow names the epoch, not numpy's operands
+    *(
+        (f"diverging-{name}", TRAIN + ["--data", "{source}", "--config", f"{{huge_{name}}}"], 1,
+         cause)
+        for name, cause in (
+            ("learning_rate", "training diverged at epoch 0: overflow encountered in matmul"),
+            ("weight_decay", "training diverged at epoch 0: overflow encountered in matmul"),
+            ("c1", "training diverged at epoch 1: non-finite gradient norm"),
+            ("lambda2", "training diverged at epoch 1: non-finite gradient norm"),
+        )
+    ),
+    # the second 'group' column would silently become a feature
+    ("repeated-column", TRAIN + ["--data", "{repeated_column}", "--method", "erm"], 1,
+     "repeated_column.csv: column 'group' appears more than once in the header"),
     ("zero-epochs", TRAIN + ["--data", "{source}", "--config", "{no_epochs}"], 1,
      "pretrain_epochs + adapt_epochs must be >= 1, got 0 + 0"),
     ("negative-seed", TRAIN + ["--data", "{source}", "--seed", "-1"], 1,
@@ -351,6 +368,10 @@ HOSTILE_INPUTS = [
             ("no_config", "checkpoint extra has no 'config'"),
         )
     ),
+    # a zsa checkpoint standardizes a batch of the wrong width before its predictor sees it
+    ("evaluate-zsa-wide", ["evaluate", "--checkpoint", "{zsa_checkpoint}", "--data",
+                           "{wide_source}"], 1,
+     "dimension mismatch: data has 3 columns, stats have 2"),
     # a malformed kinds sidecar next to the source CSV names the sidecar file
     *(
         (f"sidecar-{name}", TRAIN + ["--data", f"{{sidecar_{name}}}", "--method", "erm"], 1,
@@ -387,9 +408,23 @@ def hostile_files(source_and_target_csv, tmp_path):
     write_csv(files["one_group"], target.subset(np.flatnonzero(target.groups == 0)))
     files["wide_target"] = tmp_path / "wide_target.csv"
     write_csv(files["wide_target"], replace(target, features=np.c_[target.features, target.groups]))
+    files["wide_source"] = tmp_path / "wide_source.csv"
+    wide = np.c_[source.features, source.groups]
+    kinds = (*source.feature_kinds, CATEGORICAL)
+    write_csv(files["wide_source"], replace(source, features=wide, feature_kinds=kinds))
+    files["repeated_column"] = tmp_path / "repeated_column.csv"
+    files["repeated_column"].write_text(
+        "f0,group,group,label\n" + "".join(f"{i},{i % 2},{i // 2 % 2},{i % 3 % 2}\n"
+                                           for i in range(12))
+    )
     for name, text in (
         ("quick", "pretrain_epochs = 2\nadapt_epochs = 2\nm_cap = 30\n"),
         ("big_m", "pretrain_epochs = 2\nadapt_epochs = 2\nm_cap = 1000\n"),
+        ("one_m", "pretrain_epochs = 2\nadapt_epochs = 2\nm_cap = 1\n"),
+        *(
+            (f"huge_{name}", f"pretrain_epochs = 1\nadapt_epochs = 2\n{name} = 1e300\n")
+            for name in ("learning_rate", "weight_decay", "c1", "lambda2")
+        ),
         ("no_epochs", "pretrain_epochs = 0\nadapt_epochs = 0\n"),
         ("none_lambda1", "lambda1 = none\n"),
         ("float_batch", "batch_size = 3.5\n"),
@@ -422,6 +457,9 @@ def hostile_files(source_and_target_csv, tmp_path):
     files["checkpoint"] = tmp_path / "erm" / "checkpoint.json"
     main(["train", "--data", str(source_path), "--method", "erm", "--config",
           str(files["quick"]), "--out", str(files["checkpoint"].parent)])
+    files["zsa_checkpoint"] = tmp_path / "zsa" / "checkpoint.json"
+    main(["train", "--data", str(source_path), "--target", str(target_path), "--method", "zsa",
+          "--config", str(files["quick"]), "--out", str(files["zsa_checkpoint"].parent)])
     # checkpoints of the wrong structure
     files["no_predictor"] = tmp_path / "no_predictor.json"
     files["no_predictor"].write_text('{"format_version": 1}')
@@ -477,6 +515,18 @@ def test_hostile_input(hostile_files, tmp_path, capsys, argv, code, cause):
     assert cause in (printed.err if code else printed.out)
     if code:
         assert printed.err.startswith("error: ") and "Traceback" not in printed.err
+
+
+@pytest.mark.parametrize("name", ["learning_rate", "weight_decay", "c1", "lambda2"])
+def test_a_diverging_run_prints_one_line_and_no_numpy_warning(hostile_files, tmp_path, capsys,
+                                                              name):
+    # numpy's default error handling, as on the command line; a warning fails this test
+    capsys.readouterr()
+    argv = [arg.format(**hostile_files, out=tmp_path / "out") for arg in TRAIN]
+    assert main(argv + ["--data", str(hostile_files["source"]), "--config",
+                        str(hostile_files[f"huge_{name}"])]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: training diverged at epoch ") and err.count("\n") == 1
 
 
 def test_variance_study_command(tmp_path):

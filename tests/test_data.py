@@ -5,6 +5,9 @@ from typing import Annotated
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.stats import multivariate_normal
 
 from fairshift.data import (
@@ -71,6 +74,18 @@ class TestLoadCsv:
         path = _write(tmp_path, f"f0,group\n1.0,{cell}\n2.0,1\n", "target.csv")
         with pytest.raises(ValueError, match=message):
             load_unlabeled_csv(path)
+
+    @pytest.mark.parametrize("header", ["f0,group,group,label", "f0,f0,group,label"])
+    def test_repeated_column_name_rejected(self, tmp_path, header):
+        # header.index would take the first one; the second would read as a feature
+        name = header.split(",")[1]
+        message = re.escape(f"column '{name}' appears more than once in the header")
+        path = _write(tmp_path, f"{header}\n1,0,1,1\n2,1,0,0\n")
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ": " + message):
+            load_csv(path)
+        unlabeled = _write(tmp_path, f"{header.rsplit(',', 1)[0]}\n1,0,1\n2,1,0\n", "target.csv")
+        with pytest.raises(ValueError, match=message):
+            load_unlabeled_csv(unlabeled)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -244,6 +259,31 @@ class TestZScore:
         data = self._dataset([1.0, 2.0])
         with pytest.raises(ValueError, match="mismatch"):
             apply_zscore(data, NormalizationStats(np.zeros(3), np.ones(3)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    hnp.arrays(np.float64, st.tuples(st.integers(2, 6), st.integers(1, 4)),
+               elements=st.floats(-1e6, 1e6)),
+    st.lists(st.booleans(), min_size=4, max_size=4),
+    hnp.arrays(np.float64, st.tuples(st.integers(1, 6), st.just(4)),
+               elements=st.floats(-1e6, 1e6)),
+)
+def test_apply_is_the_zscore_expression_byte_for_byte(fit_rows, categorical, batch):
+    # fitted statistics: a categorical column holds 0/1 values and gets mean 0, std 1
+    d = fit_rows.shape[1]
+    kinds = tuple(CATEGORICAL if c else CONTINUOUS for c in categorical[:d])
+    fit_rows = np.where(categorical[:d], fit_rows > 0, fit_rows)
+    data = LabeledDataset(fit_rows, np.zeros(len(fit_rows)), np.zeros(len(fit_rows)), kinds)
+    stats = fit_zscore(data)
+    expected = (data.features - stats.means) / stats.stds
+    assert stats.apply(data.features).tobytes() == expected.tobytes()
+    assert apply_zscore(data, stats).features.tobytes() == expected.tobytes()
+    batch = batch[:, :d]
+    assert stats.apply(batch).tobytes() == ((batch - stats.means) / stats.stds).tobytes()
+    # a batch of another width: the one mismatch message
+    with pytest.raises(ValueError, match=f"data has {d + 1} columns, stats have {d}"):
+        stats.apply(np.zeros((2, d + 1)))
 
 
 class TestSyntheticAsymmetric:

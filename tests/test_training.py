@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from scipy.stats import spearmanr
 
 import fairshift
@@ -887,6 +887,15 @@ def test_nonfinite_loss_aborts_with_diagnostic():
         _check_finite(float("nan"), epoch=3, what="loss")
 
 
+def test_a_diverging_ratio_fit_names_its_epoch(small_task):
+    # numpy's default error handling; an overflow warning would fail this test
+    source, target = small_task
+    cfg = replace(QUICK, method="kliep_iw", learning_rate=1e300)
+    message = "^the ratio fit diverged at epoch 0: overflow encountered in matmul$"
+    with np.errstate(all="warn"), pytest.raises(RuntimeError, match=message):
+        train(source, target, cfg)
+
+
 FLOAT_FIELDS = [name for name, hint in typing.get_type_hints(TrainConfig).items() if hint is float]
 
 
@@ -1014,6 +1023,16 @@ def test_checkpoint_round_trip_predicts_bit_for_bit(small_task, tmp_path, method
         assert digests[0] == digests[1]
     else:
         assert loaded.weight_net is None
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_trained_models_are_immutable(small_task, method):
+    # train() builds the whole model in one constructor call; nothing patches it later
+    source, target = small_task
+    model = train(source, target, replace(QUICK, method=method, pretrain_epochs=1, adapt_epochs=1))
+    for f in fields(TrainedModel):
+        with pytest.raises(FrozenInstanceError):
+            setattr(model, f.name, getattr(model, f.name))
 
 
 def test_checkpoint_bytes_are_pinned(tmp_path):
