@@ -6,12 +6,13 @@ for a fixed number of repetitions, with per-run seeds derived as
 Outputs are plain CSV with documented headers; re-running a spec
 reproduces every byte.
 
-The runs of one ``(gamma, rep)`` whose :data:`~fairshift.training.METHOD_TABLE`
-row shares pretraining train the same first ``pretrain_epochs`` epochs,
-so they run as one task that shares one :class:`~fairshift.training.PretrainCache`:
-the first of them trains those epochs and the others resume from a copy.
-Each still draws its data and trains once, in grid order, and its results
-are those of a run on its own.
+The runs of one ``(gamma, rep)`` whose configs have equal read keys at
+``pretrain_epochs`` (see :func:`~fairshift.training._read_key`), whatever
+their methods, run as one task that shares one
+:class:`~fairshift.training.PretrainCache`: the first of them trains those
+epochs and the others resume from a copy when their data match too.  Each
+still draws its data and trains once, in grid order, and its results are
+those of a run on its own.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .data import (
 from .losses import conditional_entropy, risk_bound_gap
 from .metrics import RunMetrics, evaluate_model
 from .splitter import ShiftConfig, split
-from .training import METHOD_TABLE, PretrainCache, TrainConfig, _setup_process, train
+from .training import PretrainCache, TrainConfig, _read_key, _setup_process, train
 
 SYNTHETIC_ASYMMETRIC = "synthetic:asymmetric"
 SYNTHETIC_GAUSSIAN = "synthetic:gaussian"
@@ -191,6 +192,11 @@ def _init_worker(provider):
     _setup_process()
 
 
+def _task_config(spec, task):
+    point, rep = task
+    return spec.run_config(spec.base_seed + rep, **dict(zip(GRID_FIELDS, point)))
+
+
 def _execute_run(task, provider=None, cache=None):
     """One seeded run of a ``(point, rep)`` task; returns its row.
 
@@ -203,14 +209,12 @@ def _execute_run(task, provider=None, cache=None):
     point, rep = task
     if provider is None:
         provider = _worker_provider
-    spec = provider.spec
-    seed = spec.base_seed + rep
-    cfg = spec.run_config(seed, **dict(zip(GRID_FIELDS, point)))
-    row = {**dict(zip(_POINT_COLUMNS, point)), "rep": rep, "seed": seed}
+    cfg = _task_config(provider.spec, task)
+    row = {**dict(zip(_POINT_COLUMNS, point)), "rep": rep, "seed": cfg.seed}
     row.update(resumed_epochs=0, ess_share="")
     start = time.perf_counter()
     try:
-        source, target, eval_set = provider.make(row["gamma"], seed)
+        source, target, eval_set = provider.make(row["gamma"], cfg.seed)
         model = train(source, target, cfg, cache)
         row["resumed_epochs"] = model.resumed_epochs
         metrics = evaluate_model(model, eval_set)
@@ -237,26 +241,22 @@ def _execute_group(tasks, provider=None):
     return [_execute_run(task, provider, cache) for task in tasks]
 
 
-def _group_tasks(tasks, workers):
-    """Index lists into ``tasks``: the runs that execute as one task.
+def _group_tasks(spec, tasks, workers):
+    """Index lists into ``tasks`` of ``spec``: the runs that execute as one task.
 
-    The runs of one ``(gamma, rep)`` whose ``METHOD_TABLE`` row shares
-    pretraining form one group; every other run is alone.  Groups keep grid
-    order, within and by their first member.  If that leaves fewer groups
-    than ``workers``, every run is alone, so no worker idles for sharing.
+    The runs of one ``(gamma, rep)`` whose configs have equal read keys at
+    ``pretrain_epochs`` form one group.  Groups keep grid order, within
+    and by their first member.  If that leaves fewer groups than
+    ``workers``, every run is alone, so no worker idles for sharing.
     """
-    groups, shared = [], {}
-    for i, ((method, gamma, *_), rep) in enumerate(tasks):
-        if not METHOD_TABLE[method].shares_pretraining:
-            groups.append([i])
-        elif (gamma, rep) in shared:
-            shared[gamma, rep].append(i)
-        else:
-            shared[gamma, rep] = [i]
-            groups.append(shared[gamma, rep])
+    groups = {}
+    for i, task in enumerate(tasks):
+        (_, gamma, *_), rep = task
+        cfg = _task_config(spec, task)
+        groups.setdefault((gamma, rep, _read_key(cfg, cfg.pretrain_epochs)), []).append(i)
     if len(groups) < workers:
         return [[i] for i in range(len(tasks))]
-    return groups
+    return list(groups.values())
 
 
 def run_experiment(spec: ExperimentSpec, workers: int = 1):
@@ -280,7 +280,7 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1):
     points = list(spec.grid())
     tasks = [(point, rep) for point in points for rep in range(spec.repetitions)]
     provider = _DataProvider(spec)
-    groups = _group_tasks(tasks, workers)
+    groups = _group_tasks(spec, tasks, workers)
     members = [[tasks[i] for i in group] for group in groups]
     if workers == 1:
         results = [_execute_group(group, provider) for group in members]

@@ -27,10 +27,13 @@ before any work; a step that overflows stops the run with one
 :func:`load_checkpoint` write it to versioned JSON and read it back,
 checking every stored array and requiring the stored ``TrainConfig``.
 
-The methods whose row shares pretraining (``erm``, ``ours`` and
-``unweighted_entropy``) train their first ``pretrain_epochs`` epochs
+:func:`_read_key` says what a run or its first epochs compute: the method's
+row with each term off that a zero lambda or the schedule leaves off, and
+every field of the config that the run reads.  Two runs whose keys at
+``pretrain_epochs`` are equal, and whose source, row weights and (when
+those epochs adapt) target sample are equal by value, train those epochs
 alike, so a :class:`PretrainCache` passed to :func:`train` lets the runs
-of a sweep train those epochs once, bit for bit.
+of a sweep train them once, bit for bit, whatever their methods.
 
 Every process that trains is set up once, by its first :func:`train` call
 or when a sweep's pool worker starts, so a run trains alike in-process or
@@ -108,23 +111,6 @@ class Method:
     @property
     def needs_target(self):
         return bool(self.entropy or self.matches or self.ratio_loss or self.zscore)
-
-    @property
-    def shares_pretraining(self):  # its first pretrain_epochs epochs are erm's
-        return self.pretrains and self.ratio_loss is None and not self.zscore
-
-    @property
-    def unread_fields(self):
-        """The ``TrainConfig`` fields it never reads; any other field keys its run."""
-        learned = self.entropy == "learned"
-        unread = {
-            "lambda1": self.entropy is None,
-            "lambda2": not self.matches,
-            **dict.fromkeys(("c1", "c2", "weight_lr_multiplier"), not learned),
-            "weight_hidden_dim": not learned and self.ratio_loss is None,
-            "m_cap": not self.needs_target,
-        }
-        return frozenset(name for name, skipped in unread.items() if skipped)
 
 
 METHOD_TABLE = {  # entropy      matches pretrains ratio_loss  zscore
@@ -213,6 +199,11 @@ class TrainConfig:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
         if self.pretrain_epochs + self.adapt_epochs == 0:
             raise ValueError("pretrain_epochs + adapt_epochs must be >= 1, got 0 + 0")
+        if self.learning_rate * self.weight_decay >= 1:  # Adam's decay factor is 1 - lr * wd
+            raise ValueError(
+                f"learning_rate * weight_decay must be < 1, got {self.learning_rate!r} * "
+                f"{self.weight_decay!r}: each step would zero or flip every parameter"
+            )
 
     @property
     def total_epochs(self):
@@ -416,10 +407,37 @@ def _streams(seed):
     }
 
 
-def _pretrain_key(cfg):
-    """The pretraining epochs' config key: every field ``erm`` reads."""
-    erm, unread = replace(cfg, method="erm"), METHOD_TABLE["erm"].unread_fields
-    return tuple((f.name, getattr(erm, f.name)) for f in fields(erm) if f.name not in unread)
+def _effective_row(cfg, epochs):
+    """The method's row with each term off that a zero lambda or the
+    schedule has not switched on by epoch ``epochs``."""
+    row = METHOD_TABLE[cfg.method]
+    adapting = epochs > (cfg.pretrain_epochs if row.pretrains else 0)
+    entropy = row.entropy if adapting and cfg.lambda1 > 0 else None
+    return replace(row, entropy=entropy, matches=row.matches and adapting and cfg.lambda2 > 0)
+
+
+def _read_key(cfg, epochs=None):
+    """What a run of ``cfg``, or its first ``epochs`` epochs, computes: ``(row, fields)``.
+
+    ``row`` is their :func:`_effective_row`; ``fields`` holds the name and
+    value of every ``TrainConfig`` field it reads, in field order (the
+    row-weight fit's too, since every epoch reads its weights).  A whole
+    run (``epochs`` None) also reads ``m_cap`` if its method draws a target
+    sample: the run checks it, and ``zsa`` standardizes by its statistics.
+    """
+    whole = epochs is None
+    row = _effective_row(cfg, cfg.total_epochs if whole else epochs)
+    learned = row.entropy == "learned"
+    draws = whole and METHOD_TABLE[cfg.method].needs_target
+    unread = {
+        "method": True,
+        "lambda1": row.entropy is None,
+        "lambda2": not row.matches,
+        **dict.fromkeys(("c1", "c2", "weight_lr_multiplier"), not learned),
+        "weight_hidden_dim": not learned and row.ratio_loss is None,
+        "m_cap": not (row.entropy or row.matches or row.ratio_loss or draws),
+    }
+    return row, tuple((f.name, getattr(cfg, f.name)) for f in fields(cfg) if not unread.get(f.name))
 
 
 @dataclass
@@ -430,6 +448,10 @@ class _Progress:
     opt: AdamOptimizer
     batches: np.random.Generator
     dropout: np.random.Generator
+    # built at the first epoch whose entropy term learns
+    weight_net: WeightNetwork | None = None
+    w_opt: AdamOptimizer | None = None
+    plans: PlanCache = field(default_factory=PlanCache)
     step: int = 0
     history: list = field(default_factory=list)
     digests: list = field(default_factory=list)
@@ -437,34 +459,37 @@ class _Progress:
 
 @dataclass
 class PretrainCache:
-    """The pretraining epochs of the last run that trained them, to resume from.
+    """The first ``pretrain_epochs`` epochs of the last run that trained them, to resume from.
 
-    :func:`train` hands the cache only to runs of the methods whose
-    :data:`METHOD_TABLE` row shares pretraining; runs of the other methods
-    neither read nor write it.  ``state`` is the storing run's source
-    features and labels, its config key and a deep copy of its progress at
-    the end of those epochs.  A run resumes from a fresh deep copy of that
-    progress when its source features and labels equal the stored ones by
-    value and its config equals the stored one in every field ``erm``
-    reads; otherwise it trains those epochs itself and stores its own.
+    ``state`` is the storing run's :meth:`cut` and its progress at the end
+    of those epochs, deep copies both.  A run of any method resumes from a
+    fresh deep copy of that progress when its cut has an equal key and
+    arrays equal by value; otherwise it trains those epochs itself and
+    stores its own.
     """
 
     state: tuple | None = None
 
-    def store(self, source, cfg, progress):
-        features, labels = source.features.copy(), source.labels.copy()
-        self.state = features, labels, _pretrain_key(cfg), copy.deepcopy(progress)
+    @staticmethod
+    def cut(source, cfg, target_sample, row_weights):
+        """:func:`_read_key` of a run's first ``pretrain_epochs`` epochs and the
+        arrays they read: source features and labels, row weights, and the
+        target sample's features and groups (None unless they adapt)."""
+        key = _read_key(cfg, cfg.pretrain_epochs)
+        adapts = key[0].entropy or key[0].matches
+        target = (target_sample.features, target_sample.groups) if adapts else (None, None)
+        return key, (source.features, source.labels, row_weights, *target)
 
-    def resume(self, source, cfg):
-        """A copy of the stored progress if it matches, else None."""
+    def store(self, cut, progress):
+        self.state = copy.deepcopy((*cut, progress))
+
+    def resume(self, cut):
+        """A copy of the stored progress if ``cut`` matches the stored one, else None."""
         if self.state is None:
             return None
-        features, labels, config_key, progress = self.state
-        if not (
-            config_key == _pretrain_key(cfg)
-            and np.array_equal(features, source.features)
-            and np.array_equal(labels, source.labels)
-        ):
+        key, arrays, progress = self.state
+        # np.array_equal holds for None against None and fails for None against an array
+        if key != cut[0] or not all(map(np.array_equal, arrays, cut[1])):
             return None
         return copy.deepcopy(progress)
 
@@ -534,71 +559,61 @@ def _train(
     source: LabeledDataset,
     cfg: TrainConfig,
     streams,
-    method: Method,
     target_sample=None,
     row_weights=None,
     cache: PretrainCache | None = None,
-) -> tuple[_Progress, WeightNetwork | None, int]:
+) -> tuple[_Progress, int]:
     """The one epoch loop: source risk, then target entropy and matching.
 
     Every epoch descends the source risk, weighted per row by
-    ``row_weights`` if given.  The epochs from ``pretrain_epochs`` on (from
-    0 if ``method`` does not pretrain) adapt on the ``target_sample`` too,
-    by the terms ``method`` switches on.  Its ``entropy``: ``"learned"``
-    trains a weight network by ascent and damps each target point by
-    ``exp(-F_w)``, ``"uniform"`` weights every point 1; ``None`` or
-    ``lambda1 = 0`` drops the term and builds no weight network.  A
-    matching method with ``lambda2 > 0`` adds W2 between the target's
-    group clouds.  Each adapting step runs one target pass, without the
-    classifier head unless the entropy term is on; the ascent reads its
-    values as constants, so its backward pass never reaches the classifier
-    graph.  The matching steps share one plan cache, so each coupling solve
-    starts from the last optimal simplex basis.
+    ``row_weights`` if given.  Each epoch runs the terms that
+    :func:`_effective_row` through it switches on, on the ``target_sample``.
+    Its ``entropy``: ``"learned"`` trains a weight network by ascent and
+    damps each target point by ``exp(-F_w)``, ``"uniform"`` weights every
+    point 1; a run whose entropy term never runs builds no weight network.
+    ``matches`` adds W2 between the target's group clouds.  Each adapting
+    step runs one target pass, without the classifier head unless the
+    entropy term is on; the ascent reads its values as constants, so its
+    backward pass never reaches the classifier graph.  The matching steps
+    share one plan cache, so each coupling solve starts from the last
+    optimal simplex basis.
 
     Each epoch logs the row-weighted mean risk, the step means of the
     other terms and the epoch's wall time.  Everything the loop carries
-    from epoch to epoch is one :class:`_Progress`.  With a ``cache`` (only
-    for a method whose row shares pretraining), the run resumes from a
-    copy of a matching stored progress, and so builds no predictor and no
-    optimizer, or stores a copy of its own at the end of those epochs.
-    Returns the progress, the weight network it built (or None) and the
-    count of epochs it resumed instead of training.
+    from epoch to epoch is one :class:`_Progress`.  With a ``cache``, the
+    run resumes from a copy of a stored progress whose cut matches its own,
+    and so builds no predictor and no optimizer, or stores a copy of its
+    own at the end of those epochs.  Returns the progress and the count of
+    epochs it resumed instead of training.
     """
     labels = source.labels.astype(np.float64)
     total_steps = _total_steps(cfg, source.n)
-    run = None if cache is None else cache.resume(source, cfg)
+    cut = None if cache is None else cache.cut(source, cfg, target_sample, row_weights)
+    run = None if cache is None else cache.resume(cut)
     if run is None:
         model = PredictorModel(cfg.net_config(source.d), streams["predictor"])
         opt = AdamOptimizer(
             model.parameters, total_steps, base_lr=cfg.learning_rate, weight_decay=cfg.weight_decay
         )
         run = _Progress(model, opt, streams["batches"], streams["dropout"])
-    model, opt = run.model, run.opt
-    use_entropy = method.entropy is not None and cfg.lambda1 > 0
-    use_matching = method.matches and cfg.lambda2 > 0
-    weight_net = None
-    if use_entropy and method.entropy == "learned":
-        weight_net = WeightNetwork(
-            cfg.rep_dim, streams["weight_net"], hidden_dim=cfg.weight_hidden_dim
-        )
-        w_opt = AdamOptimizer(
-            weight_net.parameters,
-            total_steps,
-            base_lr=cfg.learning_rate * cfg.weight_lr_multiplier,
-            weight_decay=cfg.weight_decay,
-        )
-    adapt_from = cfg.pretrain_epochs if method.pretrains else 0
+    model, opt, plans = run.model, run.opt, run.plans
     if target_sample is not None:
         target_x = target_sample.features
         idx0 = np.flatnonzero(target_sample.groups == 0)
         idx1 = np.flatnonzero(target_sample.groups == 1)
-    plans = PlanCache()
     start = len(run.history)
     for epoch, batch_size in enumerate(_epoch_batch_sizes(cfg)[start:], start):
         started = time.perf_counter()
         faults_at_start = _minor_faults()
-        entropy_on = epoch >= adapt_from and use_entropy
-        matching = epoch >= adapt_from and use_matching
+        row = _effective_row(cfg, epoch + 1)  # a term on by this epoch is on in it
+        entropy_on, matching = row.entropy is not None, row.matches
+        if row.entropy == "learned" and run.weight_net is None:
+            w_lr, w_seed = cfg.learning_rate * cfg.weight_lr_multiplier, streams["weight_net"]
+            run.weight_net = WeightNetwork(cfg.rep_dim, w_seed, cfg.weight_hidden_dim)
+            run.w_opt = AdamOptimizer(
+                run.weight_net.parameters, total_steps, base_lr=w_lr, weight_decay=cfg.weight_decay
+            )
+        weight_net, w_opt = run.weight_net, run.w_opt
         # row-weighted erm, then step sums of: entropy, w2, c1 penalty,
         # c2 penalty, mean F_w on the target, mean 1 / F_w on the source batch
         sums = np.zeros(7)
@@ -679,8 +694,8 @@ def _train(
         run.history.append(breakdown)
         run.digests.append(parameter_digest(model.parameters))
         if cache is not None and epoch + 1 == cfg.pretrain_epochs:
-            cache.store(source, cfg, run)
-    return run, weight_net, start
+            cache.store(cut, run)
+    return run, start
 
 
 def _fit_ratio_net(source, target_x, cfg, loss_fn, streams):
@@ -724,11 +739,12 @@ def train(
     it, which is how exact-ratio studies and the unit-weight degenerate
     case run.  A z-scoring method trains on source features standardized
     by source statistics and returns a model that standardizes by
-    statistics recomputed from the target points.  ``cache`` reaches only
-    the methods whose row shares pretraining.  The model's
-    ``weight_summary`` covers its floored row weights or, for a learned
-    entropy term with ``lambda1 > 0``, the damping ``exp(-F_w)`` of its
-    target points under the final nets (one more encoder and weight-net
+    statistics recomputed from the target points.  With a ``cache``
+    (see :class:`PretrainCache`) the run resumes its first
+    ``pretrain_epochs`` epochs from another run that computed them alike,
+    of any method.  The model's ``weight_summary`` covers its floored row
+    weights or, for a learned entropy term that ran, the damping
+    ``exp(-F_w)`` of its target points under the final nets (one more encoder and weight-net
     pass, drawing from no stream); other runs get None.  The first call in
     a process sets the process up (see the module docstring).
     """
@@ -769,13 +785,11 @@ def train(
         weights, rescale = weights / mean, 1.0 / mean
     if weights is not None:
         weights = np.maximum(weights, RATIO_FLOOR)
-    cache = cache if method.shares_pretraining else None
-    run, weight_net, resumed = _train(source, cfg, streams, method, target_sub, weights, cache)
+    run, resumed = _train(source, cfg, streams, target_sub, weights, cache)
     if weights is not None:
         summary = weight_summary(weights, rescale)
-    elif weight_net is not None:  # the damping exp(-F_w) of each target point under the final nets
-        fw = weight_net.ratios(run.model.representations(target_sub.features))
+    elif run.weight_net is not None:  # each target point's damping exp(-F_w) under the final nets
+        fw = run.weight_net.ratios(run.model.representations(target_sub.features))
         summary = weight_summary(np.exp(-fw))
-    return TrainedModel(
-        run.model, cfg, run.history, run.digests, ratio_net or weight_net, stats, resumed, summary
-    )
+    net = ratio_net or run.weight_net
+    return TrainedModel(run.model, cfg, run.history, run.digests, net, stats, resumed, summary)

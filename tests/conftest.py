@@ -5,7 +5,7 @@ import pytest
 
 from fairshift import experiment
 from fairshift.experiment import ExperimentSpec, run_experiment
-from fairshift.training import METHOD_TABLE, train
+from fairshift.training import _read_key, train
 
 
 @pytest.fixture
@@ -24,8 +24,10 @@ def asymmetric_sweep(monkeypatch):
         rows, _ = run_experiment(spec, workers=2)
         assert [row["status"] for row in rows] == ["ok"] * len(rows)
         rows = {m: [row for row in rows if row["method"] == m] for m in methods}
-        if all(METHOD_TABLE[m].shares_pretraining for m in methods):
-            epochs = spec.train.pretrain_epochs
+        epochs = spec.train.pretrain_epochs
+        point = {name: entries[0] for name, entries in grid.items()}
+        cfgs = [spec.run_config(0, methods=m, **point) for m in methods]
+        if len({_read_key(cfg, epochs) for cfg in cfgs}) == 1:
             assert [row["resumed_epochs"] for row in rows[methods[1]]] == [epochs] * 20
             trained = []
 

@@ -268,17 +268,25 @@ HOSTILE_INPUTS = [
      "m_cap=1000 exceeds available target points (160)"),
     ("m-cap-one", TRAIN + ["--data", "{source}", "--config", "{one_m}"], 1,
      "m_cap=1 is too small: the target subsample needs 2 points"),
-    # a run whose steps overflow names the epoch, not numpy's operands
+    # a run whose steps overflow names the epoch, not numpy's operands; a
+    # weight_decay of 1e300 fails the config instead, before any step
     *(
         (f"diverging-{name}", TRAIN + ["--data", "{source}", "--config", f"{{huge_{name}}}"], 1,
          cause)
         for name, cause in (
             ("learning_rate", "training diverged at epoch 0: overflow encountered in matmul"),
-            ("weight_decay", "training diverged at epoch 0: overflow encountered in matmul"),
+            ("weight_decay", "learning_rate * weight_decay must be < 1, got 0.001 * 1e+300"),
             ("c1", "training diverged at epoch 1: non-finite gradient norm"),
             ("lambda2", "training diverged at epoch 1: non-finite gradient norm"),
         )
     ),
+    # decay that zeroes or flips every parameter at each step would train a
+    # constant predictor, which scores as perfectly fair
+    ("zeroing-decay", TRAIN + ["--data", "{source}", "--config", "{unit_decay}"], 1,
+     "learning_rate * weight_decay must be < 1, got 1 * 1: "
+     "each step would zero or flip every parameter"),
+    ("decay-of-1000", TRAIN + ["--data", "{source}", "--config", "{big_decay}"], 1,
+     "learning_rate * weight_decay must be < 1, got 0.001 * 1000: "),
     # the second 'group' column would silently become a feature
     ("repeated-column", TRAIN + ["--data", "{repeated_column}", "--method", "erm"], 1,
      "repeated_column.csv: column 'group' appears more than once in the header"),
@@ -422,9 +430,18 @@ def hostile_files(source_and_target_csv, tmp_path):
         ("big_m", "pretrain_epochs = 2\nadapt_epochs = 2\nm_cap = 1000\n"),
         ("one_m", "pretrain_epochs = 2\nadapt_epochs = 2\nm_cap = 1\n"),
         *(
-            (f"huge_{name}", f"pretrain_epochs = 1\nadapt_epochs = 2\n{name} = 1e300\n")
-            for name in ("learning_rate", "weight_decay", "c1", "lambda2")
+            (f"huge_{name}", f"pretrain_epochs = 1\nadapt_epochs = 2\n{name} = 1e300\n{extra}")
+            for name, extra in (
+                # without decay, which the product rule would refuse first
+                ("learning_rate", "weight_decay = 0\n"),
+                ("weight_decay", ""),
+                ("c1", ""),
+                ("lambda2", ""),
+            )
         ),
+        ("unit_decay", "pretrain_epochs = 1\nadapt_epochs = 2\nlearning_rate = 1\n"
+                       "weight_decay = 1\n"),
+        ("big_decay", "pretrain_epochs = 1\nadapt_epochs = 2\nweight_decay = 1000\n"),
         ("no_epochs", "pretrain_epochs = 0\nadapt_epochs = 0\n"),
         ("none_lambda1", "lambda1 = none\n"),
         ("float_batch", "batch_size = 3.5\n"),
@@ -517,7 +534,7 @@ def test_hostile_input(hostile_files, tmp_path, capsys, argv, code, cause):
         assert printed.err.startswith("error: ") and "Traceback" not in printed.err
 
 
-@pytest.mark.parametrize("name", ["learning_rate", "weight_decay", "c1", "lambda2"])
+@pytest.mark.parametrize("name", ["learning_rate", "c1", "lambda2"])
 def test_a_diverging_run_prints_one_line_and_no_numpy_warning(hostile_files, tmp_path, capsys,
                                                               name):
     # numpy's default error handling, as on the command line; a warning fails this test

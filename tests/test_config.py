@@ -129,7 +129,8 @@ NONNEGATIVE = st.floats(0.0, 1e6)
 POSITIVE = st.floats(1e-9, 1e6)
 UNIT_OPEN = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 
-# every value TrainConfig accepts: each field in its domain, and at least one epoch
+# every value TrainConfig accepts: each field in its domain, at least one epoch,
+# and learning_rate * weight_decay below 1
 TRAIN_CONFIGS = st.builds(
     dict,
     pretrain_epochs=COUNTS,
@@ -151,7 +152,10 @@ TRAIN_CONFIGS = st.builds(
     clf_hidden_dim=SIZES,
     weight_hidden_dim=SIZES,
     dropout_rate=st.floats(0.0, 1.0, exclude_max=True),
-).filter(lambda v: v["pretrain_epochs"] + v["adapt_epochs"] > 0).map(lambda v: TrainConfig(**v))
+).filter(
+    lambda v: v["pretrain_epochs"] + v["adapt_epochs"] > 0
+    and v["learning_rate"] * v["weight_decay"] < 1
+).map(lambda v: TrainConfig(**v))
 SHIFT_CONFIGS = st.builds(
     ShiftConfig,
     gamma=NONNEGATIVE,

@@ -335,7 +335,7 @@ def test_asymmetric_provider_draws_the_normalized_default_task(seed):
                 assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
-def _ungrouped(tasks, workers):
+def _ungrouped(spec, tasks, workers):
     return [[i] for i in range(len(tasks))]
 
 
@@ -377,11 +377,13 @@ class TestSharedPretraining:
                 if t["resumed_epochs"] != "0"
             }
             # per (gamma, rep), 8 runs of ours, erm and unweighted_entropy
-            # train: the first trains the shared epochs, the other 7 resume
-            assert len(resumed) == 7 * 4
+            # train: the first trains the shared epochs, the other 7 resume;
+            # zsa's two runs at m = 30 share a cut too, so the second resumes
+            assert len(resumed) == (7 + 1) * 4
             assert set(resumed.values()) == {str(TINY_TRAIN.pretrain_epochs)}
             assert ("ours", "2.0", "0.0", "30", "0") not in resumed
             assert ("erm", "2.0", "0.0", "500", "0") in resumed
+            assert ("zsa", "2.0", "0.1", "30", "0") in resumed
 
     def test_groups_keep_grid_order(self):
         spec = _tiny_spec(
@@ -389,7 +391,7 @@ class TestSharedPretraining:
         )
         tasks = [(point, rep) for point in spec.grid() for rep in range(spec.repetitions)]
         # kliep_iw 0-3, erm 4-7, zsa 8-11, ours 12-15; gamma-major, rep-minor
-        groups = experiment_module._group_tasks(tasks, workers=2)
+        groups = experiment_module._group_tasks(spec, tasks, workers=2)
         assert groups == [[0], [1], [2], [3], [4, 12], [5, 13], [6, 14], [7, 15]] + [
             [i] for i in range(8, 12)
         ]
@@ -398,16 +400,16 @@ class TestSharedPretraining:
     def test_methods_that_do_not_share_stay_alone(self):
         spec = _tiny_spec(methods=("kliep_iw", "lsif_iw", "zsa"), repetitions=2)
         tasks = [(point, rep) for point in spec.grid() for rep in range(spec.repetitions)]
-        assert experiment_module._group_tasks(tasks, workers=1) == [[i] for i in range(6)]
+        assert experiment_module._group_tasks(spec, tasks, workers=1) == [[i] for i in range(6)]
 
     def test_too_few_groups_for_the_workers_ungroups(self):
         spec = _tiny_spec(methods=("ours", "erm"), lambda1s=(0.0, 0.1), repetitions=1)
         tasks = [(point, rep) for point in spec.grid() for rep in range(spec.repetitions)]
-        assert experiment_module._group_tasks(tasks, workers=1) == [[0, 1, 2, 3]]
-        assert experiment_module._group_tasks(tasks, workers=2) == [[0], [1], [2], [3]]
+        assert experiment_module._group_tasks(spec, tasks, workers=1) == [[0, 1, 2, 3]]
+        assert experiment_module._group_tasks(spec, tasks, workers=2) == [[0], [1], [2], [3]]
         both = _tiny_spec(methods=("ours", "erm"), repetitions=2)
         tasks = [(point, rep) for point in both.grid() for rep in range(both.repetitions)]
-        assert experiment_module._group_tasks(tasks, workers=2) == [[0, 2], [1, 3]]
+        assert experiment_module._group_tasks(both, tasks, workers=2) == [[0, 2], [1, 3]]
 
 
 class TestCsvRoundTrips:

@@ -26,8 +26,6 @@ from fairshift.data import (
 from fairshift.losses import (
     _pairwise_sq_dists,
     constraint_penalty,
-    kliep_loss,
-    lsif_loss,
     solve_coupling,
     weighted_entropy_term,
 )
@@ -37,7 +35,6 @@ from fairshift.training import (
     METHOD_TABLE,
     METHODS,
     RATIO_FLOOR,
-    Method,
     PretrainCache,
     TrainConfig,
     TrainedModel,
@@ -51,8 +48,17 @@ from fairshift.training import (
 )
 
 QUICK = TrainConfig(pretrain_epochs=3, adapt_epochs=4, m_cap=40, seed=5)
-# the methods whose runs share their first pretrain_epochs epochs
-SHARING = tuple(method for method, row in METHOD_TABLE.items() if row.shares_pretraining)
+
+
+def _cut_key(cfg):
+    return training._read_key(cfg, cfg.pretrain_epochs)
+
+
+# the methods whose first pretrain_epochs epochs of QUICK are erm's
+SHARING = tuple(
+    method for method in METHODS
+    if _cut_key(replace(QUICK, method=method)) == _cut_key(replace(QUICK, method="erm"))
+)
 
 
 @pytest.fixture(scope="module")
@@ -271,13 +277,12 @@ class TestPretrainCache:
     }
 
     def test_every_field_but_the_adaptation_ones_keys_the_cache(self):
-        # the key is every field erm reads; the method is always erm's
-        names = {f.name for f in fields(TrainConfig)} - {"method"}
-        assert set(self.KEY_CHANGES) == names - METHOD_TABLE["erm"].unread_fields
-        key = training._pretrain_key(replace(QUICK, method="ours"))
-        assert key == training._pretrain_key(replace(QUICK, method="erm"))
+        # before adapting, every sharing row is erm's row, which reads the KEY_CHANGES fields
+        row, key = _cut_key(replace(QUICK, method="erm"))
+        assert row == METHOD_TABLE["erm"]
+        assert all(_cut_key(replace(QUICK, method=method)) == (row, key) for method in SHARING)
         assert [name for name, _ in key] == [f.name for f in fields(TrainConfig)
-                                             if f.name in self.KEY_CHANGES or f.name == "method"]
+                                             if f.name in self.KEY_CHANGES]
 
     @pytest.mark.parametrize("name", sorted(KEY_CHANGES))
     def test_a_changed_key_field_misses(self, small_task, name):
@@ -311,18 +316,74 @@ class TestPretrainCache:
         assert train(rebuilt, None, cfg, cache).resumed_epochs == cfg.pretrain_epochs
 
     @pytest.mark.parametrize("method", sorted(set(METHODS) - set(SHARING)))
-    def test_other_methods_never_touch_the_cache(self, small_task, method):
+    def test_other_rows_miss_erms_cut(self, small_task, method):
         source, target = small_task
         cache = PretrainCache()
-        cfg = replace(QUICK, method=method)
-        assert train(source, target, cfg, cache).resumed_epochs == 0
-        assert cache.state is None
         train(source, target, replace(QUICK, method="erm"), cache)
-        stored = cache.state
+        cfg = replace(QUICK, method=method)
         model = train(source, target, cfg, cache)
-        assert cache.state is stored
         assert model.resumed_epochs == 0
         assert model.param_digests == train(source, target, cfg).param_digests
+        # it stored its own cut, which its next run resumes
+        assert train(source, target, cfg, cache).resumed_epochs == cfg.pretrain_epochs
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_a_resumed_run_equals_its_run_alone(self, small_task, method):
+        # lambda1 is unread before every row's cut: ours adapts after it, the others never
+        source, target = small_task
+        cfg = replace(QUICK, method=method)
+        cache = PretrainCache()
+        train(source, target, replace(cfg, lambda1=0.3), cache)
+        resumed, alone = train(source, target, cfg, cache), train(source, target, cfg)
+        assert resumed.resumed_epochs == cfg.pretrain_epochs and alone.resumed_epochs == 0
+        assert resumed.param_digests == alone.param_digests
+        # the coupling counters included: a resumed run keeps the stored simplex basis
+        assert resumed.history == alone.history
+        assert resumed.weight_summary == alone.weight_summary
+        probs = [model.predict_proba(target.features).tobytes() for model in (resumed, alone)]
+        assert probs[0] == probs[1]
+
+    # one changed value for every field but the method
+    FIELD_CHANGES = {**KEY_CHANGES, "lambda1": 0.3, "lambda2": 0.5, "c1": 2.0, "c2": 2.0,
+                     "weight_lr_multiplier": 5.0, "weight_hidden_dim": 16, "m_cap": 60}
+
+    @pytest.mark.parametrize("lambdas", [{}, {"lambda1": 0.0}, {"lambda2": 0.0}],
+                             ids=["defaults", "lambda1_0", "lambda2_0"])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_the_cut_key_holds_every_field_the_cut_reads(self, small_task, method, lambdas):
+        source, target = small_task
+        cfg = replace(QUICK, method=method, adapt_epochs=1, **lambdas)
+        cut = cfg.pretrain_epochs
+        cache = PretrainCache()
+        base = train(source, target, cfg, cache)
+        assert set(self.FIELD_CHANGES) == {f.name for f in fields(TrainConfig)} - {"method"}
+        for name, value in self.FIELD_CHANGES.items():
+            changed = replace(cfg, **{name: value})
+            if _cut_key(changed) == _cut_key(cfg):  # left out: the cut computes alike
+                model = train(source, target, changed)
+                assert model.param_digests[:cut] == base.param_digests[:cut], name
+            else:  # kept: a miss, and the cut computes otherwise
+                model = train(source, target, changed, PretrainCache(cache.state))
+                assert model.resumed_epochs == 0, name
+                assert model.param_digests[:cut] != base.param_digests[:cut], name
+
+    @pytest.mark.parametrize(
+        "override,lambda2,hits",
+        [(False, 1.0, False), (True, 1.0, False), (True, 0.0, True)],
+        ids=["fitted", "unit_ratios", "unit_ratios_no_matching"],
+    )
+    def test_an_iw_run_on_another_target_sample_misses(self, small_task, override, lambda2,
+                                                       hits):
+        # the same source: only the target sample differs, and a cut reads it only to adapt
+        source, target = small_task
+        other = target.subset(np.arange(1, target.m))
+        cfg = replace(QUICK, method="kliep_iw", lambda2=lambda2)
+        kwargs = {"ratio_override": np.ones(source.n)} if override else {}
+        cache = PretrainCache()
+        train(source, target, cfg, cache, **kwargs)
+        model = train(source, other, cfg, cache, **kwargs)
+        assert model.resumed_epochs == (cfg.pretrain_epochs if hits else 0)
+        assert model.param_digests == train(source, other, cfg, **kwargs).param_digests
 
     def test_a_member_failing_before_training_leaves_the_others_exact(self, small_task):
         source, target = small_task
@@ -406,7 +467,7 @@ def _outcome(model):
 
 
 class TestMethodTable:
-    """Each method is one row of switches, and the fields it never reads come from that row."""
+    """Each method is one row of switches; its read key says which fields its run reads."""
 
     @pytest.fixture(scope="class")
     @staticmethod
@@ -423,28 +484,52 @@ class TestMethodTable:
         source, target = small_task
         cfg = replace(QUICK, method=method, **{name: UNREAD_CHANGES[name]})
         unchanged = _outcome(train(source, target, cfg)) == base_runs[method]
-        assert unchanged == (name in METHOD_TABLE[method].unread_fields)
+        _, read = training._read_key(replace(QUICK, method=method))
+        assert unchanged == (name not in dict(read))
 
     def test_the_derivation_names_only_train_config_fields(self):
-        # every combination of switches, not only the rows in the table
-        switches = (("learned", "uniform", None), (True, False), (True, False),
-                    (None, kliep_loss, lsif_loss), (True, False))
-        emitted = set().union(*(Method(*row).unread_fields for row in itertools.product(*switches)))
-        assert emitted <= {f.name for f in fields(TrainConfig)}
-        # so the field test above covers every name the derivation can emit
-        assert emitted == set(UNREAD_CHANGES)
+        # every row, both lambdas on and off, every cut and the whole run
+        names = [f.name for f in fields(TrainConfig)]
+        left_out = set()
+        for method, lam1, lam2, epochs in itertools.product(
+            METHODS, (0.0, 0.1), (0.0, 1.0), [*range(QUICK.total_epochs + 1), None]
+        ):
+            cfg = replace(QUICK, method=method, lambda1=lam1, lambda2=lam2)
+            read = [name for name, _ in training._read_key(cfg, epochs)[1]]
+            assert read == [name for name in names if name in read]
+            left_out.update(set(names) - set(read))
+        # so the field tests cover every name the derivation can leave out
+        assert left_out == set(UNREAD_CHANGES) | {"method"}
 
     def test_the_rows_derive_what_each_method_needs(self):
         def having(prop):
             return {method for method, row in METHOD_TABLE.items() if prop(row)}
 
         assert METHODS == ("ours", "erm", "kliep_iw", "lsif_iw", "zsa", "unweighted_entropy")
-        assert having(lambda row: row.shares_pretraining) == {"erm", "ours", "unweighted_entropy"}
+        assert set(SHARING) == {"erm", "ours", "unweighted_entropy"}
         assert having(lambda row: not row.needs_target) == {"erm"}
         assert having(lambda row: row.matches) == set(METHODS) - {"erm", "zsa"}
         assert having(lambda row: row.ratio_loss) == {"kliep_iw", "lsif_iw"}
-        assert METHOD_TABLE["erm"].unread_fields == set(UNREAD_CHANGES)
-        assert METHOD_TABLE["ours"].unread_fields == set()
+        reads = {method: dict(training._read_key(replace(QUICK, method=method))[1])
+                 for method in ("erm", "ours")}
+        assert set(UNREAD_CHANGES).isdisjoint(reads["erm"])
+        assert set(UNREAD_CHANGES) <= set(reads["ours"])
+
+    def test_whole_runs_with_equal_keys_check_alike(self):
+        # train() checks a run's target by its method's own row, so equal
+        # whole-run keys must mean equal checks, also where a zero lambda
+        # leaves two methods' effective rows equal
+        keys = {}
+        for method, lam1, lam2 in itertools.product(METHODS, (0.0, 0.1), (0.0, 1.0)):
+            cfg = replace(QUICK, method=method, lambda1=lam1, lambda2=lam2)
+            row = METHOD_TABLE[method]
+            keys.setdefault(training._read_key(cfg), set()).add((row.needs_target, row.matches))
+        assert all(len(checks) == 1 for checks in keys.values())
+        # ours with both terms off trains erm's epochs, yet draws and checks a target
+        still = replace(QUICK, method="ours", lambda1=0.0, lambda2=0.0)
+        assert _cut_key(still) == _cut_key(replace(QUICK, method="erm"))
+        assert training._read_key(still) != training._read_key(replace(QUICK, method="erm"))
+        assert ("m_cap", QUICK.m_cap) in training._read_key(replace(QUICK, method="zsa"))[1]
 
     def test_the_readme_table_is_the_code_table(self):
         # README's table of method x switches, row by row
@@ -890,7 +975,8 @@ def test_nonfinite_loss_aborts_with_diagnostic():
 def test_a_diverging_ratio_fit_names_its_epoch(small_task):
     # numpy's default error handling; an overflow warning would fail this test
     source, target = small_task
-    cfg = replace(QUICK, method="kliep_iw", learning_rate=1e300)
+    # without decay, which learning_rate * weight_decay < 1 would refuse first
+    cfg = replace(QUICK, method="kliep_iw", learning_rate=1e300, weight_decay=0.0)
     message = "^the ratio fit diverged at epoch 0: overflow encountered in matmul$"
     with np.errstate(all="warn"), pytest.raises(RuntimeError, match=message):
         train(source, target, cfg)
