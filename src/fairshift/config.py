@@ -63,9 +63,9 @@ def config_from_dict(cls, values: dict, **overrides):
     are not None (command-line values).
 
     A ``<field>.<key>`` entry sets ``key`` of a field annotated with a config
-    class (``train.seed`` of an ``ExperimentSpec``), and a scalar given for a
-    ``tuple[...]`` field becomes its one entry.  An unknown or missing key
-    raises one ``ValueError`` naming it.
+    class (``train.pretrain_epochs`` of an ``ExperimentSpec``), and a scalar
+    given for a ``tuple[...]`` field becomes its one entry.  An unknown or
+    missing key raises one ``ValueError`` naming it.
     """
     hints = typing.get_type_hints(cls)
     own, nested = {}, {}

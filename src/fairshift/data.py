@@ -433,18 +433,21 @@ class GaussianShiftTask:
 
     gamma: float
 
+    def sample(self, n_source, n_target, seed):
+        """``(source, target)`` draws of those sizes, from two streams spawned from ``seed``."""
+        kids = np.random.SeedSequence(seed).spawn(2)
+        return self.sample_source(n_source, kids[0]), self.sample_target(n_target, kids[1])
+
     def sample_source(self, n, seed) -> LabeledDataset:
-        rng = np.random.default_rng(seed)
-        x = rng.normal(size=(n, 2))
-        return self._finish(rng, x)
+        return self._draw(n, seed, 0.0)
 
     def sample_target(self, n, seed) -> LabeledDataset:
+        return self._draw(n, seed, self.gamma)
+
+    def _draw(self, n, seed, shift):
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(n, 2))
-        x[:, 0] += self.gamma
-        return self._finish(rng, x)
-
-    def _finish(self, rng, x):
+        x[:, 0] += shift
         groups = rng.integers(0, 2, size=len(x))
         labels = (rng.random(len(x)) < self.label_probability(x)).astype(np.int64)
         return LabeledDataset(x, groups, labels, (CONTINUOUS, CONTINUOUS))

@@ -86,6 +86,10 @@ GRID_FIELDS = {
     "lambda2s": "lambda2",
     "ms": "m_cap",
 }
+# each nested key that the grid sets for every run, so a spec leaves it at its
+# default, and the key that sets it
+_GRID_OWNED = {f"train.{name}": grid for grid, name in GRID_FIELDS.items() if name}
+_GRID_OWNED |= {"train.seed": "base_seed", "shift.gamma": "gammas", "shift.seed": "base_seed"}
 
 
 @dataclass(frozen=True)
@@ -104,6 +108,11 @@ class ExperimentSpec:
 
     def __post_init__(self):
         check_field_types(self)
+        for key, owner in _GRID_OWNED.items():
+            part, name = key.split(".")
+            nested = getattr(self, part)
+            if getattr(nested, name) != getattr(type(nested)(), name):
+                raise ValueError(f"{key} is set for each run by {owner}; set {owner} instead")
         # TrainConfig checks each field alone, so checking every entry on its
         # own rejects a bad grid point before any run
         for name in GRID_FIELDS:
@@ -167,10 +176,8 @@ class _DataProvider:
                     seed, spec.n_per_group, gamma * _ASYM_SHIFT_DIRECTION
                 )
             else:
-                task = GaussianShiftTask(gamma=gamma)
-                kids = np.random.SeedSequence(seed).spawn(2)
-                source = task.sample_source(2 * spec.n_per_group, kids[0])
-                test = task.sample_target(2 * spec.n_per_group, kids[1])
+                n = 2 * spec.n_per_group
+                source, test = GaussianShiftTask(gamma=gamma).sample(n, n, seed)
             source, test = _normalize_pool(source, test)
             spread = source.features.std(axis=0).max()
             if spread < MIN_SOURCE_SPREAD:
@@ -197,18 +204,15 @@ def _task_config(spec, task):
     return spec.run_config(spec.base_seed + rep, **dict(zip(GRID_FIELDS, point)))
 
 
-def _execute_run(task, provider=None, cache=None):
-    """One seeded run of a ``(point, rep)`` task; returns its row.
+def _execute_run(task, provider, cache):
+    """One seeded run of a ``(point, rep)`` task on ``provider``'s data; returns its row.
 
-    ``provider`` defaults to the one the pool worker received at start-up;
     ``cache`` goes to :func:`train`.  Beside the ``RUN_COLUMNS`` the row
     holds ``resumed_epochs``, ``ess_share`` (of the model's weight summary,
     blank without one or for a failed run), ``wall_s`` (data, training
     without resumed epochs, and scoring) and, for a failed run, its exception.
     """
     point, rep = task
-    if provider is None:
-        provider = _worker_provider
     cfg = _task_config(provider.spec, task)
     row = {**dict(zip(_POINT_COLUMNS, point)), "rep": rep, "seed": cfg.seed}
     row.update(resumed_epochs=0, ess_share="")
@@ -236,7 +240,8 @@ def _execute_run(task, provider=None, cache=None):
 
 
 def _execute_group(tasks, provider=None):
-    """The runs of ``tasks``, in order, sharing one pretraining cache."""
+    """The runs of ``tasks``, in order, sharing one pretraining cache and one provider."""
+    provider = provider or _worker_provider
     cache = PretrainCache()
     return [_execute_run(task, provider, cache) for task in tasks]
 
@@ -434,9 +439,7 @@ def importance_weighted_risk_estimate(model, task: GaussianShiftTask, n, seed) -
 
 def weighted_entropy_objective_estimate(model, task: GaussianShiftTask, n, m, seed) -> float:
     """Source risk plus the ratio-damped entropy term from a target draw."""
-    kids = np.random.SeedSequence(seed).spawn(2)
-    source = task.sample_source(n, kids[0])
-    target = task.sample_target(m, kids[1])
+    source, target = task.sample(n, m, seed)
     risk = float(_true_risk_per_row(model, task, source).mean())
     return risk + _damped_target_entropy(model, task, target)
 
@@ -445,9 +448,7 @@ def bound_gap_estimate(
     model, task: GaussianShiftTask, n_mc, seed, epsilon=DEFAULT_BOUND_FACTOR
 ) -> float:
     """Monte-Carlo slack of the weighted-entropy bound for one model."""
-    kids = np.random.SeedSequence(seed).spawn(2)
-    source = task.sample_source(n_mc, kids[0])
-    target = task.sample_target(n_mc, kids[1])
+    source, target = task.sample(n_mc, n_mc, seed)
     source_risk = float(_true_risk_per_row(model, task, source).mean())
     test_risk = float(_true_risk_per_row(model, task, target).mean())
     weighted_entropy = _damped_target_entropy(model, task, target)

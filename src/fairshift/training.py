@@ -294,7 +294,8 @@ def save_checkpoint(path, model: TrainedModel, extra=None):
     weight network's if the model has one, and an ``extra`` mapping: the
     method, the seed and the whole ``TrainConfig``, then the entries of
     ``extra`` (a digest of the training data, say), then zsa's
-    ``input_stats``.
+    ``input_stats``.  An ``extra`` key among those four raises one
+    ``ValueError``, so the record always describes the model.
     """
     cfg = model.config
     payload = {
@@ -308,7 +309,11 @@ def save_checkpoint(path, model: TrainedModel, extra=None):
             "hidden_dim": net.hidden_dim,
             "params": _params(net),
         }
-    record = {"method": cfg.method, "seed": cfg.seed, "config": asdict(cfg), **(extra or {})}
+    record = {"method": cfg.method, "seed": cfg.seed, "config": asdict(cfg)}
+    clash = sorted({*record, "input_stats"} & set(extra or {}))
+    if clash:
+        raise ValueError(f"checkpoint extra may not set {clash}")
+    record.update(extra or {})
     if model.input_stats is not None:
         stats = model.input_stats
         record["input_stats"] = {"means": stats.means.tolist(), "stds": stats.stds.tolist()}

@@ -231,6 +231,17 @@ def test_a_gamma_that_flattens_a_synthetic_source_fails_its_run(tmp_path, capsys
 # the cause); {name} is a file of the hostile_files fixture, {out} a fresh directory,
 # and a case may repeat an option of TRAIN: argparse keeps its last value
 TRAIN = ["train", "--target", "{target}", "--config", "{quick}", "--out", "{out}"]
+# each nested key that a sweep's grid sets for every run, a value other than its
+# default, and the key that sets it
+GRID_OWNED_KEYS = [
+    ("train.method", "zsa", "methods"),
+    ("train.lambda1", "0.7", "lambda1s"),
+    ("train.lambda2", "0.5", "lambda2s"),
+    ("train.m_cap", "7", "ms"),
+    ("train.seed", "99", "base_seed"),
+    ("shift.gamma", "3.0", "gammas"),
+    ("shift.seed", "5", "base_seed"),
+]
 HOSTILE_INPUTS = [
     ("text-cell", TRAIN + ["--data", "{text_cell}", "--method", "erm"], 1,
      "non-numeric cell 'abc' at row 2, column 'f0'"),
@@ -321,6 +332,13 @@ HOSTILE_INPUTS = [
             ("small_n", "n_per_group must be >= 10, got 5"),
         )
     ),
+    # the grid sets each of these for every run, so a file's value would be dropped
+    *(
+        (f"experiment-owned-{key}", ["experiment", "--data", "{source}", "--config",
+                                     f"{{owned_{key.replace('.', '_')}}}", "--out", "{out}"], 1,
+         f"{key} is set for each run by {owner}; set {owner} instead")
+        for key, _, owner in GRID_OWNED_KEYS
+    ),
     ("experiment-negative-gamma-flag", ["experiment", "--data", "{source}", "--gamma", "-1",
                                         "--out", "{out}"], 1,
      "gammas entries must be >= 0, got -1.0"),
@@ -336,7 +354,7 @@ HOSTILE_INPUTS = [
         for name, cause in (
             ("text_ms", "ms entries must be int, got 'abc'"),
             ("float_n", "n must be int, got 2.5"),
-            ("typo_gammas", "unknown variance-study keys: ['gamas']"),
+            ("typo_gammas", "unknown VarianceStudySpec keys: ['gamas']"),
             # every exact target/source ratio underflows to 0: no spread to report
             ("huge_gamma", "gamma=1000000.0: every exact ratio of a source draw underflows to 0"),
         )
@@ -460,6 +478,12 @@ def hostile_files(source_and_target_csv, tmp_path):
         ("float_n", "n = 2.5\n"),
         ("typo_gammas", "gamas = 2.0\n"),
         ("huge_gamma", "gammas = 1e6\nms = 10\n"),
+        # a one-run erm sweep, which would run at the grid's values if the key were dropped
+        *(
+            (f"owned_{key.replace('.', '_')}", "methods = erm\nrepetitions = 1\n"
+             f"train.pretrain_epochs = 1\ntrain.adapt_epochs = 0\n{key} = {value}\n")
+            for key, value, _ in GRID_OWNED_KEYS
+        ),
     ):
         files[name] = tmp_path / f"{name}.cfg"
         files[name].write_text(text)
@@ -557,6 +581,24 @@ def test_variance_study_command(tmp_path):
     lines = (out / "variance.csv").read_text().splitlines()
     assert lines[0].startswith("gamma,m,n,repetitions")
     assert len(lines) == 3
+
+
+def test_a_variance_study_file_sets_repetitions_and_base_seed(tmp_path):
+    grid = "gammas = 2.0\nms = 10\nn = 50\n"
+    outputs = []
+    for name, text, flags in (
+        ("file", grid + "repetitions = 3\nbase_seed = 2\n", []),
+        ("flags", grid, ["--reps", "3", "--seed", "2"]),
+        # a flag overrides the file
+        ("both", grid + "repetitions = 5\nbase_seed = 7\n", ["--reps", "3", "--seed", "2"]),
+    ):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(text)
+        out = tmp_path / name
+        assert main(["variance-study", "--config", str(cfg), "--out", str(out)] + flags) == 0
+        outputs.append((out / "variance.csv").read_text())
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0].splitlines()[1].startswith("2.0,10,50,3,")
 
 
 def test_importing_the_package_loads_no_scipy():

@@ -2,7 +2,7 @@ import dataclasses
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from fairshift.config import (
@@ -200,6 +200,19 @@ def _grid(entries):
     return st.lists(entries, min_size=1, max_size=3).map(tuple)
 
 
+# the nested fields that an ExperimentSpec's grid sets for each run; a spec
+# leaves each at its default
+GRID_OWNED = {
+    "train": ("method", "lambda1", "lambda2", "m_cap", "seed"),
+    "shift": ("gamma", "seed"),
+}
+
+
+def _at_defaults(part, cfg):
+    default = type(cfg)()
+    return dataclasses.replace(cfg, **{name: getattr(default, name) for name in GRID_OWNED[part]})
+
+
 EXPERIMENT_SPECS = st.builds(
     ExperimentSpec,
     dataset=st.sampled_from(["synthetic:asymmetric", "synthetic:gaussian", "data/adult.csv"]),
@@ -211,8 +224,8 @@ EXPERIMENT_SPECS = st.builds(
     repetitions=SIZES,
     base_seed=st.integers(0, 2**63 - 1),
     n_per_group=st.integers(10, 10**6),
-    train=TRAIN_CONFIGS,
-    shift=SHIFT_CONFIGS,
+    train=TRAIN_CONFIGS.map(lambda cfg: _at_defaults("train", cfg)),
+    shift=SHIFT_CONFIGS.map(lambda cfg: _at_defaults("shift", cfg)),
 )
 VARIANCE_STUDY_SPECS = st.builds(
     VarianceStudySpec,
@@ -229,6 +242,21 @@ def test_experiment_spec_round_trips_through_key_value_text(spec):
     text = _kv_text(dataclasses.asdict(spec))
     assert config_from_dict(ExperimentSpec, parse_kv_text(text)) == spec
     assert experiment_spec_from_dict(parse_kv_text(text)) == spec
+
+
+@given(EXPERIMENT_SPECS, TRAIN_CONFIGS, SHIFT_CONFIGS)
+def test_a_grid_owned_nested_value_is_refused(spec, train, shift):
+    nested = {"train": train, "shift": shift}
+    changed = [
+        f"{part}.{name}"
+        for part, names in GRID_OWNED.items()
+        for name in names
+        if getattr(nested[part], name) != getattr(type(nested[part])(), name)
+    ]
+    assume(changed)
+    with pytest.raises(ValueError, match=r"is set for each run by (\w+); set \1 instead$") as info:
+        dataclasses.replace(spec, **nested)
+    assert str(info.value).split()[0] in changed
 
 
 @given(VARIANCE_STUDY_SPECS)

@@ -1138,6 +1138,18 @@ def test_checkpoint_bytes_are_pinned(tmp_path):
     )
 
 
+@pytest.mark.parametrize("key", ["method", "seed", "config", "input_stats"])
+def test_checkpoint_extra_cannot_overwrite_the_record(tmp_path, key):
+    # the method, seed, config and input stats come from the model alone
+    cfg = TrainConfig(method="erm", seed=4, hidden_dim=3, rep_dim=2, clf_hidden_dim=2)
+    model = TrainedModel(nets.PredictorModel(cfg.net_config(2), seed=0), cfg)
+    path = tmp_path / "checkpoint.json"
+    extra = {"train_data_sha256": "0" * 64, key: {"seed": 7}}
+    with pytest.raises(ValueError, match=rf"checkpoint extra may not set \['{key}'\]"):
+        save_checkpoint(path, model, extra=extra)
+    assert not path.exists()
+
+
 # a fresh interpreter: one tiny train() call, then 256-row dropout forwards
 # of a 97-input predictor, whose masks (320 KiB) and temporaries (128 KiB)
 # sit at glibc's default sliding mmap threshold
