@@ -43,12 +43,7 @@ from .losses import (
     weighted_entropy_term,
 )
 from .metrics import RunMetrics, evaluate_model, evaluate_predictions
-from .nets import (
-    AdamOptimizer,
-    NetConfig,
-    PredictorModel,
-    WeightNetwork,
-)
+from .nets import AdamOptimizer, PredictorModel, WeightNetwork
 from .splitter import ShiftConfig, SplitResult, first_principal_projection, split, tilt_densities
 from .training import (
     PretrainCache,

@@ -113,6 +113,16 @@ class ExperimentSpec:
             nested = getattr(self, part)
             if getattr(nested, name) != getattr(type(nested)(), name):
                 raise ValueError(f"{key} is set for each run by {owner}; set {owner} instead")
+        # a synthetic task draws its own shift, and a CSV pool has its own size
+        synthetic = self.dataset.startswith("synthetic:")
+        if synthetic:
+            unread = [f"shift.{f.name}" for f in fields(ShiftConfig)
+                      if getattr(self.shift, f.name) != f.default]
+        else:  # a plain field's default is also its class attribute
+            unread = ["n_per_group"] if self.n_per_group != ExperimentSpec.n_per_group else []
+        if unread:
+            why = "draws its own shift" if synthetic else "is a CSV pool"
+            raise ValueError(f"{unread[0]} is read by no run: dataset {self.dataset!r} {why}")
         # TrainConfig checks each field alone, so checking every entry on its
         # own rejects a bad grid point before any run
         for name in GRID_FIELDS:

@@ -4,44 +4,29 @@ The predictor is a 4-layer fully connected net split into an encoder
 (first two layers, producing the representation; :meth:`PredictorModel.encode`
 runs them alone) and a classifier head (last two layers, producing a
 clamped sigmoid probability).  A separate two-layer positive-output
-network estimates instance weights over the representation space.  Adam
-with Kingma & Ba's fixed moment constants, global-norm gradient clipping
-and a cosine learning-rate schedule drives both.
+network estimates instance weights over the representation space (or,
+for the IW baselines, over raw features).  Each net takes its widths as
+arguments and keeps no config: its widths are its parameters' shapes, and
+a run's ``TrainConfig`` is the one record of them.  Adam with Kingma &
+Ba's fixed moment constants, global-norm gradient clipping and a cosine
+learning-rate schedule drives both.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
-from typing import Annotated
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import check_field_types
 
 PROB_CLAMP = 1e-7
 WEIGHT_NET_PREACT_LIMIT = 10.0
 GRAD_CLIP_NORM = 5.0
 # Adam's moment decays and denominator offset, Kingma & Ba's defaults
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
-
-
-@dataclass(frozen=True)
-class NetConfig:
-    """Shapes shared by a predictor/weight-network pair."""
-
-    input_dim: Annotated[int, "be >= 1"]
-    hidden_dim: Annotated[int, "be >= 1"] = 64
-    rep_dim: Annotated[int, "be >= 1"] = 64
-    clf_hidden_dim: Annotated[int, "be >= 1"] = 32
-    weight_hidden_dim: Annotated[int, "be >= 1"] = 32
-    dropout_rate: Annotated[float, "lie in [0, 1)"] = 0.25
-
-    def __post_init__(self):
-        check_field_types(self)
 
 
 def _glorot(rng, fan_in, fan_out):
@@ -58,23 +43,28 @@ class PredictorModel:
 
     ``g`` is layers 1-2 (the representation), ``h`` is layers 3-4.
     Probabilities are clamped to [PROB_CLAMP, 1 - PROB_CLAMP] so entropy
-    and cross-entropy never see log(0).  Dropout (rate 0.25 by default)
+    and cross-entropy never see log(0).  Dropout at ``dropout_rate``
     follows each hidden layer and is active only when a mask rng is
-    passed to :meth:`forward`.
+    passed to :meth:`forward`.  The layer widths are the parameters'
+    shapes; :func:`fairshift.training.build_predictor` reads them from a
+    ``TrainConfig``.
     """
 
-    def __init__(self, config: NetConfig, seed: int):
-        self.config = config
+    def __init__(self, input_dim, seed, hidden_dim, rep_dim, clf_hidden_dim, dropout_rate):
+        self.dropout_rate = dropout_rate
         rng = np.random.default_rng(seed)
-        c = config
-        self.w1, self.b1 = _dense_params(rng, c.input_dim, c.hidden_dim)
-        self.w2, self.b2 = _dense_params(rng, c.hidden_dim, c.rep_dim)
-        self.w3, self.b3 = _dense_params(rng, c.rep_dim, c.clf_hidden_dim)
-        self.w4, self.b4 = _dense_params(rng, c.clf_hidden_dim, 1)
+        self.w1, self.b1 = _dense_params(rng, input_dim, hidden_dim)
+        self.w2, self.b2 = _dense_params(rng, hidden_dim, rep_dim)
+        self.w3, self.b3 = _dense_params(rng, rep_dim, clf_hidden_dim)
+        self.w4, self.b4 = _dense_params(rng, clf_hidden_dim, 1)
 
     @property
     def parameters(self):
         return [self.w1, self.b1, self.w2, self.b2, self.w3, self.b3, self.w4, self.b4]
+
+    @property
+    def input_dim(self):
+        return self.w1.value.shape[0]
 
     def encode(self, batch, mask=None) -> Tensor:
         """Layers 1-2 as a tape node, ``g(x)``; ``mask`` drops layer 1's output."""
@@ -83,10 +73,8 @@ class PredictorModel:
 
     def _batch(self, batch):
         x = batch if isinstance(batch, Tensor) else np.asarray(batch, dtype=np.float64)
-        if len(x.shape) != 2 or x.shape[1] != self.config.input_dim:
-            raise ValueError(
-                f"expected batch of width {self.config.input_dim}, got shape {x.shape}"
-            )
+        if len(x.shape) != 2 or x.shape[1] != self.input_dim:
+            raise ValueError(f"expected batch of width {self.input_dim}, got shape {x.shape}")
         return x
 
     def forward(self, batch, dropout_rng=None):
@@ -96,15 +84,13 @@ class PredictorModel:
         deterministic inference.
         """
         x = self._batch(batch)
-        c = self.config
+        rate = self.dropout_rate
         # dropout after each hidden layer scales the next layer's input; one
         # draw, split in order, takes the stream three per-layer draws took
         masks = [None] * 3
-        if dropout_rng is not None and c.dropout_rate > 0.0:
-            n, widths = x.shape[0], [c.hidden_dim, c.rep_dim, c.clf_hidden_dim]
-            keep = (dropout_rng.random(n * sum(widths)) >= c.dropout_rate) / (
-                1.0 - c.dropout_rate
-            )
+        if dropout_rng is not None and rate > 0.0:
+            n, widths = x.shape[0], [w.value.shape[1] for w in (self.w1, self.w2, self.w3)]
+            keep = (dropout_rng.random(n * sum(widths)) >= rate) / (1.0 - rate)
             ends = np.cumsum(widths) * n
             masks = [
                 keep[end - n * width : end].reshape(n, width)
@@ -137,8 +123,6 @@ class WeightNetwork:
     OUTPUT_BIAS_INIT = 1.0
 
     def __init__(self, input_dim: int, seed: int, hidden_dim: int = 32):
-        self.input_dim = input_dim
-        self.hidden_dim = hidden_dim
         rng = np.random.default_rng(seed)
         self.w1, self.b1 = _dense_params(rng, input_dim, hidden_dim)
         self.w2, self.b2 = _dense_params(rng, hidden_dim, 1)
@@ -152,8 +136,9 @@ class WeightNetwork:
 
     def forward(self, inputs):
         x = inputs if isinstance(inputs, Tensor) else np.asarray(inputs, dtype=np.float64)
-        if len(x.shape) != 2 or x.shape[1] != self.input_dim:
-            raise ValueError(f"expected input of width {self.input_dim}, got shape {x.shape}")
+        width = self.w1.value.shape[0]
+        if len(x.shape) != 2 or x.shape[1] != width:
+            raise ValueError(f"expected input of width {width}, got shape {x.shape}")
         h = ad.dense(x, self.w1, self.b1, relu=True)
         pre = ad.dense(h, self.w2, self.b2, column=True)
         return ad.clamped_exp(pre, -WEIGHT_NET_PREACT_LIMIT, WEIGHT_NET_PREACT_LIMIT)

@@ -23,9 +23,12 @@ over fused nodes only.  A source that holds one label only, or a target
 whose feature count differs from the source's, raises ``ValueError``
 before any work; a step that overflows stops the run with one
 ``RuntimeError`` naming the epoch.  :func:`train` builds the immutable
-:class:`TrainedModel` in one call.  :func:`save_checkpoint` and
-:func:`load_checkpoint` write it to versioned JSON and read it back,
-checking every stored array and requiring the stored ``TrainConfig``.
+:class:`TrainedModel` in one call, and :func:`build_predictor` is the one
+builder of its predictor from a ``TrainConfig``.  :func:`save_checkpoint`
+and :func:`load_checkpoint` write it to versioned JSON and read it back.
+The file stores each fact once: the ``TrainConfig`` and the feature count
+give every layer shape, and the loader checks every stored array and
+refuses any key the config does not call for.
 
 :func:`_read_key` says what a run or its first epochs compute: the method's
 row with each term off that a zero lambda or the schedule leaves off, and
@@ -86,14 +89,7 @@ from .losses import (
     wasserstein2,
     weighted_entropy_term,
 )
-from .nets import (
-    GRAD_CLIP_NORM,
-    AdamOptimizer,
-    NetConfig,
-    PredictorModel,
-    WeightNetwork,
-    parameter_digest,
-)
+from .nets import GRAD_CLIP_NORM, AdamOptimizer, PredictorModel, WeightNetwork, parameter_digest
 
 RATIO_FLOOR = 1e-3
 
@@ -209,15 +205,12 @@ class TrainConfig:
     def total_epochs(self):
         return self.pretrain_epochs + self.adapt_epochs
 
-    def net_config(self, input_dim) -> NetConfig:
-        return NetConfig(
-            input_dim=input_dim,
-            hidden_dim=self.hidden_dim,
-            rep_dim=self.rep_dim,
-            clf_hidden_dim=self.clf_hidden_dim,
-            weight_hidden_dim=self.weight_hidden_dim,
-            dropout_rate=self.dropout_rate,
-        )
+
+def build_predictor(cfg: TrainConfig, input_dim, seed=0) -> PredictorModel:
+    """The predictor of ``cfg``'s widths and dropout over ``input_dim`` features."""
+    return PredictorModel(
+        input_dim, seed, cfg.hidden_dim, cfg.rep_dim, cfg.clf_hidden_dim, cfg.dropout_rate
+    )
 
 
 @dataclass(frozen=True)
@@ -278,7 +271,11 @@ class TrainedModel:
 
 # -- checkpoints ---------------------------------------------------------
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+# every top-level key of a checkpoint, in the order save_checkpoint writes them
+_CHECKPOINT_KEYS = (
+    "format_version", "config", "input_dim", "predictor", "weight_net", "input_stats", "extra"
+)
 # the stored names of a net's parameters, in order; a weight network has the first four
 _SLOTS = ("w1", "b1", "w2", "b2", "w3", "b3", "w4", "b4")
 
@@ -290,34 +287,24 @@ def _params(net):
 def save_checkpoint(path, model: TrainedModel, extra=None):
     """Write ``model`` as versioned JSON; floats round-trip exactly.
 
-    The file holds the predictor's ``NetConfig`` and parameters, the
-    weight network's if the model has one, and an ``extra`` mapping: the
-    method, the seed and the whole ``TrainConfig``, then the entries of
-    ``extra`` (a digest of the training data, say), then zsa's
-    ``input_stats``.  An ``extra`` key among those four raises one
-    ``ValueError``, so the record always describes the model.
+    The file stores each fact once: the whole ``TrainConfig`` and the
+    feature count, from which every layer shape follows; the predictor's
+    parameters; the weight network's if the model has one; zsa's
+    ``input_stats``; and the caller's ``extra`` mapping (a digest of the
+    training data, say) under a key of its own.
     """
-    cfg = model.config
     payload = {
         "format_version": CHECKPOINT_VERSION,
-        "predictor": {"config": asdict(model.predictor.config), "params": _params(model.predictor)},
+        "config": asdict(model.config),
+        "input_dim": model.predictor.input_dim,
+        "predictor": _params(model.predictor),
     }
-    net = model.weight_net
-    if net is not None:
-        payload["weight_net"] = {
-            "input_dim": net.input_dim,
-            "hidden_dim": net.hidden_dim,
-            "params": _params(net),
-        }
-    record = {"method": cfg.method, "seed": cfg.seed, "config": asdict(cfg)}
-    clash = sorted({*record, "input_stats"} & set(extra or {}))
-    if clash:
-        raise ValueError(f"checkpoint extra may not set {clash}")
-    record.update(extra or {})
+    if model.weight_net is not None:
+        payload["weight_net"] = _params(model.weight_net)
     if model.input_stats is not None:
         stats = model.input_stats
-        record["input_stats"] = {"means": stats.means.tolist(), "stds": stats.stds.tolist()}
-    payload["extra"] = record
+        payload["input_stats"] = {"means": stats.means.tolist(), "stds": stats.stds.tolist()}
+    payload["extra"] = dict(extra or {})
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)
 
@@ -349,55 +336,64 @@ def _array(payload, key, shape, where):
     return value.astype(np.float64)
 
 
-def _load_params(net, payload, where):
-    """``net`` with its parameters read from ``payload["params"]`` in the shapes it has."""
-    params = _entry(payload, "params", where)
+def _load_params(net, params, where):
+    """``net`` with each parameter read from its slot of ``params`` in the shape it has."""
     for name, tensor in zip(_SLOTS, net.parameters):
-        tensor.value = _array(params, name, tensor.value.shape, f"{where} params")
+        tensor.value = _array(params, name, tensor.value.shape, where)
     return net
 
 
 def load_checkpoint(path):
     """Return ``(TrainedModel, extra)`` from a file :func:`save_checkpoint` wrote.
 
-    A payload of the wrong structure (a missing key or slot, a config
-    field of the wrong type or range, an array whose shape does not fit
-    the config or that holds a non-finite value) raises one ``ValueError``
-    naming what is wrong; an ``extra`` without the ``config`` that every
-    :func:`save_checkpoint` writes is one such payload.
+    Every shape comes from the stored ``config`` and ``input_dim``: a
+    weight network reads ``input_dim`` features for a row-weight fit and
+    ``rep_dim`` for a learned entropy term.  A file of another version, an
+    unknown top-level key, a missing key or slot, a config field of the
+    wrong type or range, an array whose shape does not fit the config or
+    that holds a non-finite value, a ``weight_net`` that the config trains
+    none of, and ``input_stats`` that are missing on a z-scoring method's
+    file or present on another's each raise one ``ValueError`` naming what
+    is wrong.
     """
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     version = payload.get("format_version") if isinstance(payload, dict) else None
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version: {version}")
-    where, stored = "checkpoint predictor", _entry(payload, "predictor", "checkpoint")
-    net_cfg = build_from_dict(NetConfig, _entry(stored, "config", where), f"{where} config")
-    predictor = _load_params(PredictorModel(net_cfg, seed=0), stored, where)
-    weight_net = None
+    unknown = sorted(set(payload) - set(_CHECKPOINT_KEYS))
+    if unknown:
+        raise ValueError(f"unknown checkpoint keys: {unknown}")
+    config = _entry(payload, "config", "checkpoint")
+    config = build_from_dict(TrainConfig, config, "checkpoint config")
+    input_dim = _entry(payload, "input_dim", "checkpoint")
+    if type(input_dim) is not int or input_dim < 1:
+        raise ValueError(f"checkpoint input_dim must be an int >= 1, got {input_dim!r}")
+    stored = _entry(payload, "predictor", "checkpoint")
+    predictor = _load_params(build_predictor(config, input_dim), stored, "checkpoint predictor")
+    row, method = _effective_row(config, config.total_epochs), config.method
+    weight_net = stats = None
     if "weight_net" in payload:
-        where, stored = "checkpoint weight_net", payload["weight_net"]
-        dims = [_entry(stored, key, where) for key in ("input_dim", "hidden_dim")]
-        if not all(type(v) is int and v >= 1 for v in dims):
-            raise ValueError(f"{where} input_dim and hidden_dim must be ints >= 1, got {dims}")
-        net = WeightNetwork(dims[0], seed=0, hidden_dim=dims[1])
-        weight_net = _load_params(net, stored, where)
-    extra = payload.get("extra", {})
-    if not isinstance(extra, dict):
-        raise ValueError(f"checkpoint extra must be a mapping, got {extra!r}")
-    config = _entry(extra, "config", "checkpoint extra")
-    config = build_from_dict(TrainConfig, config, "checkpoint extra config")
-    stats = None
-    if "input_stats" in extra:
-        where, stored = "checkpoint extra input_stats", extra["input_stats"]
-        shape = (net_cfg.input_dim,)
-        means, stds = (_array(stored, k, shape, where) for k in ("means", "stds"))
+        if row.entropy != "learned" and row.ratio_loss is None:
+            raise ValueError(f"checkpoint has a weight_net, which its {method!r} run never trains")
+        width = input_dim if row.ratio_loss else config.rep_dim
+        net = WeightNetwork(width, 0, config.weight_hidden_dim)
+        weight_net = _load_params(net, payload["weight_net"], "checkpoint weight_net")
+    if row.zscore and "input_stats" not in payload:
+        raise ValueError(f"checkpoint has no 'input_stats', which method {method!r} reads")
+    if "input_stats" in payload and not row.zscore:
+        raise ValueError(f"checkpoint has 'input_stats', which method {method!r} never reads")
+    if row.zscore:
+        where, stored = "checkpoint input_stats", payload["input_stats"]
+        means, stds = (_array(stored, k, (input_dim,), where) for k in ("means", "stds"))
         try:
             stats = NormalizationStats(means, stds)
         except ValueError as exc:  # a std that is not positive
             raise ValueError(f"{where} {exc}") from None
-    model = TrainedModel(predictor, config, weight_net=weight_net, input_stats=stats)
-    return model, extra
+    extra = _entry(payload, "extra", "checkpoint")
+    if not isinstance(extra, dict):
+        raise ValueError(f"checkpoint extra must be a mapping, got {extra!r}")
+    return TrainedModel(predictor, config, weight_net=weight_net, input_stats=stats), extra
 
 
 def _streams(seed):
@@ -596,7 +592,7 @@ def _train(
     cut = None if cache is None else cache.cut(source, cfg, target_sample, row_weights)
     run = None if cache is None else cache.resume(cut)
     if run is None:
-        model = PredictorModel(cfg.net_config(source.d), streams["predictor"])
+        model = build_predictor(cfg, source.d, streams["predictor"])
         opt = AdamOptimizer(
             model.parameters, total_steps, base_lr=cfg.learning_rate, weight_decay=cfg.weight_decay
         )

@@ -34,9 +34,9 @@ from fairshift.losses import (
     wasserstein2,
     weighted_entropy_term,
 )
-from fairshift.nets import NetConfig, PredictorModel, WeightNetwork
+from fairshift.nets import WeightNetwork
 from fairshift.splitter import ShiftConfig, first_principal_projection, split
-from fairshift.training import TrainConfig, train
+from fairshift.training import TrainConfig, build_predictor, train
 
 ADULT_CSV = os.path.join(os.path.dirname(__file__), "..", "data", "adult.csv")
 
@@ -145,10 +145,10 @@ def _directional_check(loss_fn, params, rng, n_directions=100, h=1e-5):
 
 def test_criterion_2_gradient_suite():
     rng = np.random.default_rng(7)
-    cfg = NetConfig(input_dim=4, hidden_dim=10, rep_dim=6, clf_hidden_dim=6)
-    model = PredictorModel(cfg, seed=1)
+    cfg = TrainConfig(hidden_dim=10, rep_dim=6, clf_hidden_dim=6)
+    model = build_predictor(cfg, 4, seed=1)
     wnet = WeightNetwork(cfg.rep_dim, seed=2, hidden_dim=8)
-    snet = WeightNetwork(cfg.input_dim, seed=3, hidden_dim=8)
+    snet = WeightNetwork(4, seed=3, hidden_dim=8)
     xs = rng.normal(size=(12, 4))
     xt = rng.normal(size=(9, 4)) + 0.5
     ys = rng.integers(0, 2, 12).astype(float)
@@ -358,10 +358,10 @@ def test_criterion_8_reported_when_data_absent():
 
 def test_criterion_9_weighted_entropy_ordering():
     rng = np.random.default_rng(123)
-    cfg = NetConfig(input_dim=3, hidden_dim=8, rep_dim=5, clf_hidden_dim=5)
+    cfg = TrainConfig(hidden_dim=8, rep_dim=5, clf_hidden_dim=5)
     violations = 0
     for case in range(200):
-        model = PredictorModel(cfg, seed=case)
+        model = build_predictor(cfg, 3, seed=case)
         x = rng.normal(size=(rng.integers(1, 40), 3)) * rng.uniform(0.5, 3.0)
         _, probs = model.forward(x)
         entropies = conditional_entropy(probs).value

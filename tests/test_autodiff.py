@@ -20,8 +20,8 @@ from fairshift.losses import (
     wasserstein2,
     weighted_entropy_term,
 )
-from fairshift.nets import NetConfig, PredictorModel, WeightNetwork
-from fairshift.training import TrainConfig, train
+from fairshift.nets import WeightNetwork
+from fairshift.training import TrainConfig, build_predictor, train
 
 
 def _numeric_grad(f, x, h=1e-6):
@@ -433,8 +433,8 @@ def _objective_step(lambda1, lambda2, rows, fused):
     by the operator chains ``penalty - l1 we`` and ``risk + l1 ent + l2 w2``.
     """
     rng = np.random.default_rng(rows)
-    cfg = NetConfig(input_dim=3, hidden_dim=8, rep_dim=4, clf_hidden_dim=4)
-    model, wnet = PredictorModel(cfg, seed=0), WeightNetwork(4, seed=1, hidden_dim=4)
+    cfg = TrainConfig(hidden_dim=8, rep_dim=4, clf_hidden_dim=4)
+    model, wnet = build_predictor(cfg, 3, seed=0), WeightNetwork(4, seed=1, hidden_dim=4)
     xs, ys = rng.normal(size=(rows, 3)), (rng.random(rows) < 0.5).astype(np.float64)
     xt, groups = rng.normal(size=(6, 3)), np.array([0, 1, 0, 1, 1, 0])
     rep_t, probs_t = model.forward(xt)
@@ -630,7 +630,7 @@ def test_dropped_graph_is_freed_without_the_cyclic_gc(name):
 def test_training_step_graph_is_freed_without_the_cyclic_gc():
     source, test = make_synthetic_asymmetric_labeled(seed=3, n_per_group=20)
     target = test.without_labels()
-    model = PredictorModel(NetConfig(input_dim=2), seed=0)
+    model = build_predictor(TrainConfig(), 2, seed=0)
     weight_net = WeightNetwork(64, seed=1)
     rng = np.random.default_rng(2)
     gc.collect()

@@ -21,6 +21,7 @@ from fairshift.data import (
     write_csv,
 )
 from fairshift.experiment import AGGREGATE_COLUMNS, write_aggregate_csv
+from fairshift.nets import WeightNetwork
 from fairshift.training import METHODS, TrainConfig, load_checkpoint
 
 
@@ -39,16 +40,18 @@ def pool_csv(tmp_path):
     return path
 
 
+def _write_source_and_target(directory):
+    """``source.csv``, ``target.csv`` and ``eval.csv`` of one asymmetric draw, in ``directory``."""
+    source, test = make_synthetic_asymmetric_labeled(0, 80)
+    paths = [directory / name for name in ("source.csv", "target.csv", "eval.csv")]
+    for path, data in zip(paths, (source, test.without_labels(), test)):
+        write_csv(path, data)
+    return paths
+
+
 @pytest.fixture()
 def source_and_target_csv(tmp_path):
-    source, test = make_synthetic_asymmetric_labeled(0, 80)
-    source_path = tmp_path / "source.csv"
-    target_path = tmp_path / "target.csv"
-    eval_path = tmp_path / "eval.csv"
-    write_csv(source_path, source)
-    write_csv(target_path, test.without_labels())
-    write_csv(eval_path, test)
-    return source_path, target_path, eval_path
+    return _write_source_and_target(tmp_path)
 
 
 def test_split_writes_indices_and_summary(pool_csv, tmp_path, capsys):
@@ -339,6 +342,13 @@ HOSTILE_INPUTS = [
          f"{key} is set for each run by {owner}; set {owner} instead")
         for key, _, owner in GRID_OWNED_KEYS
     ),
+    # a synthetic task draws its own shift, and a CSV pool has its own size
+    ("experiment-synthetic-shift-key", ["experiment", "--data", "synthetic:asymmetric",
+                                        "--config", "{synthetic_shift}", "--out", "{out}"], 1,
+     "shift.test_fraction is read by no run: dataset 'synthetic:asymmetric' draws its own shift"),
+    ("experiment-pool-n-per-group", ["experiment", "--data", "{source}", "--config",
+                                     "{pool_n_per_group}", "--out", "{out}"], 1,
+     "n_per_group is read by no run: dataset '{source}' is a CSV pool"),
     ("experiment-negative-gamma-flag", ["experiment", "--data", "{source}", "--gamma", "-1",
                                         "--out", "{out}"], 1,
      "gammas entries must be >= 0, got -1.0"),
@@ -372,26 +382,30 @@ HOSTILE_INPUTS = [
          cause)
         for name, cause in (
             ("no_predictor", "checkpoint has no 'predictor'"),
-            ("no_params", "checkpoint predictor has no 'params'"),
+            ("no_w3", "checkpoint predictor 'w3' must be a (64, 32) array of finite numbers"),
+            # every shape comes from the stored TrainConfig, checked by its own rules
             ("text_rep_dim", "rep_dim must be int, got '8'"),
-            # a checkpoint's shapes pass the ranges a TrainConfig's do
             ("negative_hidden_dim", "hidden_dim must be >= 1, got -1"),
             ("big_dropout", "dropout_rate must lie in [0, 1), got 7.0"),
-            ("short_w3",
-             "checkpoint predictor params 'w3' must be a (64, 32) array of finite numbers"),
-            ("text_b1", "checkpoint predictor params 'b1' must be a (64,) array of finite numbers"),
-            ("nan_w1",
-             "checkpoint predictor params 'w1' must be a (2, 64) array of finite numbers"),
-            ("text_weight_dim", "weight_net input_dim and hidden_dim must be ints >= 1"),
+            ("text_weight_hidden_dim", "weight_hidden_dim must be int, got '32'"),
+            ("text_input_dim", "checkpoint input_dim must be an int >= 1, got '2'"),
+            ("short_w3", "checkpoint predictor 'w3' must be a (64, 32) array of finite numbers"),
+            ("text_b1", "checkpoint predictor 'b1' must be a (64,) array of finite numbers"),
+            ("nan_w1", "checkpoint predictor 'w1' must be a (2, 64) array of finite numbers"),
             ("inf_weight_w1",
-             "checkpoint weight_net params 'w1' must be a (1, 1) array of finite numbers"),
+             "checkpoint weight_net 'w1' must be a (2, 32) array of finite numbers"),
             ("int_extra", "checkpoint extra must be a mapping, got 5"),
-            ("no_stds", "checkpoint extra input_stats 'stds' must be a (2,) array of finite numbers"),
-            ("inf_means",
-             "checkpoint extra input_stats 'means' must be a (2,) array of finite numbers"),
-            ("zero_stds", "checkpoint extra input_stats stds must be strictly positive"),
-            ("list_config", "checkpoint extra config must be a mapping, got [1]"),
-            ("no_config", "checkpoint extra has no 'config'"),
+            ("no_stds", "checkpoint input_stats 'stds' must be a (2,) array of finite numbers"),
+            ("inf_means", "checkpoint input_stats 'means' must be a (2,) array of finite numbers"),
+            ("zero_stds", "checkpoint input_stats stds must be strictly positive"),
+            ("list_config", "checkpoint config must be a mapping, got [1]"),
+            ("no_config", "checkpoint has no 'config'"),
+            # each optional part is there exactly when the config calls for it
+            ("zsa_no_input_stats", "checkpoint has no 'input_stats', which method 'zsa' reads"),
+            ("erm_input_stats", "checkpoint has 'input_stats', which method 'erm' never reads"),
+            ("erm_weight_net", "checkpoint has a weight_net, which its 'erm' run never trains"),
+            ("version_1", "unsupported checkpoint version: 1"),
+            ("unknown_key", "unknown checkpoint keys: ['notes']"),
         )
     ),
     # a zsa checkpoint standardizes a batch of the wrong width before its predictor sees it
@@ -411,9 +425,11 @@ HOSTILE_INPUTS = [
 ]
 
 
-@pytest.fixture()
-def hostile_files(source_and_target_csv, tmp_path):
-    source_path, target_path, _ = source_and_target_csv
+@pytest.fixture(scope="module")
+def hostile_files(tmp_path_factory):
+    # built once: no case writes to these files, and the checkpoints take two runs
+    tmp_path = tmp_path_factory.mktemp("hostile")
+    source_path, target_path, _ = _write_source_and_target(tmp_path)
     source = load_csv(source_path)
     files = {"source": source_path, "target": target_path}
     lines = source_path.read_text().splitlines()
@@ -484,6 +500,14 @@ def hostile_files(source_and_target_csv, tmp_path):
              f"train.pretrain_epochs = 1\ntrain.adapt_epochs = 0\n{key} = {value}\n")
             for key, value, _ in GRID_OWNED_KEYS
         ),
+        *(
+            (name, "methods = erm\nrepetitions = 1\n"
+             f"train.pretrain_epochs = 1\ntrain.adapt_epochs = 0\n{line}\n")
+            for name, line in (
+                ("synthetic_shift", "shift.test_fraction = 0.9"),
+                ("pool_n_per_group", "n_per_group = 20"),
+            )
+        ),
     ):
         files[name] = tmp_path / f"{name}.cfg"
         files[name].write_text(text)
@@ -501,38 +525,49 @@ def hostile_files(source_and_target_csv, tmp_path):
     files["zsa_checkpoint"] = tmp_path / "zsa" / "checkpoint.json"
     main(["train", "--data", str(source_path), "--target", str(target_path), "--method", "zsa",
           "--config", str(files["quick"]), "--out", str(files["zsa_checkpoint"].parent)])
-    # checkpoints of the wrong structure
-    files["no_predictor"] = tmp_path / "no_predictor.json"
-    files["no_predictor"].write_text('{"format_version": 1}')
-    trained = json.loads(files["checkpoint"].read_text())
-    config, params = trained["predictor"]["config"], trained["predictor"]["params"]
-    extra = trained["extra"]
-    for name, part, value in (
-        ("no_params", "predictor", {"config": config}),
-        ("text_rep_dim", "predictor", {"config": {**config, "rep_dim": "8"}, "params": params}),
-        ("negative_hidden_dim", "predictor",
-         {"config": {**config, "hidden_dim": -1}, "params": params}),
-        ("big_dropout", "predictor",
-         {"config": {**config, "dropout_rate": 7.0}, "params": params}),
-        ("short_w3", "predictor", {"config": config, "params": {**params, "w3": [[0.0]]}}),
-        ("text_b1", "predictor",
-         {"config": config, "params": {**params, "b1": [str(v) for v in params["b1"]]}}),
-        ("nan_w1", "predictor",
-         {"config": config, "params": {**params, "w1": [[math.nan] + params["w1"][0][1:]]
-                                       + params["w1"][1:]}}),
-        ("text_weight_dim", "weight_net", {"input_dim": "64", "hidden_dim": 32}),
-        ("inf_weight_w1", "weight_net",
-         {"input_dim": 1, "hidden_dim": 1, "params": {"w1": [[math.inf]]}}),
-        ("int_extra", "extra", 5),
-        ("no_stds", "extra", {**extra, "input_stats": {"means": [0.0, 0.0]}}),
-        ("inf_means", "extra",
-         {**extra, "input_stats": {"means": [0.0, math.inf], "stds": [1.0, 1.0]}}),
-        ("zero_stds", "extra", {**extra, "input_stats": {"means": [0.0, 0.0], "stds": [0.0, 1.0]}}),
-        ("list_config", "extra", {**extra, "config": [1]}),
-        ("no_config", "extra", {k: v for k, v in extra.items() if k != "config"}),
+    # checkpoints of the wrong structure, each one change to a file that train wrote
+    erm, zsa = (json.loads(files[name].read_text()) for name in ("checkpoint", "zsa_checkpoint"))
+    config, params = erm["config"], erm["predictor"]
+    kliep = {**config, "method": "kliep_iw"}
+    weight_net = dict(zip(("w1", "b1", "w2", "b2"),
+                          (p.value.tolist() for p in WeightNetwork(2, 0).parameters)))
+    widths = ("hidden_dim", "rep_dim", "clf_hidden_dim", "weight_hidden_dim", "dropout_rate")
+    version_1 = {  # the layout of format version 1
+        "format_version": 1,
+        "predictor": {"config": {"input_dim": 2, **{k: config[k] for k in widths}},
+                      "params": params},
+        "extra": {"method": "erm", "seed": config["seed"], "config": config, **erm["extra"]},
+    }
+    for name, base, changes in (
+        ("no_predictor", erm, {"predictor": None}),
+        ("no_w3", erm, {"predictor": {k: v for k, v in params.items() if k != "w3"}}),
+        ("text_rep_dim", erm, {"config": {**config, "rep_dim": "8"}}),
+        ("negative_hidden_dim", erm, {"config": {**config, "hidden_dim": -1}}),
+        ("big_dropout", erm, {"config": {**config, "dropout_rate": 7.0}}),
+        ("text_weight_hidden_dim", erm,
+         {"config": {**kliep, "weight_hidden_dim": "32"}, "weight_net": weight_net}),
+        ("text_input_dim", erm, {"input_dim": "2"}),
+        ("short_w3", erm, {"predictor": {**params, "w3": [[0.0]]}}),
+        ("text_b1", erm, {"predictor": {**params, "b1": [str(v) for v in params["b1"]]}}),
+        ("nan_w1", erm,
+         {"predictor": {**params, "w1": [[math.nan] + params["w1"][0][1:]] + params["w1"][1:]}}),
+        ("inf_weight_w1", erm,
+         {"config": kliep, "weight_net": {**weight_net, "w1": [[math.inf] * 32] * 2}}),
+        ("int_extra", erm, {"extra": 5}),
+        ("no_stds", zsa, {"input_stats": {"means": [0.0, 0.0]}}),
+        ("inf_means", zsa, {"input_stats": {"means": [0.0, math.inf], "stds": [1.0, 1.0]}}),
+        ("zero_stds", zsa, {"input_stats": {"means": [0.0, 0.0], "stds": [0.0, 1.0]}}),
+        ("list_config", erm, {"config": [1]}),
+        ("no_config", erm, {"config": None}),
+        ("zsa_no_input_stats", zsa, {"input_stats": None}),
+        ("erm_input_stats", erm, {"input_stats": zsa["input_stats"]}),
+        ("erm_weight_net", erm, {"weight_net": weight_net}),
+        ("version_1", version_1, {}),
+        ("unknown_key", erm, {"notes": "x"}),
     ):
+        payload = {**base, **changes}  # a change to None deletes the key
         files[name] = tmp_path / f"{name}.json"
-        files[name].write_text(json.dumps({**trained, part: value}))
+        files[name].write_text(json.dumps({k: v for k, v in payload.items() if v is not None}))
     for name, text in (
         ("list", "[1]"),
         ("unknown_column", '{"nope": "continuous"}'),
@@ -553,7 +588,7 @@ def test_hostile_input(hostile_files, tmp_path, capsys, argv, code, cause):
     with np.errstate(all="raise"):
         assert main([arg.format(**values) for arg in argv]) == code
     printed = capsys.readouterr()
-    assert cause in (printed.err if code else printed.out)
+    assert cause.format(**values) in (printed.err if code else printed.out)
     if code:
         assert printed.err.startswith("error: ") and "Traceback" not in printed.err
 

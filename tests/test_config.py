@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import pytest
 from hypothesis import assume, given
@@ -78,7 +79,7 @@ class TestBuilders:
     def test_experiment_spec_nested_prefixes(self):
         spec = experiment_spec_from_dict(
             {
-                "dataset": "synthetic:asymmetric",
+                "dataset": "pool.csv",
                 "methods": ("ours", "erm"),
                 "gammas": 5.0,
                 "repetitions": 3,
@@ -213,20 +214,32 @@ def _at_defaults(part, cfg):
     return dataclasses.replace(cfg, **{name: getattr(default, name) for name in GRID_OWNED[part]})
 
 
-EXPERIMENT_SPECS = st.builds(
-    ExperimentSpec,
-    dataset=st.sampled_from(["synthetic:asymmetric", "synthetic:gaussian", "data/adult.csv"]),
-    methods=_grid(st.sampled_from(METHODS)),
-    gammas=_grid(NONNEGATIVE | COUNTS),
-    lambda1s=_grid(NONNEGATIVE),
-    lambda2s=_grid(NONNEGATIVE),
-    ms=_grid(SIZES),
-    repetitions=SIZES,
-    base_seed=st.integers(0, 2**63 - 1),
-    n_per_group=st.integers(10, 10**6),
-    train=TRAIN_CONFIGS.map(lambda cfg: _at_defaults("train", cfg)),
-    shift=SHIFT_CONFIGS.map(lambda cfg: _at_defaults("shift", cfg)),
-)
+def _experiment_specs(dataset):
+    """Specs of ``dataset`` that set only keys it reads: a synthetic task draws
+    its own shift, and a CSV pool has its own size."""
+    synthetic = dataset.startswith("synthetic:")
+    return st.builds(
+        ExperimentSpec,
+        dataset=st.just(dataset),
+        methods=_grid(st.sampled_from(METHODS)),
+        gammas=_grid(NONNEGATIVE | COUNTS),
+        lambda1s=_grid(NONNEGATIVE),
+        lambda2s=_grid(NONNEGATIVE),
+        ms=_grid(SIZES),
+        repetitions=SIZES,
+        base_seed=st.integers(0, 2**63 - 1),
+        n_per_group=st.integers(10, 10**6) if synthetic else st.just(300),
+        train=TRAIN_CONFIGS.map(lambda cfg: _at_defaults("train", cfg)),
+        shift=(
+            st.just(ShiftConfig()) if synthetic
+            else SHIFT_CONFIGS.map(lambda cfg: _at_defaults("shift", cfg))
+        ),
+    )
+
+
+EXPERIMENT_SPECS = st.sampled_from(
+    ["synthetic:asymmetric", "synthetic:gaussian", "data/adult.csv"]
+).flatmap(_experiment_specs)
 VARIANCE_STUDY_SPECS = st.builds(
     VarianceStudySpec,
     gammas=_grid(NONNEGATIVE),
@@ -257,6 +270,27 @@ def test_a_grid_owned_nested_value_is_refused(spec, train, shift):
     with pytest.raises(ValueError, match=r"is set for each run by (\w+); set \1 instead$") as info:
         dataclasses.replace(spec, **nested)
     assert str(info.value).split()[0] in changed
+
+
+@given(EXPERIMENT_SPECS, SHIFT_CONFIGS, st.integers(10, 10**6))
+def test_a_key_the_dataset_never_reads_is_refused(spec, shift, n_per_group):
+    dataset = re.escape(repr(spec.dataset))
+    if spec.dataset.startswith("synthetic:"):
+        shift = _at_defaults("shift", shift)  # a grid-owned key has a refusal of its own
+        changed = [
+            f"shift.{f.name}" for f in dataclasses.fields(shift)
+            if getattr(shift, f.name) != getattr(ShiftConfig(), f.name)
+        ]
+        assume(changed)
+        cause = rf"^(\S+) is read by no run: dataset {dataset} draws its own shift$"
+        with pytest.raises(ValueError, match=cause) as info:
+            dataclasses.replace(spec, shift=shift)
+        assert str(info.value).split()[0] in changed
+    else:
+        assume(n_per_group != 300)
+        cause = rf"^n_per_group is read by no run: dataset {dataset} is a CSV pool$"
+        with pytest.raises(ValueError, match=cause):
+            dataclasses.replace(spec, n_per_group=n_per_group)
 
 
 @given(VARIANCE_STUDY_SPECS)

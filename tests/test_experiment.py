@@ -57,6 +57,8 @@ def _tiny_spec(**overrides):
         train=TINY_TRAIN,
     )
     base.update(overrides)
+    if not base["dataset"].startswith("synthetic:"):
+        del base["n_per_group"]  # a CSV pool has its own size
     return ExperimentSpec(**base)
 
 

@@ -7,22 +7,20 @@ import pytest
 
 import reference_tape as ref
 from fairshift import autodiff as ad
-from fairshift.nets import (
-    PROB_CLAMP,
-    AdamOptimizer,
-    NetConfig,
-    PredictorModel,
-    WeightNetwork,
-    cosine_lr,
-    parameter_digest,
+from fairshift.nets import PROB_CLAMP, AdamOptimizer, WeightNetwork, cosine_lr, parameter_digest
+from fairshift.training import (
+    TrainConfig,
+    TrainedModel,
+    build_predictor,
+    load_checkpoint,
+    save_checkpoint,
 )
-from fairshift.training import TrainConfig, TrainedModel, load_checkpoint, save_checkpoint
 
-CFG = NetConfig(input_dim=6, hidden_dim=16, rep_dim=8, clf_hidden_dim=8)
+CFG = TrainConfig(hidden_dim=16, rep_dim=8, clf_hidden_dim=8)
 
 
 def test_forward_shapes_and_clamp():
-    model = PredictorModel(CFG, seed=0)
+    model = build_predictor(CFG, 6, seed=0)
     rng = np.random.default_rng(1)
     rep, probs = model.forward(rng.normal(size=(10, 6)))
     assert rep.value.shape == (10, 8)
@@ -32,7 +30,7 @@ def test_forward_shapes_and_clamp():
 
 
 def test_zero_final_layer_gives_half_probability():
-    model = PredictorModel(CFG, seed=0)
+    model = build_predictor(CFG, 6, seed=0)
     model.w4.value = np.zeros_like(model.w4.value)
     model.b4.value = np.zeros_like(model.b4.value)
     probs = model.predict_proba(np.random.default_rng(2).normal(size=(7, 6)))
@@ -40,14 +38,14 @@ def test_zero_final_layer_gives_half_probability():
 
 
 def test_inference_is_deterministic_for_duplicated_rows():
-    model = PredictorModel(CFG, seed=3)
+    model = build_predictor(CFG, 6, seed=3)
     row = np.random.default_rng(4).normal(size=6)
     probs = model.predict_proba(np.tile(row, (5, 1)))
     assert np.all(probs == probs[0])
 
 
 def test_dropout_changes_training_forward_but_not_inference():
-    model = PredictorModel(CFG, seed=5)
+    model = build_predictor(CFG, 6, seed=5)
     x = np.random.default_rng(6).normal(size=(4, 6))
     _, p_train = model.forward(x, dropout_rng=np.random.default_rng(7))
     _, p_eval = model.forward(x)
@@ -57,7 +55,7 @@ def test_dropout_changes_training_forward_but_not_inference():
 
 
 def test_width_mismatch_raises():
-    model = PredictorModel(CFG, seed=0)
+    model = build_predictor(CFG, 6, seed=0)
     with pytest.raises(ValueError, match="width"):
         model.forward(np.zeros((3, 5)))
     with pytest.raises(ValueError, match="width"):
@@ -65,14 +63,14 @@ def test_width_mismatch_raises():
 
 
 def test_representations_are_the_inference_forward_encoder_output():
-    model = PredictorModel(CFG, seed=8)
+    model = build_predictor(CFG, 6, seed=8)
     x = np.random.default_rng(9).normal(size=(11, 6))
     np.testing.assert_array_equal(model.representations(x), model.forward(x)[0].value)
 
 
 def test_one_dropout_draw_equals_three_per_layer_draws():
     # the forward pass as it was with one rng draw per dropout mask
-    model = PredictorModel(CFG, seed=12)
+    model = build_predictor(CFG, 6, seed=12)
     x = np.random.default_rng(13).normal(size=(9, 6))
     rng = np.random.default_rng(14)
     masks = [
@@ -92,11 +90,22 @@ def test_one_dropout_draw_equals_three_per_layer_draws():
 
 
 def test_same_seed_same_model():
-    a = PredictorModel(CFG, seed=11)
-    b = PredictorModel(CFG, seed=11)
+    a = build_predictor(CFG, 6, seed=11)
+    b = build_predictor(CFG, 6, seed=11)
     assert parameter_digest(a.parameters) == parameter_digest(b.parameters)
     x = np.random.default_rng(0).normal(size=(3, 6))
     np.testing.assert_array_equal(a.predict_proba(x), b.predict_proba(x))
+
+
+def test_the_predictor_draws_its_layers_in_order():
+    # Glorot-uniform weights for layers 1 to 4 from one stream, in that order; zero biases
+    model = build_predictor(CFG, 6, seed=3)
+    rng = np.random.default_rng(3)
+    shapes = [(6, 16), (16, 8), (8, 8), (8, 1)]
+    for w, b, (fan_in, fan_out) in zip(model.parameters[::2], model.parameters[1::2], shapes):
+        limit = math.sqrt(6.0 / (fan_in + fan_out))
+        np.testing.assert_array_equal(w.value, rng.uniform(-limit, limit, (fan_in, fan_out)))
+        np.testing.assert_array_equal(b.value, np.zeros(fan_out))
 
 
 class TestWeightNetwork:
@@ -132,7 +141,7 @@ class TestCosineSchedule:
 
 class TestAdam:
     def _params(self):
-        return [PredictorModel(CFG, seed=0).w1]
+        return [build_predictor(CFG, 6, seed=0).w1]
 
     def test_zero_gradient_is_fixed_point(self):
         params = self._params()
@@ -198,7 +207,7 @@ class TestAdam:
         assert opt.step(0) == pytest.approx(2.0 * math.sqrt(params[0].value.size))
 
     def test_flat_update_matches_per_parameter_adam_bit_for_bit(self):
-        model = PredictorModel(CFG, seed=4)
+        model = build_predictor(CFG, 6, seed=4)
         params = model.parameters
         ref = [p.value.copy() for p in params]
         ref_m = [np.zeros_like(v) for v in ref]
@@ -230,7 +239,7 @@ class TestAdam:
                 assert p.grad is None
 
     def test_values_bound_by_a_step_are_never_written_later(self):
-        model = PredictorModel(CFG, seed=6)
+        model = build_predictor(CFG, 6, seed=6)
         opt = AdamOptimizer(model.parameters, total_steps=5, weight_decay=1e-2)
         rng = np.random.default_rng(7)
         held = []
@@ -249,7 +258,7 @@ class TestAdam:
         assert np.abs(model.w1.value - expected_w1).max() < 0.1
 
     def test_a_deep_copy_steps_bit_for_bit_like_the_original(self):
-        model = PredictorModel(CFG, seed=8)
+        model = build_predictor(CFG, 6, seed=8)
         opt = AdamOptimizer(model.parameters, total_steps=8, weight_decay=1e-2)
         rng = np.random.default_rng(9)
 
@@ -286,12 +295,12 @@ class TestAdam:
 
 
 def test_checkpoint_round_trip_is_exact(tmp_path):
-    model = PredictorModel(CFG, seed=9)
+    model = build_predictor(CFG, 6, seed=9)
     wnet = WeightNetwork(CFG.rep_dim, seed=10)
     path = tmp_path / "ckpt.json"
-    save_checkpoint(path, TrainedModel(model, TrainConfig(), weight_net=wnet), extra={"tag": 1})
+    save_checkpoint(path, TrainedModel(model, CFG, weight_net=wnet), extra={"tag": 1})
     loaded, extra = load_checkpoint(path)
-    assert extra["method"] == "ours" and extra["tag"] == 1
+    assert loaded.config == CFG and extra == {"tag": 1}
     assert parameter_digest(loaded.predictor.parameters) == parameter_digest(model.parameters)
     assert parameter_digest(loaded.weight_net.parameters) == parameter_digest(wnet.parameters)
     x = np.random.default_rng(0).normal(size=(4, 6))

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import math
 import os
 import platform
@@ -41,6 +42,7 @@ from fairshift.training import (
     _check_finite,
     _streams,
     _subsample_target,
+    build_predictor,
     load_checkpoint,
     save_checkpoint,
     train,
@@ -1121,33 +1123,48 @@ def test_trained_models_are_immutable(small_task, method):
             setattr(model, f.name, getattr(model, f.name))
 
 
-def test_checkpoint_bytes_are_pinned(tmp_path):
-    # format version 1, byte for byte: key order, float text and every slot
-    cfg = TrainConfig(method="zsa", seed=5, hidden_dim=3, rep_dim=2, clf_hidden_dim=2,
-                      weight_hidden_dim=2)
-    model = TrainedModel(
-        nets.PredictorModel(cfg.net_config(2), seed=0),
-        cfg,
-        weight_net=nets.WeightNetwork(2, seed=1, hidden_dim=2),
-        input_stats=NormalizationStats([0.5, -1.0], [2.0, 0.25]),
-    )
-    path = tmp_path / "checkpoint.json"
+# a checkpoint of each optional part, its cfg's widths as small as they go
+_TINY = dict(seed=5, hidden_dim=3, rep_dim=2, clf_hidden_dim=2, weight_hidden_dim=2)
+PINNED_CHECKPOINTS = {
+    "zsa": (
+        "e41ae8d97867edf803a17e02368029611b004e1d8e78d2db726e1b1230bd96a5",
+        lambda cfg: {"input_stats": NormalizationStats([0.5, -1.0], [2.0, 0.25])},
+    ),
+    "kliep_iw": (
+        "6399eac262833171b525b949a7311d5cfb43d063b3a26e8ceaeb1a3c30a61f59",
+        lambda cfg: {"weight_net": nets.WeightNetwork(2, 1, cfg.weight_hidden_dim)},
+    ),
+}
+
+
+@pytest.mark.parametrize("method", PINNED_CHECKPOINTS)
+def test_checkpoint_bytes_are_pinned(tmp_path, method):
+    # format version 2, byte for byte: key order, float text and every slot
+    digest, parts = PINNED_CHECKPOINTS[method]
+    cfg = TrainConfig(method=method, **_TINY)
+    model = TrainedModel(build_predictor(cfg, 2), cfg, **parts(cfg))
+    path, again = tmp_path / "checkpoint.json", tmp_path / "again.json"
     save_checkpoint(path, model, extra={"train_data_sha256": "0" * 64})
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "9dbeb88f922b84b31545da02df4363a517258b103e5c65ed5df94736d0467f12"
-    )
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    # each fact once, under the seven keys
+    assert list(json.loads(path.read_text())) == [
+        "format_version", "config", "input_dim", "predictor", *parts(cfg), "extra"
+    ]
+    # the loaded model saves to the same bytes
+    loaded, extra = load_checkpoint(path)
+    save_checkpoint(again, loaded, extra=extra)
+    assert again.read_bytes() == path.read_bytes()
 
 
 @pytest.mark.parametrize("key", ["method", "seed", "config", "input_stats"])
-def test_checkpoint_extra_cannot_overwrite_the_record(tmp_path, key):
-    # the method, seed, config and input stats come from the model alone
+def test_an_extra_named_like_the_record_leaves_the_loaded_model_alone(tmp_path, key):
+    # extra has a key of its own, so no entry of it can stand for the model's
     cfg = TrainConfig(method="erm", seed=4, hidden_dim=3, rep_dim=2, clf_hidden_dim=2)
-    model = TrainedModel(nets.PredictorModel(cfg.net_config(2), seed=0), cfg)
     path = tmp_path / "checkpoint.json"
     extra = {"train_data_sha256": "0" * 64, key: {"seed": 7}}
-    with pytest.raises(ValueError, match=rf"checkpoint extra may not set \['{key}'\]"):
-        save_checkpoint(path, model, extra=extra)
-    assert not path.exists()
+    save_checkpoint(path, TrainedModel(build_predictor(cfg, 2), cfg), extra=extra)
+    loaded, loaded_extra = load_checkpoint(path)
+    assert loaded.config == cfg and loaded.input_stats is None and loaded_extra == extra
 
 
 # a fresh interpreter: one tiny train() call, then 256-row dropout forwards
@@ -1157,12 +1174,11 @@ _FORWARD_FAULTS = """
 import resource
 import numpy as np
 from fairshift.data import make_synthetic_asymmetric_labeled
-from fairshift.nets import NetConfig, PredictorModel
-from fairshift.training import TrainConfig, train
+from fairshift.training import TrainConfig, build_predictor, train
 
 source, _ = make_synthetic_asymmetric_labeled(seed=1, n_per_group=30)
 train(source, None, TrainConfig(method="erm", pretrain_epochs=1, adapt_epochs=0))
-model = PredictorModel(NetConfig(input_dim=97), 0)
+model = build_predictor(TrainConfig(), 97, 0)
 x = np.random.default_rng(0).standard_normal((256, 97))
 rng = np.random.default_rng(1)
 for _ in range(5):
