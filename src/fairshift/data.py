@@ -7,19 +7,17 @@ column and one ``label`` column, both binary; the label column is absent
 for unlabeled files; a header that repeats a column name is refused.  A
 column is treated as categorical iff its distinct values are a subset of
 {0, 1}; a labeled file's ``<file>.csv.kinds.json`` sidecar is the one way
-to override that.  :meth:`NormalizationStats.apply` is the one z-score.
+to override that.  :meth:`NormalizationStats.apply` is the one z-score;
+:func:`fit_zscore` refuses a column whose mean or std overflows.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import json
 import math
-import numbers
 import os
-import typing
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,80 +39,6 @@ def _binary(values, name):
         bad = values[~np.isin(values, (0.0, 1.0))][0]
         raise ValueError(f"{name} column must contain only 0 or 1, found {bad.item()}")
     return _freeze(values.astype(np.int64, copy=False))
-
-
-_NUMBERS = {int: numbers.Integral, float: numbers.Real}
-# each range rule a field may carry as ``Annotated[<type>, "<rule>"]``, and its test
-_RULES = {
-    "be >= 0": lambda v: v >= 0,
-    "be >= 1": lambda v: v >= 1,
-    "be >= 10": lambda v: v >= 10,
-    "be > 0": lambda v: v > 0,
-    "be 0 or 1": lambda v: v in (0, 1),
-    "lie in [0, 1)": lambda v: 0 <= v < 1,
-    "lie in (0, 1)": lambda v: 0 < v < 1,
-    "lie in (0, 100)": lambda v: 0 < v < 100,
-    "lie in [0, 1]": lambda v: 0 <= v <= 1,
-    "lie in [0, 100]": lambda v: 0 <= v <= 100,
-}
-
-
-@functools.cache
-def _field_hints(cls):
-    """``cls``'s evaluated annotations, rules kept; evaluated once per class."""
-    return typing.get_type_hints(cls, include_extras=True)
-
-
-def check_field_types(obj):
-    """Raise one ``ValueError`` naming the first field of dataclass ``obj`` that
-    does not fit its annotation.
-
-    An int fits ``float``, a bool fits no field (none holds a bool), a
-    ``tuple[X, ...]`` field needs at least one entry and each must fit ``X``,
-    and a number must be finite.  A field annotated ``Annotated[X, rule]``
-    must also pass ``rule``, one key of ``_RULES`` (a ``None`` passes); a
-    ``tuple[Annotated[X, rule], ...]`` field checks each entry.
-    """
-    for name, hint in _field_hints(type(obj)).items():
-        values = [getattr(obj, name)]
-        if typing.get_origin(hint) is tuple:
-            if not isinstance(values[0], tuple):
-                raise ValueError(f"{name} must be a tuple, got {values[0]!r}")
-            if not values[0]:
-                raise ValueError(f"{name} must be non-empty")
-            name, hint, values = f"{name} entries", typing.get_args(hint)[0], values[0]
-        rule = None
-        if typing.get_origin(hint) is typing.Annotated:
-            hint, rule = typing.get_args(hint)
-        kinds = tuple(_NUMBERS.get(arm, arm) for arm in typing.get_args(hint) or (hint,))
-        for value in values:
-            if isinstance(value, bool) or not isinstance(value, kinds):
-                raise ValueError(f"{name} must be {getattr(hint, '__name__', hint)}, got {value!r}")
-            if isinstance(value, numbers.Real) and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-            if rule and value is not None and not _RULES[rule](value):
-                raise ValueError(f"{name} must {rule}, got {value!r}")
-
-
-def build_from_dict(cls, values, kind=None):
-    """``cls(**values)``, or one ``ValueError`` naming the unknown or missing keys.
-
-    ``kind`` names the mapping in the message; it defaults to the class name.
-    """
-    kind = kind or cls.__name__
-    if not isinstance(values, dict):
-        raise ValueError(f"{kind} must be a mapping, got {values!r}")
-    rejected = set(values) - {f.name for f in fields(cls)}
-    if rejected:
-        raise ValueError(f"unknown {kind} keys: {sorted(rejected)}")
-    missing = [
-        f.name
-        for f in fields(cls)
-        if f.name not in values and f.default is MISSING and f.default_factory is MISSING
-    ]
-    if missing:
-        raise ValueError(f"missing {kind} keys: {missing}")
-    return cls(**values)
 
 
 @dataclass(frozen=True)
@@ -336,7 +260,8 @@ def fit_zscore(data, feature_kinds=None) -> NormalizationStats:
     """Population mean/std per continuous column; constant columns get std 1.
 
     ``feature_kinds`` defaults to ``data.feature_kinds``; pass the source's
-    kinds to fit statistics on unlabeled rows.
+    kinds to fit statistics on unlabeled rows.  A column whose mean or std
+    overflows raises one ``ValueError`` naming it.
     """
     features = data.features
     kinds = data.feature_kinds if feature_kinds is None else feature_kinds
@@ -347,9 +272,10 @@ def fit_zscore(data, feature_kinds=None) -> NormalizationStats:
     for j, kind in enumerate(kinds):
         if kind != CONTINUOUS:
             continue
-        col = features[:, j]
-        means[j] = col.mean()
-        std = col.std()
+        with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+            means[j], std = features[:, j].mean(), features[:, j].std()
+        if not np.isfinite((means[j], std)).all():
+            raise ValueError(f"feature column {j}: its mean or std overflows float64")
         stds[j] = std if std > 0 else 1.0
     return NormalizationStats(means, stds)
 

@@ -28,11 +28,11 @@ from typing import Annotated
 
 import numpy as np
 
+from .config import check_field_types
 from .data import (
     GaussianShiftTask,
     LabeledDataset,
     apply_zscore,
-    check_field_types,
     fit_zscore,
     load_csv,
     make_synthetic_asymmetric_labeled,

@@ -15,7 +15,8 @@ from typing import Annotated
 
 import numpy as np
 
-from .data import _binary, check_field_types
+from .config import check_field_types
+from .data import _binary
 
 
 @dataclass(frozen=True)

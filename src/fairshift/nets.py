@@ -85,16 +85,13 @@ class PredictorModel:
         """
         x = self._batch(batch)
         rate = self.dropout_rate
-        # dropout after each hidden layer scales the next layer's input; one
-        # draw, split in order, takes the stream three per-layer draws took
+        # dropout after each hidden layer scales the next layer's input; each
+        # layer's mask is its own draw from the stream, in layer order
         masks = [None] * 3
         if dropout_rng is not None and rate > 0.0:
-            n, widths = x.shape[0], [w.value.shape[1] for w in (self.w1, self.w2, self.w3)]
-            keep = (dropout_rng.random(n * sum(widths)) >= rate) / (1.0 - rate)
-            ends = np.cumsum(widths) * n
             masks = [
-                keep[end - n * width : end].reshape(n, width)
-                for end, width in zip(ends.tolist(), widths)
+                (dropout_rng.random((x.shape[0], w.value.shape[1])) >= rate) / (1.0 - rate)
+                for w in (self.w1, self.w2, self.w3)
             ]
         rep = self.encode(x, masks[0])
         h3 = ad.dense(rep, self.w3, self.b3, relu=True, mask=masks[1])

@@ -17,7 +17,7 @@ from typing import Annotated
 
 import numpy as np
 
-from .data import check_field_types
+from .config import check_field_types
 
 
 @dataclass(frozen=True)
@@ -55,13 +55,16 @@ def first_principal_projection(features) -> np.ndarray:
     """Project centered rows onto the unit top eigenvector of the covariance.
 
     The eigenvector sign is fixed so its largest-magnitude component is
-    positive, making the projection deterministic.
+    positive, making the projection deterministic; an overflowing covariance raises.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
         raise ValueError("need at least 2 rows")
-    centered = x - x.mean(axis=0)
-    cov = centered.T @ centered / x.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        centered = x - x.mean(axis=0)
+        cov = centered.T @ centered / x.shape[0]
+    if not np.isfinite(cov).all():
+        raise ValueError("the feature covariance overflows float64")
     if not np.any(cov):
         raise ValueError("zero covariance: all rows identical")
     eigvals, eigvecs = np.linalg.eigh(cov)

@@ -69,15 +69,8 @@ from typing import Annotated
 import numpy as np
 
 from . import autodiff as ad
-from .data import (
-    LabeledDataset,
-    NormalizationStats,
-    UnlabeledDataset,
-    apply_zscore,
-    build_from_dict,
-    check_field_types,
-    fit_zscore,
-)
+from .config import check_field_types, config_from_dict
+from .data import LabeledDataset, NormalizationStats, UnlabeledDataset, apply_zscore, fit_zscore
 from .losses import (
     LossBreakdown,
     PlanCache,
@@ -291,7 +284,8 @@ def save_checkpoint(path, model: TrainedModel, extra=None):
     feature count, from which every layer shape follows; the predictor's
     parameters; the weight network's if the model has one; zsa's
     ``input_stats``; and the caller's ``extra`` mapping (a digest of the
-    training data, say) under a key of its own.
+    training data, say) under a key of its own.  A model that the loader
+    would refuse raises its ``ValueError`` before the file is opened.
     """
     payload = {
         "format_version": CHECKPOINT_VERSION,
@@ -305,8 +299,10 @@ def save_checkpoint(path, model: TrainedModel, extra=None):
         stats = model.input_stats
         payload["input_stats"] = {"means": stats.means.tolist(), "stds": stats.stds.tolist()}
     payload["extra"] = dict(extra or {})
+    _model_from_payload(payload)
+    text = json.dumps(payload)  # an extra that JSON cannot hold raises here, before the file
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+        fh.write(text)
 
 
 def _entry(payload, key, where):
@@ -344,7 +340,13 @@ def _load_params(net, params, where):
 
 
 def load_checkpoint(path):
-    """Return ``(TrainedModel, extra)`` from a file :func:`save_checkpoint` wrote.
+    """Return ``(TrainedModel, extra)`` from a file :func:`save_checkpoint` wrote."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return _model_from_payload(json.load(fh))
+
+
+def _model_from_payload(payload):
+    """``(TrainedModel, extra)`` from a checkpoint's parsed JSON ``payload``.
 
     Every shape comes from the stored ``config`` and ``input_dim``: a
     weight network reads ``input_dim`` features for a row-weight fit and
@@ -356,8 +358,6 @@ def load_checkpoint(path):
     file or present on another's each raise one ``ValueError`` naming what
     is wrong.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
     version = payload.get("format_version") if isinstance(payload, dict) else None
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version: {version}")
@@ -365,7 +365,7 @@ def load_checkpoint(path):
     if unknown:
         raise ValueError(f"unknown checkpoint keys: {unknown}")
     config = _entry(payload, "config", "checkpoint")
-    config = build_from_dict(TrainConfig, config, "checkpoint config")
+    config = config_from_dict(TrainConfig, config, "checkpoint config")
     input_dim = _entry(payload, "input_dim", "checkpoint")
     if type(input_dim) is not int or input_dim < 1:
         raise ValueError(f"checkpoint input_dim must be an int >= 1, got {input_dim!r}")

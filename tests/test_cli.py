@@ -230,6 +230,19 @@ def test_a_gamma_that_flattens_a_synthetic_source_fails_its_run(tmp_path, capsys
     assert row.startswith("erm,1000000.0,") and ",failed," in row
 
 
+def test_a_gamma_that_overflows_a_gaussian_pool_fails_its_run(tmp_path, capsys):
+    out = tmp_path / "exp_out"
+    argv = ["experiment", "--data", "synthetic:gaussian", "--method", "erm", "--gamma", "1e200",
+            "--reps", "1", "--out", str(out)]
+    assert main(argv) == 2
+    cause = "feature column 0: its mean or std overflows float64"
+    assert f"run failed: method=erm gamma=1e+200 rep=0: ValueError: {cause}\n" in (
+        capsys.readouterr().err
+    )
+    (row,) = (out / "runs.csv").read_text().splitlines()[1:]
+    assert row.startswith("erm,1e+200,") and ",failed," in row
+
+
 # each hostile input through the CLI: (id, argv, exit code, the text that names
 # the cause); {name} is a file of the hostile_files fixture, {out} a fresh directory,
 # and a case may repeat an option of TRAIN: argparse keeps its last value
@@ -254,6 +267,14 @@ HOSTILE_INPUTS = [
      "non-finite cell 'inf' at row 2, column 'f0'"),
     ("constant-column", TRAIN + ["--data", "{constant}", "--method", "ours"], 0,
      "trained ours for 4 epochs"),
+    # a column holding 1e200 and -1e200, whose square overflows
+    ("split-huge-column", ["split", "--data", "{huge_column}", "--out", "{out}"], 1,
+     "the feature covariance overflows float64"),
+    ("zsa-huge-column", TRAIN + ["--data", "{huge_column}", "--method", "zsa"], 1,
+     "feature column 0: its mean or std overflows float64"),
+    ("experiment-huge-column", ["experiment", "--data", "{huge_column}", "--method", "erm",
+                                "--reps", "1", "--out", "{out}"], 1,
+     "feature column 0: its mean or std overflows float64"),
     *(
         (f"one-label-{method}", TRAIN + ["--data", "{one_label}", "--method", method], 1,
          "the source holds only label 0; training needs both labels")
@@ -437,10 +458,12 @@ def hostile_files(tmp_path_factory):
         bad = lines[:2] + [cell + "," + lines[2].split(",", 1)[1]] + lines[3:]
         files[name] = tmp_path / f"{name}.csv"
         files[name].write_text("\n".join(bad) + "\n")
-    constant = source.features.copy()
+    constant, huge = source.features.copy(), source.features.copy()
     constant[:, 0] = 3.0
+    huge[:2, 0] = 1e200, -1e200
     for name, data in (
         ("constant", replace(source, features=constant)),
+        ("huge_column", replace(source, features=huge)),
         ("one_label", replace(source, labels=np.zeros(source.n, dtype=np.int64))),
     ):
         files[name] = tmp_path / f"{name}.csv"

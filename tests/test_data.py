@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.stats import multivariate_normal
 
+from fairshift.config import _RULES, check_field_types
 from fairshift.data import (
     CATEGORICAL,
     CONTINUOUS,
@@ -17,9 +18,7 @@ from fairshift.data import (
     LabeledDataset,
     NormalizationStats,
     UnlabeledDataset,
-    _RULES,
     apply_zscore,
-    check_field_types,
     fit_zscore,
     infer_feature_kinds,
     load_csv,

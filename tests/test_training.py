@@ -1167,6 +1167,27 @@ def test_an_extra_named_like_the_record_leaves_the_loaded_model_alone(tmp_path, 
     assert loaded.config == cfg and loaded.input_stats is None and loaded_extra == extra
 
 
+@pytest.mark.parametrize(
+    "cfg,built,extra,cause",
+    [
+        # a predictor narrower than its config's hidden_dim
+        (TrainConfig(method="erm"), TrainConfig(hidden_dim=3), None,
+         r"checkpoint predictor 'w1' must be a \(2, 64\) array of finite numbers"),
+        # a zsa model without the statistics it standardizes by
+        (TrainConfig(method="zsa"), TrainConfig(method="zsa"), None,
+         "checkpoint has no 'input_stats', which method 'zsa' reads"),
+        # an extra that JSON cannot hold
+        (TrainConfig(method="erm"), TrainConfig(), {"x": object()}, "not JSON serializable"),
+    ],
+    ids=["narrow-predictor", "zsa-without-stats", "unserializable-extra"],
+)
+def test_a_model_its_loader_would_refuse_is_not_saved(tmp_path, cfg, built, extra, cause):
+    path = tmp_path / "checkpoint.json"
+    with pytest.raises((ValueError, TypeError), match=cause):
+        save_checkpoint(path, TrainedModel(build_predictor(built, 2), cfg), extra=extra)
+    assert not path.exists()
+
+
 # a fresh interpreter: one tiny train() call, then 256-row dropout forwards
 # of a 97-input predictor, whose masks (320 KiB) and temporaries (128 KiB)
 # sit at glibc's default sliding mmap threshold
